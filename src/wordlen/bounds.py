@@ -16,6 +16,10 @@ class InvalidInputs(ValueError):
     """Bound parameters outside their stated domain."""
 
 
+class BoundInvariantError(RuntimeError):
+    """Internal error: the evaluated bounds contradict each other."""
+
+
 def _ceil_sqrt(x: int) -> int:
     r = math.isqrt(x)
     return r + (r * r < x)
@@ -132,7 +136,7 @@ class BoundReport:
 
 
 def bound_table(d: int, m: int, n: int | None = None) -> BoundReport:
-    """Evaluate every bound; internal consistency is asserted, not assumed."""
+    """Evaluate every bound; internal consistency is checked, not assumed."""
     if m < 2 or d < m:
         raise InvalidInputs(f"need m >= 2, d >= m; got d={d}, m={m}")
     if n is not None and n < 1:
@@ -141,8 +145,11 @@ def bound_table(d: int, m: int, n: int | None = None) -> BoundReport:
     k_cap = _ceil_sqrt(d) + m
     main_at_k = tuple((k, main_bound(d, m, k)) for k in range(k_cap + 1))
     best = best_main_bound(d, m)
-    assert all(best.value <= v for _, v in main_at_k)
-    assert best.value <= trivial
+    if any(v < best.value for _, v in main_at_k) or best.value > trivial:
+        raise BoundInvariantError(
+            f"best main bound {best.value} at k={best.k_star} is not the minimum "
+            f"over k <= {k_cap} and the trivial bound {trivial} (d={d}, m={m})"
+        )
     return BoundReport(
         d=d,
         m=m,

@@ -4,7 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from wordlen import bounds
 from wordlen.bounds import (
+    BestMain,
+    BoundInvariantError,
     InvalidInputs,
     best_main_bound,
     bound_table,
@@ -135,3 +138,10 @@ class TestBoundTable:
     def test_invalid(self):
         with pytest.raises(InvalidInputs):
             bound_table(1, 2)
+
+    def test_inconsistent_best_bound_raises(self, monkeypatch):
+        # The check must survive python -O, so it cannot be an assert.
+        worse = BestMain(1, Fraction(5), 5)  # true minimum for (9, 3) is 4 at k=2
+        monkeypatch.setattr(bounds, "best_main_bound", lambda d, m: worse)
+        with pytest.raises(BoundInvariantError):
+            bound_table(9, 3)

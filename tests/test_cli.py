@@ -148,6 +148,15 @@ class TestAlg:
         code, _ = run(capsys, "alg", "length", "/nonexistent.json")
         assert code == 2
 
+    def test_top_level_list_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text(json.dumps([[0, 1, 0, 0]]))
+        code = main(["alg", "length", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: matrix set must be an object")
+        assert "Traceback" not in err
+
 
 class TestBounds:
     def test_table(self, capsys):

@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wordlen.linalg import (
     DimensionMismatch,
@@ -11,12 +13,11 @@ from wordlen.linalg import (
     PrimeField,
     SpanBasis,
     dump_matrix_set,
-    field_inv,
-    insert_into_span,
     load_matrix_set,
     min_poly,
     shift_to_invertible,
 )
+from wordlen.oracles import _GaussRows
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
@@ -39,15 +40,15 @@ class TestPrimeField:
                 PrimeField(p)
 
     def test_inverse(self):
-        assert field_inv(2, F5) == 3
-        assert field_inv(1, F7) == 1
-        assert field_inv(4, F7) == 2
+        assert F5.inv(2) == 3
+        assert F7.inv(1) == 1
+        assert F7.inv(4) == 2
 
     def test_inverse_of_zero(self):
         with pytest.raises(DivisionByZero):
-            field_inv(0, F5)
+            F5.inv(0)
         with pytest.raises(DivisionByZero):
-            field_inv(10, F5)
+            F5.inv(10)
 
 
 class TestFMatrix:
@@ -77,27 +78,27 @@ class TestFMatrix:
 class TestSpanBasis:
     def test_grows_on_independent(self):
         basis = SpanBasis(4, F5)
-        assert insert_into_span(basis, FMatrix.identity(F5, 2))
+        assert basis.insert(FMatrix.identity(F5, 2).vectorize())
         assert basis.dim == 1
 
     def test_scalar_multiple_dependent(self):
         basis = SpanBasis(4, F5)
         ident = FMatrix.identity(F5, 2)
-        insert_into_span(basis, ident)
-        assert not insert_into_span(basis, ident.scale(2))
+        basis.insert(ident.vectorize())
+        assert not basis.insert(ident.scale(2).vectorize())
 
     def test_matrix_units_independent(self):
         basis = SpanBasis(4, F5)
-        insert_into_span(basis, FMatrix.identity(F5, 2))
-        insert_into_span(basis, E(F5, 2, 0, 1))
-        assert insert_into_span(basis, E(F5, 2, 1, 0))
+        basis.insert(FMatrix.identity(F5, 2).vectorize())
+        basis.insert(E(F5, 2, 0, 1).vectorize())
+        assert basis.insert(E(F5, 2, 1, 0).vectorize())
         assert basis.dim == 3
 
     def test_idempotent(self):
         basis = SpanBasis(4, F5)
         m = E(F5, 2, 0, 1)
-        assert insert_into_span(basis, m)
-        assert not insert_into_span(basis, m)
+        assert basis.insert(m.vectorize())
+        assert not basis.insert(m.vectorize())
         assert basis.dim == 1
 
     def test_all_units_reach_full_dimension(self):
@@ -105,7 +106,7 @@ class TestSpanBasis:
             basis = SpanBasis(k * k, F5)
             for i in range(k):
                 for j in range(k):
-                    insert_into_span(basis, E(F5, k, i, j))
+                    basis.insert(E(F5, k, i, j).vectorize())
             assert basis.dim == k * k
 
     def test_rows_are_reduced_echelon(self):
@@ -131,7 +132,62 @@ class TestSpanBasis:
         with pytest.raises(DimensionMismatch):
             basis.insert([1, 2, 3])
         with pytest.raises(DimensionMismatch):
-            insert_into_span(basis, FMatrix.identity(F5, 3))
+            basis.insert(FMatrix.identity(F5, 3).vectorize())
+
+
+@st.composite
+def span_inputs(draw):
+    """A modulus, an ambient dimension and vectors to insert: dense ones,
+    with unreduced entries, and sparse ones, mostly zeros, like the products
+    of structured generator sets."""
+    p = draw(st.sampled_from((2, 3, 10007)))
+    d = draw(st.integers(1, 40))
+    dense = st.lists(st.integers(-p, 2 * p), min_size=d, max_size=d)
+    sparse = st.dictionaries(
+        st.integers(0, d - 1), st.integers(1, p - 1), max_size=3
+    ).map(lambda entries: [entries.get(j, 0) for j in range(d)])
+    vecs = draw(st.lists(st.one_of(dense, sparse), min_size=1, max_size=50))
+    return p, d, vecs
+
+
+def _rank(p, vecs):
+    oracle = _GaussRows(p)
+    for v in vecs:
+        oracle.insert(v)
+    return len(oracle.rows)
+
+
+class TestSpanBasisAgainstOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(span_inputs(), st.data())
+    def test_matches_gauss_rows(self, inputs, data):
+        p, d, vecs = inputs
+        basis = SpanBasis(d, PrimeField(p))
+        oracle = _GaussRows(p)
+        snap_at = data.draw(st.integers(0, len(vecs)))
+        snapshot = snapshot_rows = None
+        for i, v in enumerate(vecs):
+            if i == snap_at:
+                snapshot, snapshot_rows = basis.copy(), basis.rows
+            in_span = basis.contains(v)
+            grew = oracle.insert(v)
+            assert in_span == (not grew)
+            assert basis.insert(v) == grew
+            assert basis.dim == len(oracle.rows)
+        if snapshot is not None:
+            assert snapshot.rows == snapshot_rows
+            assert snapshot.dim == len(snapshot_rows)
+
+        rows = basis.rows
+        pivots = [next(j for j, x in enumerate(row) if x) for row in rows]
+        assert pivots == sorted(set(pivots))
+        for row, piv in zip(rows, pivots):
+            assert all(0 <= x < p for x in row)
+            assert [row[q] for q in pivots] == [int(q == piv) for q in pivots]
+        assert _rank(p, rows) == _rank(p, [*rows, *vecs]) == basis.dim
+
+        with pytest.raises(DimensionMismatch):
+            basis.contains([0] * (d + 1))
 
 
 class TestMinPoly:
@@ -227,3 +283,26 @@ class TestMatrixJson:
             {"p": 5, "n": 2, "matrices": [[6, -1, 0, 10]]}
         )
         assert mats[0].entries == ((1, 4), (0, 0))
+
+    @pytest.mark.parametrize(
+        "payload, field_name",
+        [
+            ([[0, 1, 0, 0]], "object"),
+            ({"n": 2, "matrices": []}, "object"),
+            ({"p": "5", "n": 2, "matrices": []}, '"p"'),
+            ({"p": 5, "n": True, "matrices": []}, '"n"'),
+            ({"p": 5, "n": 0, "matrices": []}, '"n"'),
+            ({"p": 5, "n": 2, "matrices": [[0, 1.7, 0, 0]]}, '"matrices"[0]'),
+            ({"p": 5, "n": 2, "matrices": [[0, 1, 0, 0], [True, 0, 0, 0]]}, '"matrices"[1]'),
+            ({"p": 5, "n": 2, "matrices": {"a": [0, 1, 0, 0]}}, '"matrices"'),
+            ({"p": 5, "n": 2, "matrices": [7]}, '"matrices"[0]'),
+        ],
+    )
+    def test_malformed_file_names_the_field(self, tmp_path, payload, field_name):
+        import json
+        import re
+
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=re.escape(field_name)):
+            load_matrix_set(path)
