@@ -24,7 +24,6 @@ from .bounds import (
     bound_table,
     halfdim_bound,
     main_bound,
-    pappacena_bound,
     pappacena_exceeds_main,
     paz_bound,
 )

@@ -10,8 +10,9 @@ a word with a reducible prefix is itself reducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .linalg import FMatrix, PrimeField, SpanBasis, load_matrix_set, min_poly
 from .powers import Exponent, max_factor_exponent
@@ -120,13 +121,16 @@ class PowerFreeReport:
         return all(e.ok for e in self.entries)
 
 
-def length_trace(S: GeneratorSet, max_len: int) -> LengthTrace:
-    """Grow the span of products breadth-first until it stabilizes.
+def _levels(S: GeneratorSet, max_len: int) -> Iterator[SpanBasis]:
+    """Grow the span of products breadth-first, yielding the basis of the
+    span of products of length <= i for i = 0, 1, ..., l(S).
 
     Only products that were independent when inserted are kept on the
     frontier; multiplying just frontier x generators is enough because a
     dependent product's extensions are spanned by extensions of the words
-    it depends on.
+    it depends on.  The walk stops at full dimension or when a level adds
+    nothing, so the span of every longer product is the last one yielded.
+    The basis yielded is the live one: a caller that keeps a level copies it.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
@@ -134,12 +138,10 @@ def length_trace(S: GeneratorSet, max_len: int) -> LengthTrace:
     basis = SpanBasis(ambient, S.field)
     ident = FMatrix.identity(S.field, S.n)
     basis.insert(ident.vectorize())
-    dims = [basis.dim]
+    yield basis
     frontier = [ident]
     step = 0
-    while True:
-        if basis.dim == ambient:
-            break
+    while basis.dim < ambient:
         step += 1
         if step > max_len:
             raise CapExceeded(max_len)
@@ -150,29 +152,15 @@ def length_trace(S: GeneratorSet, max_len: int) -> LengthTrace:
                 if basis.insert(prod.vectorize()):
                     new_frontier.append(prod)
         if not new_frontier:
-            break
-        dims.append(basis.dim)
+            return
+        yield basis
         frontier = new_frontier
-    return LengthTrace(tuple(dims), len(dims) - 1, basis.dim)
 
 
-def _level_bases(S: GeneratorSet, upto: int) -> list[SpanBasis]:
-    """Snapshots of the span bases for product lengths 0..upto."""
-    basis = SpanBasis(S.n * S.n, S.field)
-    ident = FMatrix.identity(S.field, S.n)
-    basis.insert(ident.vectorize())
-    bases = [basis.copy()]
-    frontier = [ident]
-    for _ in range(upto):
-        new_frontier = []
-        for mat in frontier:
-            for g in S.gens:
-                prod = mat @ g
-                if basis.insert(prod.vectorize()):
-                    new_frontier.append(prod)
-        frontier = new_frontier
-        bases.append(basis.copy())
-    return bases
+def length_trace(S: GeneratorSet, max_len: int) -> LengthTrace:
+    """Grow the span of products breadth-first until it stabilizes."""
+    dims = tuple(basis.dim for basis in _levels(S, max_len))
+    return LengthTrace(dims, len(dims) - 1, dims[-1])
 
 
 def _product(word: Sequence[int], S: GeneratorSet) -> FMatrix:
@@ -191,8 +179,9 @@ def is_reducible(word: Sequence[int], S: GeneratorSet) -> bool:
     for idx in word:
         if not 0 <= idx < k:
             raise IndexOutOfRange(f"generator index {idx} outside [0, {k})")
-    bases = _level_bases(S, j - 1)
-    return bases[j - 1].contains(_product(word, S).vectorize())
+    # level j - 1, or the final span if the walk ends before it
+    *_, basis = islice(_levels(S, S.n * S.n), j)
+    return basis.contains(_product(word, S).vectorize())
 
 
 def _liw_search(S: GeneratorSet, bases: list[SpanBasis], i: int) -> tuple[int, ...] | None:
@@ -235,11 +224,30 @@ def liw(S: GeneratorSet, i: int, budget: int = DEFAULT_SEARCH_BUDGET) -> LiwResu
     k = len(S.gens)
     if k**i > budget:
         raise SearchBudgetExceeded(f"|S|^i = {k**i} exceeds budget {budget}")
-    bases = _level_bases(S, i - 1)
+    bases = [basis.copy() for basis in islice(_levels(S, S.n * S.n), i)]
+    if len(bases) < i:  # the span stopped growing before length i - 1
+        return None
     found = _liw_search(S, bases, i)
     if found is None:
         return None
     return LiwResult(i, found, _word_complexity(found, k))
+
+
+def _liw_words(S: GeneratorSet, budget: int) -> tuple[int, list[tuple[int, ...]]]:
+    """dim L(S) and the minimal irreducible word of each length 1..l(S),
+    from one walk."""
+    bases = [basis.copy() for basis in _levels(S, S.n * S.n)]
+    length = len(bases) - 1
+    k = len(S.gens)
+    if length >= 1 and k**length > budget:
+        raise SearchBudgetExceeded(f"|S|^l(S) = {k**length} exceeds budget {budget}")
+    words = []
+    for i in range(1, length + 1):
+        found = _liw_search(S, bases, i)
+        if found is None:
+            raise RuntimeError(f"no irreducible word of length {i} <= l(S)")
+        words.append(found)
+    return bases[-1].dim, words
 
 
 def check_liw_complexity(
@@ -247,22 +255,13 @@ def check_liw_complexity(
 ) -> LiwComplexityReport:
     """Total complexity of each minimal irreducible word versus the
     generated dimension; the bound must hold for every length."""
-    trace = length_trace(S, max_len=S.n * S.n)
-    dim = trace.generated_dim
+    dim, found = _liw_words(S, budget)
     k = len(S.gens)
-    if trace.length >= 1 and k**trace.length > budget:
-        raise SearchBudgetExceeded(
-            f"|S|^l(S) = {k**trace.length} exceeds budget {budget}"
-        )
-    bases = _level_bases(S, max(trace.length - 1, 0))
     entries = []
-    for i in range(1, trace.length + 1):
-        found = _liw_search(S, bases, i)
-        if found is None:
-            raise RuntimeError(f"no irreducible word of length {i} <= l(S)")
-        c = _word_complexity(found, k)
-        entries.append(LiwComplexityEntry(i, found, c, dim, c <= dim))
-    return LiwComplexityReport(trace.length, dim, tuple(entries))
+    for i, word in enumerate(found, start=1):
+        c = _word_complexity(word, k)
+        entries.append(LiwComplexityEntry(i, word, c, dim, c <= dim))
+    return LiwComplexityReport(len(found), dim, tuple(entries))
 
 
 def check_irreducible_power_free(
@@ -275,22 +274,14 @@ def check_irreducible_power_free(
     """
     if S.field.p <= m:
         raise ValueError(f"need field size > m = {m}")
-    trace = length_trace(S, max_len=S.n * S.n)
-    k = len(S.gens)
-    if trace.length >= 1 and k**trace.length > budget:
-        raise SearchBudgetExceeded(
-            f"|S|^l(S) = {k**trace.length} exceeds budget {budget}"
-        )
-    bases = _level_bases(S, max(trace.length - 1, 0))
-    entries = []
+    _, found = _liw_words(S, budget)
+    alphabet = Alphabet.indices(len(S.gens))
     limit = m - 1
-    for i in range(1, trace.length + 1):
-        found = _liw_search(S, bases, i)
-        if found is None:
-            raise RuntimeError(f"no irreducible word of length {i} <= l(S)")
-        exp, _ = max_factor_exponent(Word(found, Alphabet.indices(k)))
-        entries.append(PowerFreeEntry(i, found, exp, limit, exp.value <= limit))
-    return PowerFreeReport(trace.length, limit, tuple(entries))
+    entries = []
+    for i, word in enumerate(found, start=1):
+        exp, _ = max_factor_exponent(Word(word, alphabet))
+        entries.append(PowerFreeEntry(i, word, exp, limit, exp.value <= limit))
+    return PowerFreeReport(len(found), limit, tuple(entries))
 
 
 def estimate_m_star(

@@ -109,15 +109,11 @@ class PappacenaBound:
         return lhs * lhs < self.m * self.m * self.radicand
 
 
-def pappacena_bound(d: int, m: int) -> PappacenaBound:
-    return PappacenaBound(d, m)
-
-
 def pappacena_exceeds_main(d: int, m: int) -> bool:
     """Is the square-root bound strictly above the max-form bound evaluated
     at k = floor(sqrt(d/m))?  Compared exactly."""
     k = floor_sqrt_ratio(d, m)
-    return pappacena_bound(d, m).greater_than(main_bound(d, m, k))
+    return PappacenaBound(d, m).greater_than(main_bound(d, m, k))
 
 
 @dataclass(frozen=True)
@@ -157,7 +153,7 @@ def bound_table(d: int, m: int, n: int | None = None) -> BoundReport:
         trivial=trivial,
         halfdim=halfdim_bound(d, m),
         paz=paz_bound(n) if n is not None else None,
-        pappacena=pappacena_bound(d, m),
+        pappacena=PappacenaBound(d, m),
         main_at_k=main_at_k,
         best_main=best,
     )

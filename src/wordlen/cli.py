@@ -2,9 +2,9 @@
 
 One binary, subcommand style.  Human tables go to stdout; --json switches to
 machine-readable output with stable keys.  Exit codes: 0 success, 1 a
-verifier found a counterexample, 2 usage or input error, 3 budget exceeded.
-The WORDLEN_BUDGET environment variable overrides the default enumeration
-budget.
+verifier found a counterexample, 2 usage or input error, 3 budget exceeded,
+4 internal error (a bug, never a verdict).  The WORDLEN_BUDGET environment
+variable overrides the default enumeration budget.
 """
 
 from __future__ import annotations
@@ -13,7 +13,9 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from fractions import Fraction
+from pathlib import Path
 
 from . import algebra, bounds, oracles, powers, structure, verify, words
 
@@ -21,12 +23,20 @@ EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 _SWEEPS = {
     "mh": verify.sweep_mh,
     "mhgen": verify.sweep_mh_general,
     "tc": verify.sweep_tc,
 }
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _emit(payload: dict) -> None:
@@ -134,7 +144,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             (args.theorem, args.alphabet, args.maxlen, budget, i, args.jobs)
             for i in range(args.jobs)
         ]
-        with multiprocessing.Pool(args.jobs) as pool:
+        # the shard count stays --jobs, so the merged report is the same
+        # whatever the number of processes
+        with multiprocessing.Pool(min(args.jobs, os.cpu_count() or 1)) as pool:
             parts = pool.map(_run_sweep_shard, jobs)
         report = verify.merge_reports(parts)
     else:
@@ -147,8 +159,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_alg(args: argparse.Namespace) -> int:
     S = algebra.GeneratorSet.from_file(args.file)
+    trace = algebra.length_trace(S, max_len=S.n * S.n if args.cap is None else args.cap)
     if args.action == "length":
-        trace = algebra.length_trace(S, max_len=args.cap or S.n * S.n)
         payload = {
             "dims": list(trace.dims),
             "length": trace.length,
@@ -161,19 +173,17 @@ def _cmd_alg(args: argparse.Namespace) -> int:
             print(f"l(S) = {trace.length}, dim L(S) = {trace.generated_dim}")
         return EXIT_OK
 
-    trace = algebra.length_trace(S, max_len=args.cap or S.n * S.n)
     full = trace.generated_dim == S.n * S.n
     if full:
         m, estimated = S.n, False
     else:
         m = algebra.estimate_m_star(S, word_len_cap=max(trace.length, 1) + 1)
         estimated = True
-    comp = algebra.check_liw_complexity(S, budget=args.budget or algebra.DEFAULT_SEARCH_BUDGET)
+    budget = algebra.DEFAULT_SEARCH_BUDGET if args.budget is None else args.budget
+    comp = algebra.check_liw_complexity(S, budget=budget)
     power_report = None
     if S.field.p > m:
-        power_report = algebra.check_irreducible_power_free(
-            S, m, budget=args.budget or algebra.DEFAULT_SEARCH_BUDGET
-        )
+        power_report = algebra.check_irreducible_power_free(S, m, budget=budget)
     alphabet = S.word_alphabet
     rows = []
     for idx, entry in enumerate(comp.entries):
@@ -306,18 +316,20 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="exhaustive theorem sweeps")
     v.add_argument("theorem", choices=["mh", "mhgen", "tc", "shape"])
     v.add_argument("--alphabet", type=int, default=2, help="alphabet size")
-    v.add_argument("--maxlen", type=int, default=12)
-    v.add_argument("--count", type=int, default=10_000, help="random words (shape only)")
+    v.add_argument("--maxlen", type=positive_int, default=12)
+    v.add_argument("--count", type=positive_int, default=10_000,
+                   help="random words (shape only)")
     v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--jobs", type=int, default=1)
-    v.add_argument("--budget", type=int, help="enumeration budget override")
+    v.add_argument("--jobs", type=positive_int, default=1,
+                   help="shards, run on at most one process per CPU")
+    v.add_argument("--budget", type=positive_int, help="enumeration budget override")
     v.set_defaults(func=_cmd_verify)
 
     a = sub.add_parser("alg", help="generating-set length and irreducible words")
     a.add_argument("action", choices=["length", "liw"])
     a.add_argument("file", help="matrix JSON {p, n, matrices}")
-    a.add_argument("--cap", type=int, help="step cap (default n^2)")
-    a.add_argument("--budget", type=int, help="word search budget")
+    a.add_argument("--cap", type=positive_int, help="step cap (default n^2)")
+    a.add_argument("--budget", type=positive_int, help="word search budget")
     a.add_argument("--json", action="store_true")
     a.set_defaults(func=_cmd_alg)
 
@@ -333,10 +345,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     o = sub.add_parser("oracle", help="fast-path versus brute-force cross checks")
     o.add_argument("--seed", type=int, default=0)
-    o.add_argument("--words", type=int, default=2000, help="random profile checks")
-    o.add_argument("--maxlen", type=int, default=300)
-    o.add_argument("--qpt-maxlen", type=int, default=12, help="exhaustive qpt length")
-    o.add_argument("--sets", type=int, default=50, help="random generator sets")
+    o.add_argument("--words", type=positive_int, default=2000, help="random profile checks")
+    o.add_argument("--maxlen", type=positive_int, default=300)
+    o.add_argument("--qpt-maxlen", type=positive_int, default=12,
+                   help="exhaustive qpt length")
+    o.add_argument("--sets", type=positive_int, default=50, help="random generator sets")
     o.add_argument("--json", action="store_true")
     o.set_defaults(func=_cmd_oracle)
 
@@ -358,6 +371,13 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        # exit 1 is reserved for counterexamples, so a bug must not end in
+        # Python's default status for an uncaught exception
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        print(f"internal error: {type(exc).__name__}: {exc} "
+              f"({Path(where.filename).name}:{where.lineno})", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

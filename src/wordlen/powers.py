@@ -138,6 +138,19 @@ def _lemma_flags(counts: tuple[int, ...], l: int, k: int) -> tuple[bool, bool, b
     return lemma1, lemma2, lemma3
 
 
+def _tc_report(w: Word, k: int, d: Exponent) -> TcReport:
+    """c >= (k+1)(l-k+1), with the lemma flags where 1 <= k <= l/2."""
+    l = len(w)
+    counts = complexity_profile(w).counts
+    c = sum(counts)
+    bound = (k + 1) * (l - k + 1)
+    if k >= 1 and 2 * k <= l:
+        lemma1, lemma2, lemma3 = _lemma_flags(counts, l, k)
+    else:
+        lemma1 = lemma2 = lemma3 = None
+    return TcReport(l, k, d, lemma1, lemma2, lemma3, c >= bound, c, bound)
+
+
 def verify_tc(w: Word, k: int) -> TcReport:
     """Total-complexity bound with d set to the word's own max exponent.
 
@@ -155,11 +168,7 @@ def verify_tc(w: Word, k: int) -> TcReport:
     exp, _ = max_factor_exponent(w)
     if l * exp.den <= k * exp.num:
         raise HypothesisUnmet("l > k*d")
-    counts = complexity_profile(w).counts
-    c = sum(counts)
-    bound = (k + 1) * (l - k + 1)
-    lemma1, lemma2, lemma3 = _lemma_flags(counts, l, k)
-    return TcReport(l, k, exp, lemma1, lemma2, lemma3, c >= bound, c, bound)
+    return _tc_report(w, k, exp)
 
 
 def verify_tc_integer(w: Word, k: int, d: int) -> TcReport:
@@ -176,11 +185,4 @@ def verify_tc_integer(w: Word, k: int, d: int) -> TcReport:
         raise HypothesisUnmet("w avoids d+ powers")
     if l <= k * d:
         raise HypothesisUnmet("l > k*d")
-    counts = complexity_profile(w).counts
-    c = sum(counts)
-    bound = (k + 1) * (l - k + 1)
-    if k >= 1 and 2 * k <= l:
-        lemma1, lemma2, lemma3 = _lemma_flags(counts, l, k)
-    else:
-        lemma1 = lemma2 = lemma3 = None
-    return TcReport(l, k, Exponent(d, 1), lemma1, lemma2, lemma3, c >= bound, c, bound)
+    return _tc_report(w, k, Exponent(d, 1))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 
 import pytest
 
@@ -18,6 +19,7 @@ from wordlen.algebra import (
 )
 from wordlen.bounds import best_main_bound
 from wordlen.linalg import FMatrix, PrimeField, random_matrix
+from wordlen.oracles import _GaussRows
 from wordlen.verify import sample_generating_sets
 
 F5 = PrimeField(5)
@@ -122,8 +124,70 @@ class TestLiw:
 
     def test_exists_iff_within_length(self):
         for S, trace in sample_generating_sets(10, dims=(2, 3), seed=4):
-            for i in range(1, trace.length + 2):
+            for i in range(1, trace.length + 4):
                 assert (liw(S, i) is not None) == (i <= trace.length)
+
+
+def _brute_irreducible(S, max_i):
+    """For each length i in 1..max_i, every word of length i in lex order
+    with whether its product lies outside the span of all products of
+    length < i; and the rank of all products of length <= max_i.  Every
+    product is multiplied out from scratch and spanned by the oracle's own
+    elimination."""
+    n, k = S.n, len(S.gens)
+    span = _GaussRows(S.field.p)
+    span.insert([int(r == c) for r in range(n) for c in range(n)])
+    levels = []
+    for i in range(1, max_i + 1):
+        words = list(product(range(k), repeat=i))
+        vecs = []
+        for word in words:
+            mat = S.gens[word[0]]
+            for idx in word[1:]:
+                mat = mat @ S.gens[idx]
+            vecs.append(list(mat.vectorize()))
+        levels.append([(w, any(span._reduced(v))) for w, v in zip(words, vecs)])
+        for v in vecs:
+            span.insert(v)
+    return levels, len(span.rows)
+
+
+def _oracle_sets():
+    """Full sets with n in {2, 3}, then sets whose walk ends on an empty
+    frontier below full dimension: diag(1, 2, 3) with a Jordan block spans
+    the upper-triangular matrices, and a lone matrix unit spans <I, E12>."""
+    F7 = PrimeField(7)
+    diag = FMatrix.from_rows(F7, [[1, 0, 0], [0, 2, 0], [0, 0, 3]])
+    jordan = FMatrix.from_rows(F7, [[1, 1, 0], [0, 1, 1], [0, 0, 1]])
+    return [S for S, _ in sample_generating_sets(12, dims=(2, 3), seed=5)] + [
+        GeneratorSet(F7, 3, (diag, jordan)),
+        GeneratorSet(F5, 2, (E12,)),
+    ]
+
+
+class TestAgainstBruteForce:
+    def test_liw_and_checks(self):
+        for S in _oracle_sets():
+            trace = length_trace(S, S.n * S.n)
+            levels, rank = _brute_irreducible(S, trace.length + 3)
+            ref = [next((w for w, outside in level if outside), None) for level in levels]
+            length = sum(w is not None for w in ref)
+            assert ref[length:] == [None] * 3
+            assert (trace.length, trace.generated_dim) == (length, rank)
+            assert [getattr(liw(S, i), "word", None) for i in range(1, length + 4)] == ref
+            comp = check_liw_complexity(S)
+            power = check_irreducible_power_free(S, S.n)
+            assert [e.word for e in comp.entries] == [e.word for e in power.entries]
+            assert [e.word for e in comp.entries] == ref[:length]
+            assert (comp.length, comp.generated_dim, power.length) == (length, rank, length)
+
+    def test_is_reducible(self):
+        for S in _oracle_sets():
+            trace = length_trace(S, S.n * S.n)
+            levels, _ = _brute_irreducible(S, trace.length + 3)
+            for level in levels:
+                for word, outside in level:
+                    assert is_reducible(word, S) == (not outside), word
 
 
 class TestChecks:

@@ -9,12 +9,12 @@ from wordlen.bounds import (
     BestMain,
     BoundInvariantError,
     InvalidInputs,
+    PappacenaBound,
     best_main_bound,
     bound_table,
     floor_sqrt_ratio,
     halfdim_bound,
     main_bound,
-    pappacena_bound,
     pappacena_exceeds_main,
     paz_bound,
 )
@@ -100,7 +100,7 @@ class TestPappacena:
         assert floor_sqrt_ratio(400, 2) == 14
 
     def test_exact_comparison_is_strict(self):
-        pb = pappacena_bound(4, 2)
+        pb = PappacenaBound(4, 2)
         # bound ~ 4.7445; compare against rationals on both sides
         assert pb.greater_than(Fraction(47, 10))
         assert not pb.greater_than(Fraction(48, 10))

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
+from fractions import Fraction
 
 import pytest
 
-from wordlen.cli import main
+from wordlen import algebra, bounds
+from wordlen.cli import EXIT_INTERNAL, main
 from wordlen.linalg import FMatrix, PrimeField, dump_matrix_set
 
 
@@ -123,6 +127,31 @@ class TestVerify:
             main(["verify", "nope"])
         assert exc.value.code == 2
 
+    def test_pool_capped_at_cpu_count(self, capsys, monkeypatch):
+        made = []
+
+        class FakePool:
+            def __init__(self, processes):
+                self.processes = processes
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                made.append((self.processes, len(jobs)))
+                return [fn(job) for job in jobs]
+
+        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        code1, out1 = run(capsys, "verify", "mh", "--maxlen", "8", "--jobs", "5")
+        code2, out2 = run(capsys, "verify", "mh", "--maxlen", "8")
+        assert made == [(2, 5)]  # two processes, five shards
+        assert code1 == code2 == 0
+        assert out1 == out2
+
 
 class TestAlg:
     def test_length(self, capsys, unit_pair_file):
@@ -156,6 +185,49 @@ class TestAlg:
         assert code == 2
         assert err.startswith("error: matrix set must be an object")
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "shape", "--count", "-5"],
+        ["verify", "mh", "--jobs", "0"],
+        ["verify", "mh", "--jobs", "-3"],
+        ["verify", "mh", "--maxlen", "0"],
+        ["verify", "mh", "--budget", "0"],
+        ["alg", "length", "FILE", "--cap", "0"],
+        ["alg", "liw", "FILE", "--budget", "0"],
+        ["oracle", "--words", "0"],
+        ["oracle", "--maxlen", "-1"],
+        ["oracle", "--qpt-maxlen", "0"],
+        ["oracle", "--sets", "0"],
+    ],
+)
+def test_non_positive_count_is_usage_error(capsys, unit_pair_file, argv):
+    argv = [unit_pair_file if a == "FILE" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "must be >= 1" in capsys.readouterr().err
+
+
+class TestInternalError:
+    def _assert_internal(self, capsys, code, name):
+        err = capsys.readouterr().err
+        assert code == EXIT_INTERNAL == 4
+        assert err.startswith(f"internal error: {name}: ")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_bound_invariant(self, capsys, monkeypatch):
+        worse = bounds.BestMain(1, Fraction(5), 5)  # true minimum for (9, 3) is 4
+        monkeypatch.setattr(bounds, "best_main_bound", lambda d, m: worse)
+        code = main(["bounds", "--dim", "9", "--m", "3", "--json"])
+        self._assert_internal(capsys, code, "BoundInvariantError")
+
+    def test_liw_search_miss(self, capsys, monkeypatch, unit_pair_file):
+        monkeypatch.setattr(algebra, "_liw_search", lambda S, bases, i: None)
+        code = main(["alg", "liw", unit_pair_file, "--json"])
+        self._assert_internal(capsys, code, "RuntimeError")
 
 
 class TestBounds:
