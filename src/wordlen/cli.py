@@ -221,6 +221,11 @@ def _cmd_alg(args: argparse.Namespace) -> int:
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     if args.grid:
+        for flag, value in (("--m-max", args.m_max), ("--d-max", args.d_max)):
+            if value < 2:
+                print(f"error: {flag} must be >= 2 for a non-empty grid, got {value}",
+                      file=sys.stderr)
+                return EXIT_USAGE
         bad = []
         cells = 0
         for m in range(2, args.m_max + 1):

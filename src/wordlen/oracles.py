@@ -1,10 +1,11 @@
 """Brute-force reference implementations.
 
 These exist to be obviously correct, not fast: substring sets instead of
-automata, exhaustive (q, p, t) scans instead of border arrays, per-level
-from-scratch products instead of frontier caching, and a local Gaussian
-elimination that shares no code with the fast span basis.  Every fast path
-is required to agree with its oracle on the stated overlap domain.
+automata, exhaustive (q, p, t) scans instead of the longest-repeat identity,
+one border array per start position instead of per-period mismatch masks,
+per-level from-scratch products instead of frontier caching, and a local
+Gaussian elimination that shares no code with the fast span basis.  Every
+fast path is required to agree with its oracle on the stated overlap domain.
 """
 
 from __future__ import annotations
@@ -14,12 +15,14 @@ from itertools import product
 from typing import Iterator, Sequence
 
 from .algebra import CapExceeded, GeneratorSet, LengthTrace
+from .powers import EmptyWord, Exponent
 from .structure import QptDecomposition
-from .words import Alphabet, ComplexityProfile, Word
+from .words import Alphabet, ComplexityProfile, Word, border_array
 
 DEFAULT_ENUMERATION_BUDGET = 100_000_000
 NAIVE_PROFILE_CAP = 1_000
 BRUTE_QPT_CAP = 30
+BRUTE_EXPONENT_CAP = 2_000
 
 
 class BudgetExceeded(RuntimeError):
@@ -112,6 +115,27 @@ def brute_min_qpt(w: Word) -> QptDecomposition:
                         best_key = key
                         best = (q, p, t)
     return QptDecomposition(best[0], best[1], best[2], l)
+
+
+def brute_max_exponent(w: Word) -> tuple[Exponent, tuple[int, int]]:
+    """Largest length/period ratio over every factor, each period read off
+    the border array of the suffix at its start; O(l^2).  Unreduced num/den,
+    ties to the leftmost witness, then the shortest."""
+    l = len(w)
+    if l == 0:
+        raise EmptyWord("brute_max_exponent of the empty word")
+    if l > BRUTE_EXPONENT_CAP:
+        raise LengthTooLarge(f"brute_max_exponent handles length <= {BRUTE_EXPONENT_CAP}")
+    letters = w.letters
+    best_num, best_den = 1, 1
+    best_span = (0, 1)
+    for start in range(l):
+        for length, border in enumerate(border_array(letters[start:]), 1):
+            period = length - border
+            if length * best_den > best_num * period:
+                best_num, best_den = length, period
+                best_span = (start, start + length)
+    return Exponent(best_num, best_den), best_span
 
 
 class _GaussRows:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import ne
 
 from .words import Word, border_array, complexity_profile
 
@@ -85,34 +86,45 @@ def minimal_period(w: Word) -> int:
 def max_factor_exponent(w: Word) -> tuple[Exponent, tuple[int, int]]:
     """Largest length/period ratio over all non-empty factors.
 
-    Returns the exponent unreduced plus the witness span [start, end);
-    ties go to the leftmost witness, then the shortest.  One border array
-    per start position makes this O(l^2).
+    Returns the exponent unreduced (length over minimal period) plus the
+    witness span [start, end); ties go to the leftmost witness, then the
+    shortest.  A word with no repeated letter gives 1/1 at [0, 1).
+
+    Periods p = 1, 2, ... are scanned while a factor of period p can still
+    reach the best exponent num/den (l * den >= num * p).  For each p the
+    mismatch mask m[i] = (w[i] != w[i+p]) is built in one C-level pass; a
+    maximal zero run [i, e) of m is the factor [i, e + p) of exponent
+    (e - i + p) / p, and only runs of at least (num - den) * p / den zeros
+    can match or beat the best, so ``bytes.find`` skips the rest.  Every
+    best witness is a maximal run of its minimal period (a longer run would
+    beat it, a smaller period would give a larger exponent), so taking a
+    strictly larger value, or an equal value with a smaller (start, length),
+    gives the same witness as a scan of all factors.
     """
     l = len(w)
     if l == 0:
         raise EmptyWord("max_factor_exponent of the empty word")
     letters = w.letters
     best_num, best_den = 1, 1
-    best_span = (0, 1)
-    for start in range(l):
-        sub = letters[start:]
-        n = len(sub)
-        pi = [0] * n
-        k = 0
-        for i in range(1, n):
-            a = sub[i]
-            while k and sub[k] != a:
-                k = pi[k - 1]
-            if sub[k] == a:
-                k += 1
-            pi[i] = k
-            length = i + 1
-            period = length - k
-            if length * best_den > best_num * period:
-                best_num, best_den = length, period
-                best_span = (start, start + length)
-    return Exponent(best_num, best_den), best_span
+    best_start, best_len = 0, 1
+    p = 1
+    while p < l and l * best_den >= best_num * p:
+        mask = bytes(map(ne, letters, letters[p:]))
+        need = max(1, -(-(best_num - best_den) * p // best_den))
+        zeros = bytes(need)
+        i = mask.find(zeros)
+        while i >= 0:
+            e = mask.find(1, i + need)
+            if e < 0:
+                e = len(mask)
+            length = e - i + p
+            gain = length * best_den - best_num * p
+            if gain > 0 or (gain == 0 and (i, length) < (best_start, best_len)):
+                best_num, best_den = length, p
+                best_start, best_len = i, length
+            i = mask.find(zeros, e + 1)
+        p += 1
+    return Exponent(best_num, best_den), (best_start, best_start + best_len)
 
 
 def avoids(w: Word, d: Fraction | int, strict_plus: bool) -> bool:

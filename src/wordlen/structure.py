@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 from .words import (
     FracExponent,
+    SuffixAutomaton,
     Word,
-    border_array,
     complexity_profile,
     factor_count,
 )
@@ -99,30 +99,21 @@ def decompose_check(w: Word, dec: QptDecomposition) -> bool:
 def minimal_qpt(w: Word) -> QptDecomposition:
     """Minimal-cost decomposition; ties broken by smallest q, then smallest t.
 
-    For each (q, t) the cheapest valid p is the smallest period of the middle
-    segment, read off its border array; scanning q ascending with cost-based
-    pruning keeps the search O(l^2).
+    For fixed (q, t) the cheapest p is the smallest period of the middle
+    segment, its length minus its longest border, so the cost is l minus
+    that border.  A border of length b is a length-b factor that occurs at
+    two positions, hence min cost = l - R with R the length of the longest
+    such factor (overlaps allowed).  The suffix automaton gives R, the
+    leftmost start q of a length-R factor that occurs twice, and the
+    rightmost start j of that factor; then p = j - q and t = l - j - R, which
+    is the smallest q and, for it, the smallest t.  With no repeated letter
+    R = 0 and the split is (0, l, 0).
     """
     l = len(w)
     if l == 0:
         raise ValueError("minimal_qpt requires a non-empty word")
-    letters = w.letters
-    best_cost = l + 2
-    best = (0, l, 0)
-    for q in range(l + 1):
-        if q + 1 >= best_cost:
-            break
-        pi = border_array(letters[q:])
-        for t in range(l - q + 1):
-            if q + t + 1 >= best_cost:
-                break
-            seg_len = l - q - t
-            p = 1 if seg_len == 0 else seg_len - pi[seg_len - 1]
-            cost = q + p + t
-            if cost < best_cost:
-                best_cost = cost
-                best = (q, p, t)
-    return QptDecomposition(best[0], best[1], best[2], l)
+    r, q, j = SuffixAutomaton(w.letters).longest_repeat()
+    return QptDecomposition(q, j - q, l - j - r, l)
 
 
 def mh_equivalence(w: Word, n: int) -> tuple[bool, bool]:

@@ -213,8 +213,9 @@ def cross_validate_qpt(
     random_max_len: int = 30,
     seed: int = 0,
 ) -> SweepReport:
-    """Border-array decomposition search versus the exhaustive (q, p, t) scan:
-    exhaustive words up to max_len, then random longer words."""
+    """Longest-repeat decomposition (min cost = l - R, R read off the suffix
+    automaton) versus the exhaustive (q, p, t) scan: exhaustive words up to
+    max_len, then random longer words."""
     bad: list[dict] = []
     checked = 0
     for w in enumerate_words(WordSpace(alphabet_size, max_len)):

@@ -262,6 +262,33 @@ class SuffixAutomaton:
             counts.append(run)
         return counts
 
+    def longest_repeat(self) -> tuple[int, int, int]:
+        """(R, q, j) for the longest factor that occurs at two positions.
+
+        R is its length (overlaps allowed), q the leftmost start of any
+        length-R factor that occurs twice, and j the rightmost start of the
+        factor at q.  A state has two or more end positions iff it is a
+        suffix-link target, so R is the largest maxlen of a link target.  The
+        states that link to a length-R target are not link targets themselves,
+        so each is the prefix state of one end position, its maxlen - 1.  The
+        target may also own the end R - 1: the first state with maxlen R is
+        the prefix state of the first R letters.  When no letter repeats,
+        R = 0 and the empty factor starts at 0 and at the word's length.
+        """
+        maxlen, link = self._maxlen, self._link
+        r = max(map(maxlen.__getitem__, link[1:]), default=0)
+        if r == 0:
+            return 0, 0, maxlen[self._last]
+        ends: dict[int, list[int]] = {}
+        for v in range(1, len(maxlen)):
+            if maxlen[link[v]] == r:
+                ends.setdefault(link[v], []).append(maxlen[v] - 1)
+        prefix = maxlen.index(r)
+        if prefix in ends:
+            ends[prefix].append(r - 1)
+        u = min(ends, key=lambda u: min(ends[u]))
+        return r, min(ends[u]) - r + 1, max(ends[u]) - r + 1
+
 
 def complexity_profile(w: Word) -> ComplexityProfile:
     """f(0..l) plus the total complexity, via the suffix automaton."""

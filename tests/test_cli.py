@@ -251,6 +251,17 @@ class TestBounds:
         code, _ = run(capsys, "bounds")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--m-max", "1"), ("--m-max", "-3"), ("--d-max", "1"), ("--d-max", "-4")],
+    )
+    def test_empty_grid_rejected(self, capsys, flag, value):
+        code = main(["bounds", "--grid", flag, value])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert flag in captured.err
+        assert captured.out == ""
+
 
 class TestOracle:
     def test_small_run(self, capsys):

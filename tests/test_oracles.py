@@ -7,11 +7,13 @@ import pytest
 from conftest import random_word, wd
 from wordlen.algebra import CapExceeded, GeneratorSet
 from wordlen.linalg import FMatrix, PrimeField
+from wordlen.powers import EmptyWord, Exponent
 from wordlen.oracles import (
     BudgetExceeded,
     LengthTooLarge,
     WordSpace,
     brute_length,
+    brute_max_exponent,
     brute_min_qpt,
     enumerate_words,
     naive_profile,
@@ -94,6 +96,22 @@ class TestBruteMinQpt:
         for _ in range(150):
             w = random_word(rng, 30, alphabet_sizes=(2, 3))
             assert minimal_qpt(w) == brute_min_qpt(w), w.render()
+
+
+class TestBruteMaxExponent:
+    def test_examples(self):
+        assert brute_max_exponent(wd("abcdbcdef")) == (Exponent(6, 3), (1, 7))
+        assert brute_max_exponent(wd("abbabbabbb")) == (Exponent(9, 3), (0, 9))
+        assert brute_max_exponent(wd("abcacbabcbac")) == (Exponent(7, 4), (4, 11))
+        assert brute_max_exponent(wd("abcdef")) == (Exponent(1, 1), (0, 1))
+
+    def test_empty(self):
+        with pytest.raises(EmptyWord):
+            brute_max_exponent(parse_word("", Alphabet.letters(2)))
+
+    def test_length_cap(self):
+        with pytest.raises(LengthTooLarge):
+            brute_max_exponent(Word((0,) * 2001, Alphabet.letters(2)))
 
 
 class TestBruteLength:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_word, wd, words_st
-from wordlen.oracles import WordSpace, enumerate_words
+from wordlen.oracles import WordSpace, brute_max_exponent, enumerate_words
 from wordlen.powers import (
     EmptyWord,
     Exponent,
@@ -43,6 +43,32 @@ def dumb_max_exponent(w: Word) -> tuple[Fraction, tuple[int, int]]:
                 best = value
                 span = (i, j)
     return best, span
+
+
+def fibonacci_letters(length: int) -> tuple[int, ...]:
+    a, b = (0,), (0, 1)
+    while len(b) < length:
+        a, b = b, b + a
+    return b[:length]
+
+
+def thue_morse_letters(length: int) -> tuple[int, ...]:
+    return tuple(bin(i).count("1") % 2 for i in range(length))
+
+
+def square_free_ternary_letters(length: int) -> tuple[int, ...]:
+    """Number of 1s between consecutive 0s of the Thue-Morse word."""
+    zeros = [i for i, x in enumerate(thue_morse_letters(4 * length + 4)) if x == 0]
+    return tuple(b - a - 1 for a, b in zip(zeros, zeros[1:]))[:length]
+
+
+def near_periodic_letters(rng: random.Random, length: int) -> tuple[int, ...]:
+    k = rng.choice((2, 3))
+    base = [rng.randrange(k) for _ in range(rng.randint(2, 15))]
+    letters = [base[i % len(base)] for i in range(length)]
+    for _ in range(rng.randint(0, 4)):
+        letters[rng.randrange(length)] = rng.randrange(k)
+    return tuple(letters)
 
 
 class TestMinimalPeriod:
@@ -100,6 +126,38 @@ class TestMaxFactorExponent:
     def test_empty(self):
         with pytest.raises(EmptyWord):
             max_factor_exponent(parse_word("", Alphabet.letters(2)))
+
+    def test_below_two_witnesses(self):
+        # no factor is a square, so no run of exponent >= 2 sees the witness
+        exp, span = max_factor_exponent(wd("abcab"))
+        assert (exp.num, exp.den) == (5, 3) and span == (0, 5)
+        exp, span = max_factor_exponent(wd("abcacbabcbac"))
+        assert (exp.num, exp.den) == (7, 4) and span == (4, 11)
+
+    def test_equal_values_keep_the_leftmost_witness(self):
+        # a later square of period 1 is found first; the leftmost one wins
+        exp, span = max_factor_exponent(wd("abcbcaa"))
+        assert (exp.num, exp.den) == (4, 2) and span == (1, 5)
+        # the whole word, at the largest period the scan reaches, ties aa
+        exp, span = max_factor_exponent(wd("abaaba"))
+        assert (exp.num, exp.den) == (6, 3) and span == (0, 6)
+
+    def test_against_brute_oracle_long_words(self):
+        rng = random.Random(2024)
+        cases = [
+            (tuple(rng.randrange(k) for _ in range(length)), k)
+            for k, length in ((2, 1000), (2, 613), (3, 1000), (3, 257), (4, 1000),
+                              (4, 480), (2, 90), (3, 750), (5, 333), (4, 1000))
+        ]
+        cases += [(fibonacci_letters(n), 2) for n in (100, 377, 610, 987, 1000)]
+        cases += [(thue_morse_letters(n), 2) for n in (64, 200, 511, 512, 1000)]
+        cases += [(square_free_ternary_letters(n), 3) for n in (50, 300, 700, 1000)]
+        cases += [(near_periodic_letters(rng, n), 3) for n in (120, 400, 800, 999, 1000)]
+        for letters, k in cases:
+            w = Word(letters, Alphabet.letters(k))
+            assert max_factor_exponent(w) == brute_max_exponent(w), (k, len(w))
+        sqfree = Word(square_free_ternary_letters(1000), Alphabet.letters(3))
+        assert max_factor_exponent(sqfree)[0].value < 2
 
     def test_against_dumb_oracle_exhaustive(self):
         for space in (WordSpace(2, 10), WordSpace(3, 7)):

@@ -4,9 +4,10 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_word, wd, words_st
-from wordlen.oracles import WordSpace, enumerate_words
+from wordlen.oracles import WordSpace, brute_min_qpt, enumerate_words, naive_profile
 from wordlen.structure import (
     LengthMismatch,
     PreconditionUnmet,
@@ -20,7 +21,11 @@ from wordlen.structure import (
     minimal_qpt,
     profile_shape,
 )
-from wordlen.words import factor_count
+from wordlen.words import Alphabet, Word, factor_count
+
+ternary_words = st.lists(st.integers(0, 2), min_size=1, max_size=30).map(
+    lambda letters: Word(tuple(letters), Alphabet.letters(3))
+)
 
 
 class TestDecomposeCheck:
@@ -64,6 +69,34 @@ class TestMinimalQpt:
     def test_tie_break_prefers_small_q(self):
         # cost 3 achievable as (0,1,2) and (2,1,0); smallest q wins
         assert minimal_qpt(wd("aabb")) == QptDecomposition(0, 1, 2, 4)
+
+    def test_tie_break_among_repeated_factors(self):
+        # R = 2: cd (0, 8) and ab (2, 5) both repeat; the leftmost, cd, wins
+        assert minimal_qpt(wd("cdabxabycd")) == QptDecomposition(0, 8, 0, 10)
+        # ab repeats at 0, 3 and 6: the rightmost occurrence gives the smallest t
+        assert minimal_qpt(wd("abxabyab")) == QptDecomposition(0, 6, 0, 8)
+        # bc (1, 6) is the leftmost repeat; ab (5, 8) lies to its right
+        assert minimal_qpt(wd("xbcyzabcab")) == QptDecomposition(1, 5, 2, 10)
+        for text in ("cdabxabycd", "abxabyab", "xbcyzabcab"):
+            assert minimal_qpt(wd(text)) == brute_min_qpt(wd(text)), text
+
+    def test_cost_is_length_minus_longest_repeat(self):
+        # R from substring sets: the largest n with f(n) <= l - n
+        rng = random.Random(404)
+        for _ in range(12):
+            k = rng.choice((2, 3, 4))
+            l = rng.randint(100, 1000)
+            w = Word(tuple(rng.randrange(k) for _ in range(l)), Alphabet.letters(k))
+            counts = naive_profile(w).counts
+            r = max(n for n in range(l + 1) if counts[n] <= l - n)
+            dec = minimal_qpt(w)
+            assert dec.cost == l - r, (k, l)
+            assert decompose_check(w, dec)
+
+    @given(ternary_words)
+    @settings(max_examples=150, deadline=None)
+    def test_against_brute_force(self, w):
+        assert minimal_qpt(w) == brute_min_qpt(w)
 
     def test_empty_rejected(self):
         from wordlen.words import Alphabet, parse_word
