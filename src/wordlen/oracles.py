@@ -3,7 +3,8 @@
 These exist to be obviously correct, not fast: substring sets instead of
 automata, exhaustive (q, p, t) scans instead of the longest-repeat identity,
 one border array per start position instead of per-period mismatch masks,
-per-level from-scratch products instead of frontier caching, and a local
+per-level from-scratch products instead of frontier caching, a local
+schoolbook product instead of the packed-row FMatrix kernel, and a local
 Gaussian elimination that shares no code with the fast span basis.  Every
 fast path is required to agree with its oracle on the stated overlap domain.
 """
@@ -11,7 +12,7 @@ fast path is required to agree with its oracle on the stated overlap domain.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 from typing import Iterator, Sequence
 
 from .algebra import CapExceeded, GeneratorSet, LengthTrace
@@ -62,18 +63,18 @@ def enumerate_words(
         raise BudgetExceeded(
             f"{space.total_words()} words exceed budget {space.budget}"
         )
-    if shard is not None:
-        which, of = shard
-        if not 0 <= which < of:
-            raise ValueError(f"invalid shard {shard}")
+    which, of = shard or (0, 1)
+    if not 0 <= which < of:
+        raise ValueError(f"invalid shard {shard}")
     alphabet = Alphabet.letters(space.alphabet_size)
     k = space.alphabet_size
-    idx = 0
+    idx = 0  # running index of the first word of the current length
     for length in range(1, space.max_length + 1):
-        for tup in product(range(k), repeat=length):
-            if shard is None or idx % shard[1] == shard[0]:
-                yield Word(tup, alphabet)
-            idx += 1
+        # Step straight from one word of this shard to the next in C.
+        block = product(range(k), repeat=length)
+        for tup in islice(block, (which - idx) % of, None, of):
+            yield Word(tup, alphabet)
+        idx += k**length
 
 
 def naive_profile(w: Word) -> ComplexityProfile:
@@ -166,13 +167,25 @@ class _GaussRows:
         return False
 
 
+def _schoolbook_product(
+    a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], p: int
+) -> list[list[int]]:
+    """a @ b mod p by the triple loop, independent of FMatrix.__matmul__."""
+    n = len(a)
+    return [
+        [sum(a[i][k] * b[k][j] for k in range(n)) % p for j in range(n)]
+        for i in range(n)
+    ]
+
+
 def brute_length(
     S: GeneratorSet, cap: int, budget: int = 2_000_000
 ) -> LengthTrace:
     """Length of a generating set with every product recomputed from scratch.
 
-    Each level multiplies out all |S|^i words fully; no frontier reuse, no
-    shared span code.  Must agree with the fast trace wherever both finish.
+    Each level multiplies out all |S|^i words fully with the schoolbook
+    product; no frontier reuse, no shared product or span code.  Must agree
+    with the fast trace wherever both finish.
     """
     k = len(S.gens)
     if cap < 1:
@@ -180,7 +193,8 @@ def brute_length(
     if k**cap > budget:
         raise BudgetExceeded(f"|S|^cap = {k**cap} exceeds budget {budget}")
     ambient = S.n * S.n
-    span = _GaussRows(S.field.p)
+    p = S.field.p
+    span = _GaussRows(p)
     ident_vec = [int(i == j) for i in range(S.n) for j in range(S.n)]
     span.insert(ident_vec)
     dims = [1]
@@ -188,11 +202,11 @@ def brute_length(
         if dims[-1] == ambient:
             break
         grew = False
-        for combo in product(S.gens, repeat=length):
+        for combo in product([g.entries for g in S.gens], repeat=length):
             mat = combo[0]
             for g in combo[1:]:
-                mat = mat @ g
-            if span.insert(list(mat.vectorize())):
+                mat = _schoolbook_product(mat, g, p)
+            if span.insert([x for row in mat for x in row]):
                 grew = True
         if not grew:
             break

@@ -74,6 +74,75 @@ class TestFMatrix:
         m = FMatrix.from_rows(F5, [[1, 2], [3, 4]])
         assert m.vectorize() == (1, 2, 3, 4)
 
+    @pytest.mark.parametrize(
+        "entries",
+        [((0, 1), (2,)), ((0,), (1, 2)), ((0, 1, 2), (3, 4)), ((0, 1),)],
+    )
+    def test_ragged_rows_rejected(self, entries):
+        with pytest.raises(DimensionMismatch):
+            FMatrix(F5, 2, entries)
+
+    @pytest.mark.parametrize("bad", [-1, 5])
+    @pytest.mark.parametrize("where", [(2, 0), (2, 2), (0, 2), (1, 2)])
+    def test_unreduced_entry_rejected(self, bad, where):
+        rows = [[0, 1, 2], [3, 4, 0], [1, 2, 3]]
+        rows[where[0]][where[1]] = bad
+        with pytest.raises(ValueError, match="reduced residues"):
+            FMatrix(F5, 3, tuple(map(tuple, rows)))
+
+
+def schoolbook(a, b, p):
+    n = len(a)
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(n)) % p for j in range(n))
+        for i in range(n)
+    )
+
+
+@st.composite
+def square_matrix(draw, field, n):
+    """A random matrix, or one of the extremes: zero, identity, all p - 1."""
+    p = field.p
+    kind = draw(st.sampled_from(("random", "zero", "identity", "full")))
+    if kind == "zero":
+        return FMatrix.zero(field, n)
+    if kind == "identity":
+        return FMatrix.identity(field, n)
+    if kind == "full":
+        return FMatrix.from_rows(field, [[p - 1] * n] * n)
+    row = st.lists(st.integers(0, p - 1), min_size=n, max_size=n)
+    return FMatrix.from_rows(field, draw(st.lists(row, min_size=n, max_size=n)))
+
+
+class TestProductAgainstSchoolbook:
+    """The packed-row kernel against the triple loop, over every slot width."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from((2, 3, 13, 10007, 2147483647)), st.integers(1, 12), st.data())
+    def test_matches_schoolbook(self, p, n, data):
+        field = PrimeField(p)
+        a = data.draw(square_matrix(field, n))
+        b = data.draw(square_matrix(field, n))
+        assert (a @ b).entries == schoolbook(a.entries, b.entries, p)
+        assert (b @ a).entries == schoolbook(b.entries, a.entries, p)
+
+    @pytest.mark.parametrize("n,width", [(4, 8), (5, 16)])
+    def test_slot_width_boundary(self, n, width):
+        # n * (p - 1)^2 fits in 64 bits up to n = 4 at p = 2^31 - 1.
+        p = 2147483647
+        field = PrimeField(p)
+        full = FMatrix.from_rows(field, [[p - 1] * n] * n)
+        assert full._packed_rows[0] == width
+        rng = random.Random(n)
+        mats = [full, FMatrix.identity(field, n), FMatrix.zero(field, n)]
+        mats += [
+            FMatrix.from_rows(field, [[rng.randrange(p) for _ in range(n)] for _ in range(n)])
+            for _ in range(5)
+        ]
+        for a in mats:
+            for b in mats:
+                assert (a @ b).entries == schoolbook(a.entries, b.entries, p)
+
 
 class TestSpanBasis:
     def test_grows_on_independent(self):

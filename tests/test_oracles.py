@@ -47,13 +47,17 @@ class TestEnumerateWords:
             list(enumerate_words(WordSpace(2, 10, budget=100)))
 
     def test_shards_partition(self):
-        full = [w.letters for w in enumerate_words(WordSpace(2, 6))]
-        pieces = [
-            [w.letters for w in enumerate_words(WordSpace(2, 6), shard=(i, 3))]
-            for i in range(3)
-        ]
-        assert sorted(sum(pieces, [])) == sorted(full)
-        assert sum(len(p) for p in pieces) == len(full)
+        for k, l in ((2, 6), (2, 14), (3, 9), (4, 5)):
+            full = [w.letters for w in enumerate_words(WordSpace(k, l))]
+            for of in (1, 3, 64, 1000):
+                pieces = [
+                    [w.letters for w in enumerate_words(WordSpace(k, l), shard=(i, of))]
+                    for i in range(of)
+                ]
+                assert sorted(sum(pieces, [])) == sorted(full)
+                assert sum(len(p) for p in pieces) == len(full)
+                # Shard i holds the words of running index i mod of, in order.
+                assert all(pieces[i % of][i // of] == w for i, w in enumerate(full))
 
     def test_shard_validation(self):
         with pytest.raises(ValueError):
