@@ -77,8 +77,10 @@ def _cmd_complexity(args: argparse.Namespace) -> int:
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
     w, inferred = _parse_word_arg(args.word, args.alphabet)
-    dec = structure.minimal_qpt(w)
-    prof = words.complexity_profile(w)
+    # One automaton for both: its length counts are f(1..l) of the profile,
+    # whose f(0) = 1 never exceeds f(1).
+    dec, automaton = structure._minimal_qpt_and_automaton(w)
+    profile_max = max(automaton.length_counts(len(w)))
     payload = {
         "word": w.render(),
         "alphabet_inferred": inferred,
@@ -88,7 +90,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         "l": dec.l,
         "cost": dec.cost,
         "core_exponent": f"{dec.core_exponent.num}/{dec.core_exponent.den}",
-        "profile_max": max(prof.counts),
+        "profile_max": profile_max,
     }
     if args.n is not None:
         lhs, rhs = structure.mh_equivalence(w, args.n)

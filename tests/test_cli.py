@@ -3,11 +3,12 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import random
 from fractions import Fraction
 
 import pytest
 
-from wordlen import algebra, bounds
+from wordlen import algebra, bounds, structure, words
 from wordlen.cli import EXIT_INTERNAL, main
 from wordlen.linalg import FMatrix, PrimeField, dump_matrix_set
 
@@ -76,6 +77,25 @@ class TestDecompose:
 
     def test_bad_n_is_usage_error(self, capsys):
         code, _ = run(capsys, "decompose", "abab", "--n", "3", "--json")
+        assert code == 2
+
+    def test_matches_library_calls(self, capsys):
+        # One automaton serves both fields; each must equal its own library call.
+        rng = random.Random(5)
+        texts = ["a", "ab", "abcacbabcbac", "ab" * 40 + "b"]
+        texts += ["".join(rng.choice("abc") for _ in range(rng.randint(1, 300))) for _ in range(8)]
+        for text in texts:
+            code, out = run(capsys, "decompose", text, "--json")
+            payload = json.loads(out)
+            w = words.parse_word(text, words.Alphabet(tuple(dict.fromkeys(text))))
+            dec = structure.minimal_qpt(w)
+            assert code == 0
+            assert (payload["q"], payload["p"], payload["t"], payload["l"]) == (
+                dec.q, dec.p, dec.t, dec.l)
+            assert payload["profile_max"] == max(words.complexity_profile(w).counts)
+
+    def test_empty_word_is_usage_error(self, capsys):
+        code, _ = run(capsys, "decompose", "", "--alphabet", "ab", "--json")
         assert code == 2
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -73,6 +74,14 @@ class TestFMatrix:
     def test_vectorize_row_major(self):
         m = FMatrix.from_rows(F5, [[1, 2], [3, 4]])
         assert m.vectorize() == (1, 2, 3, 4)
+
+    def test_product_is_an_ordinary_matrix(self):
+        a = FMatrix.from_rows(F7, [[1, 2, 3], [4, 5, 6], [0, 6, 2]])
+        c = a @ a
+        same = FMatrix(F7, 3, c.entries)
+        assert type(c) is FMatrix and c == same and hash(c) == hash(same)
+        assert c.entries == schoolbook(a.entries, a.entries, 7)
+        assert (c @ a).entries == schoolbook(c.entries, a.entries, 7)
 
     @pytest.mark.parametrize(
         "entries",
@@ -209,7 +218,7 @@ def span_inputs(draw):
     """A modulus, an ambient dimension and vectors to insert: dense ones,
     with unreduced entries, and sparse ones, mostly zeros, like the products
     of structured generator sets."""
-    p = draw(st.sampled_from((2, 3, 10007)))
+    p = draw(st.sampled_from((2, 3, 10007, 2147483647)))
     d = draw(st.integers(1, 40))
     dense = st.lists(st.integers(-p, 2 * p), min_size=d, max_size=d)
     sparse = st.dictionaries(
@@ -257,6 +266,99 @@ class TestSpanBasisAgainstOracle:
 
         with pytest.raises(DimensionMismatch):
             basis.contains([0] * (d + 1))
+
+
+def _rref(p, vecs):
+    """The reduced row-echelon rows of span(vecs), from the oracle's forward
+    rows plus a separate back-substitution."""
+    oracle = _GaussRows(p)
+    for v in vecs:
+        oracle.insert(v)
+    rows = []
+    for piv, row in oracle.rows:
+        inv = pow(row[piv], -1, p)
+        new = [x * inv % p for x in row]
+        rows = [[(a - r[piv] * b) % p for a, b in zip(r, new)] for r in rows]
+        rows.append(new)
+    return [tuple(r) for r in rows]
+
+
+class TestSpanBasisAtScale:
+    """`alg_span` sizes: d = 144 at both wide slot widths, and copies."""
+
+    @pytest.mark.parametrize("p,width", [(10007, 8), (2147483647, 16)])
+    def test_dense_and_sparse_at_d_144(self, p, width):
+        d = 144
+        rng = random.Random(p)
+        # Dense vectors drawn from a hidden 90-dimensional subspace, so many
+        # are dependent only through long combinations, and sparse ones.
+        hidden = [[rng.randrange(p) for _ in range(d)] for _ in range(90)]
+        vecs = []
+        for _ in range(200):
+            if rng.random() < 0.75:
+                coeffs = [rng.randrange(p) for _ in hidden]
+                vecs.append([sum(map(mul, coeffs, col)) % p for col in zip(*hidden)])
+            else:
+                v = [0] * d
+                for _ in range(rng.randint(1, 3)):
+                    v[rng.randrange(d)] = rng.randrange(1, p)
+                vecs.append(v)
+        basis = SpanBasis(d, PrimeField(p))
+        assert basis._width == width
+        oracle = _GaussRows(p)
+        for v in vecs:
+            in_span = basis.contains(v)
+            grew = oracle.insert(v)
+            assert in_span == (not grew)
+            assert basis.insert(v) == grew
+            assert basis.contains(v)
+            assert basis.dim == len(oracle.rows)
+        assert 90 < basis.dim < d
+        rows = basis.rows
+        assert rows == _rref(p, vecs)
+        for _ in range(20):
+            coeffs = [rng.randrange(p) for _ in vecs]
+            combo = [sum(map(mul, coeffs, col)) % p for col in zip(*vecs)]
+            assert basis.contains(combo)
+            assert not basis.insert(combo)
+        # A unit vector at a non-pivot column is zero at every pivot.
+        free = min(set(range(d)) - {row.index(1) for row in rows})
+        assert not basis.contains([int(j == free) for j in range(d)])
+        assert basis.rows == rows
+        # Fill up to full dimension: every row then has the widest sums.
+        for j in range(d):
+            unit = [int(i == j) for i in range(d)]
+            assert basis.insert(unit) == oracle.insert(unit)
+        assert basis.dim == d
+        assert basis.rows == [tuple(int(i == j) for i in range(d)) for j in range(d)]
+        assert all(basis.contains(v) for v in hidden)
+
+    @pytest.mark.parametrize("p", [13, 10007, 2147483647])
+    def test_copy_and_original_diverge(self, p):
+        d = 30
+        rng = random.Random(d + p)
+        field = PrimeField(p)
+
+        def dense(n):
+            return [[rng.randrange(p) for _ in range(d)] for _ in range(n)]
+
+        shared, left, right = dense(12), dense(8), dense(5)
+        basis = SpanBasis(d, field)
+        assert all(basis.insert(v) for v in shared)
+        dup = basis.copy()
+        before = basis.rows
+        assert all(basis.insert(v) for v in left)
+        assert dup.rows == before and dup.dim == 12
+        assert all(dup.insert(v) for v in right)
+        assert basis.rows == _rref(p, shared + left) and basis.dim == 20
+        assert dup.rows == _rref(p, shared + right) and dup.dim == 17
+        assert all(basis.contains(v) for v in shared + left)
+        assert all(dup.contains(v) for v in shared + right)
+        assert not any(dup.contains(v) for v in left)
+
+    def test_slot_bound_beyond_16_bytes_rejected(self):
+        with pytest.raises(ValueError, match="16 bytes"):
+            SpanBasis(200_000, PrimeField(2147483647))
 
 
 class TestMinPoly:
