@@ -184,29 +184,40 @@ def is_reducible(word: Sequence[int], S: GeneratorSet) -> bool:
     return basis.contains(_product(word, S).vectorize())
 
 
-def _liw_search(S: GeneratorSet, bases: list[SpanBasis], i: int) -> tuple[int, ...] | None:
-    """Depth-first lexicographic scan over words of length i.
+def _liw_dfs(S: GeneratorSet, bases: list[SpanBasis], depth: int) -> list[tuple[int, ...]]:
+    """The minimal irreducible word of each length 1, 2, ... up to depth,
+    from one depth-first scan; bases[j] spans the products of length <= j.
 
     A prefix whose product lies in the span of shorter products makes every
-    extension reducible, so such subtrees are skipped; the first full-depth
-    survivor is the lexicographic minimum.
+    extension reducible, so such subtrees are skipped.  Pre-order visits the
+    words of each fixed length in lexicographic order, and skipping whole
+    subtrees keeps that order, so the first word the scan reaches at depth i
+    is the minimal irreducible word of length i.  The list is shorter than
+    depth when the scan runs out of irreducible words first.
     """
     gens = S.gens
     k = len(gens)
+    found: list[tuple[int, ...]] = []
     word: list[int] = []
-
-    def extend(prod: FMatrix | None, depth: int) -> bool:
-        for letter in range(k):
-            nxt = gens[letter] if prod is None else prod @ gens[letter]
-            if bases[depth].contains(nxt.vectorize()):
-                continue
-            word.append(letter)
-            if depth + 1 == i or extend(nxt, depth + 1):
-                return True
-            word.pop()
-        return False
-
-    return tuple(word) if extend(None, 0) else None
+    prods: list[FMatrix] = []  # prods[j] is the product of word[:j + 1]
+    letter = 0
+    while len(found) < depth:
+        if letter == k:  # every child of this node is done: backtrack
+            if not word:
+                break
+            letter = word.pop() + 1
+            prods.pop()
+            continue
+        prod = prods[-1] @ gens[letter] if prods else gens[letter]
+        if bases[len(word)].contains(prod.vectorize()):
+            letter += 1
+            continue
+        word.append(letter)
+        prods.append(prod)
+        if len(word) > len(found):
+            found.append(tuple(word))
+        letter = 0
+    return found
 
 
 def _word_complexity(word: Sequence[int], k: int) -> int:
@@ -227,27 +238,53 @@ def liw(S: GeneratorSet, i: int, budget: int = DEFAULT_SEARCH_BUDGET) -> LiwResu
     bases = [basis.copy() for basis in islice(_levels(S, S.n * S.n), i)]
     if len(bases) < i:  # the span stopped growing before length i - 1
         return None
-    found = _liw_search(S, bases, i)
-    if found is None:
+    found = _liw_dfs(S, bases, i)
+    if len(found) < i:
         return None
-    return LiwResult(i, found, _word_complexity(found, k))
+    return LiwResult(i, found[-1], _word_complexity(found[-1], k))
 
 
-def _liw_words(S: GeneratorSet, budget: int) -> tuple[int, list[tuple[int, ...]]]:
-    """dim L(S) and the minimal irreducible word of each length 1..l(S),
-    from one walk."""
-    bases = [basis.copy() for basis in _levels(S, S.n * S.n)]
+def _liw_walk(S: GeneratorSet, max_len: int) -> tuple[LengthTrace, list[SpanBasis]]:
+    """The length trace and a copy of every level, from one walk."""
+    bases = [basis.copy() for basis in _levels(S, max_len)]
+    dims = tuple(basis.dim for basis in bases)
+    return LengthTrace(dims, len(dims) - 1, dims[-1]), bases
+
+
+def _liw_words(S: GeneratorSet, bases: list[SpanBasis], budget: int) -> list[tuple[int, ...]]:
+    """The minimal irreducible word of each length 1..l(S), given every
+    level of the walk, so l(S) = len(bases) - 1."""
     length = len(bases) - 1
     k = len(S.gens)
     if length >= 1 and k**length > budget:
         raise SearchBudgetExceeded(f"|S|^l(S) = {k**length} exceeds budget {budget}")
-    words = []
-    for i in range(1, length + 1):
-        found = _liw_search(S, bases, i)
-        if found is None:
-            raise RuntimeError(f"no irreducible word of length {i} <= l(S)")
-        words.append(found)
-    return bases[-1].dim, words
+    words = _liw_dfs(S, bases, length)
+    if len(words) < length:
+        raise RuntimeError(f"no irreducible word of length {len(words) + 1} <= l(S)")
+    return words
+
+
+def _complexity_report(
+    S: GeneratorSet, dim: int, words: list[tuple[int, ...]]
+) -> LiwComplexityReport:
+    k = len(S.gens)
+    entries = []
+    for i, word in enumerate(words, start=1):
+        c = _word_complexity(word, k)
+        entries.append(LiwComplexityEntry(i, word, c, dim, c <= dim))
+    return LiwComplexityReport(len(words), dim, tuple(entries))
+
+
+def _power_free_report(
+    S: GeneratorSet, m: int, words: list[tuple[int, ...]]
+) -> PowerFreeReport:
+    alphabet = Alphabet.indices(len(S.gens))
+    limit = m - 1
+    entries = []
+    for i, word in enumerate(words, start=1):
+        exp, _ = max_factor_exponent(Word(word, alphabet))
+        entries.append(PowerFreeEntry(i, word, exp, limit, exp.value <= limit))
+    return PowerFreeReport(len(words), limit, tuple(entries))
 
 
 def check_liw_complexity(
@@ -255,13 +292,8 @@ def check_liw_complexity(
 ) -> LiwComplexityReport:
     """Total complexity of each minimal irreducible word versus the
     generated dimension; the bound must hold for every length."""
-    dim, found = _liw_words(S, budget)
-    k = len(S.gens)
-    entries = []
-    for i, word in enumerate(found, start=1):
-        c = _word_complexity(word, k)
-        entries.append(LiwComplexityEntry(i, word, c, dim, c <= dim))
-    return LiwComplexityReport(len(found), dim, tuple(entries))
+    trace, bases = _liw_walk(S, S.n * S.n)
+    return _complexity_report(S, trace.generated_dim, _liw_words(S, bases, budget))
 
 
 def check_irreducible_power_free(
@@ -274,14 +306,8 @@ def check_irreducible_power_free(
     """
     if S.field.p <= m:
         raise ValueError(f"need field size > m = {m}")
-    _, found = _liw_words(S, budget)
-    alphabet = Alphabet.indices(len(S.gens))
-    limit = m - 1
-    entries = []
-    for i, word in enumerate(found, start=1):
-        exp, _ = max_factor_exponent(Word(word, alphabet))
-        entries.append(PowerFreeEntry(i, word, exp, limit, exp.value <= limit))
-    return PowerFreeReport(len(found), limit, tuple(entries))
+    _, bases = _liw_walk(S, S.n * S.n)
+    return _power_free_report(S, m, _liw_words(S, bases, budget))
 
 
 def estimate_m_star(
@@ -290,9 +316,11 @@ def estimate_m_star(
     """Max minimal-polynomial degree over products of length <= cap.
 
     A lower estimate of the true supremum over all products (there are
-    infinitely many words); always bounded above by the matrix size.
-    Distinct product matrices are visited once, since equal products have
-    equal extensions.
+    infinitely many words).  By Cayley-Hamilton no minimal polynomial of an
+    n x n matrix has degree above n, so the scan stops at the first product
+    of degree n: any non-derogatory product, such as one with n distinct
+    eigenvalues, ends it.  Distinct product matrices are visited once, since
+    equal products have equal extensions.
     """
     if word_len_cap < 1:
         raise ValueError("word_len_cap must be >= 1")
@@ -313,9 +341,9 @@ def estimate_m_star(
                     continue
                 seen.add(prod.entries)
                 nxt.append(prod)
-                deg = min_poly(prod).degree
-                if deg > best:
-                    best = deg
+                best = max(best, min_poly(prod).degree)
+                if best == S.n:
+                    return best
         if not nxt:
             break
         frontier = nxt

@@ -161,8 +161,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_alg(args: argparse.Namespace) -> int:
     S = algebra.GeneratorSet.from_file(args.file)
-    trace = algebra.length_trace(S, max_len=S.n * S.n if args.cap is None else args.cap)
+    cap = S.n * S.n if args.cap is None else args.cap
     if args.action == "length":
+        trace = algebra.length_trace(S, max_len=cap)
         payload = {
             "dims": list(trace.dims),
             "length": trace.length,
@@ -175,6 +176,8 @@ def _cmd_alg(args: argparse.Namespace) -> int:
             print(f"l(S) = {trace.length}, dim L(S) = {trace.generated_dim}")
         return EXIT_OK
 
+    # one walk and one search serve the trace and both reports
+    trace, bases = algebra._liw_walk(S, cap)
     full = trace.generated_dim == S.n * S.n
     if full:
         m, estimated = S.n, False
@@ -182,10 +185,9 @@ def _cmd_alg(args: argparse.Namespace) -> int:
         m = algebra.estimate_m_star(S, word_len_cap=max(trace.length, 1) + 1)
         estimated = True
     budget = algebra.DEFAULT_SEARCH_BUDGET if args.budget is None else args.budget
-    comp = algebra.check_liw_complexity(S, budget=budget)
-    power_report = None
-    if S.field.p > m:
-        power_report = algebra.check_irreducible_power_free(S, m, budget=budget)
+    found = algebra._liw_words(S, bases, budget)
+    comp = algebra._complexity_report(S, trace.generated_dim, found)
+    power_report = algebra._power_free_report(S, m, found) if S.field.p > m else None
     alphabet = S.word_alphabet
     rows = []
     for idx, entry in enumerate(comp.entries):

@@ -78,7 +78,14 @@ def enumerate_words(
 
 
 def naive_profile(w: Word) -> ComplexityProfile:
-    """Factor counts by literally collecting the substring set per length."""
+    """Factor counts by literally collecting the substring set per length.
+
+    Collection stops at the first n with f(n) = l - n + 1, where no factor
+    of length n occurs twice.  Then no longer factor occurs twice either:
+    two equal factors of length m > n at distinct starts would have equal
+    length-n prefixes at those starts.  So f(m) = l - m + 1 for every
+    m >= n, and those counts are filled in without collecting.
+    """
     l = len(w)
     if l > NAIVE_PROFILE_CAP:
         raise LengthTooLarge(f"naive_profile handles length <= {NAIVE_PROFILE_CAP}")
@@ -88,6 +95,9 @@ def naive_profile(w: Word) -> ComplexityProfile:
     counts = [1]
     for n in range(1, l + 1):
         counts.append(len({seq[i : i + n] for i in range(l - n + 1)}))
+        if counts[-1] == l - n + 1:
+            counts.extend(range(l - n, 0, -1))
+            break
     return ComplexityProfile(tuple(counts), sum(counts))
 
 

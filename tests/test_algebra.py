@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from wordlen import algebra
 from wordlen.algebra import (
     CapExceeded,
     GeneratorSet,
@@ -18,7 +19,7 @@ from wordlen.algebra import (
     liw,
 )
 from wordlen.bounds import best_main_bound
-from wordlen.linalg import FMatrix, PrimeField, random_matrix
+from wordlen.linalg import FMatrix, PrimeField, min_poly, random_matrix
 from wordlen.oracles import _GaussRows
 from wordlen.verify import sample_generating_sets
 
@@ -152,14 +153,26 @@ def _brute_irreducible(S, max_i):
     return levels, len(span.rows)
 
 
+def _jordan_corner(field, n):
+    """The n x n Jordan block with eigenvalue 1 and the corner unit E_n1;
+    they generate the full matrix algebra with l(S) = 2n - 2."""
+    jordan = [[int(j in (i, i + 1)) for j in range(n)] for i in range(n)]
+    corner = [[int((i, j) == (n - 1, 0)) for j in range(n)] for i in range(n)]
+    return GeneratorSet(field, n, tuple(FMatrix.from_rows(field, g) for g in (jordan, corner)))
+
+
 def _oracle_sets():
-    """Full sets with n in {2, 3}, then sets whose walk ends on an empty
-    frontier below full dimension: diag(1, 2, 3) with a Jordan block spans
-    the upper-triangular matrices, and a lone matrix unit spans <I, E12>."""
+    """Full sets with n in {2, 3}; Jordan-corner sets with n in {4, 5},
+    whose l(S) = 2n - 2 sends the search down deep paths; then sets whose
+    walk ends on an empty frontier below full dimension: diag(1, 2, 3) with
+    a Jordan block spans the upper-triangular matrices, and a lone matrix
+    unit spans <I, E12>."""
     F7 = PrimeField(7)
     diag = FMatrix.from_rows(F7, [[1, 0, 0], [0, 2, 0], [0, 0, 3]])
     jordan = FMatrix.from_rows(F7, [[1, 1, 0], [0, 1, 1], [0, 0, 1]])
     return [S for S, _ in sample_generating_sets(12, dims=(2, 3), seed=5)] + [
+        _jordan_corner(PrimeField(11), 4),
+        _jordan_corner(PrimeField(11), 5),
         GeneratorSet(F7, 3, (diag, jordan)),
         GeneratorSet(F5, 2, (E12,)),
     ]
@@ -218,9 +231,61 @@ class TestChecks:
             assert check_irreducible_power_free(S, S.n).all_ok
 
 
+def _unpruned_m_star(S, cap):
+    """Max minimal-polynomial degree over every word of length 1..cap,
+    each multiplied out from scratch, with no dedup and no early stop."""
+    best = 1
+    for i in range(1, cap + 1):
+        for word in product(S.gens, repeat=i):
+            mat = word[0]
+            for g in word[1:]:
+                mat = mat @ g
+            best = max(best, min_poly(mat).degree)
+    return best
+
+
+def _unit(field, n, r, c):
+    return FMatrix.from_rows(field, [[int((i, j) == (r, c)) for j in range(n)] for i in range(n)])
+
+
 class TestEstimateMStar:
     def test_matrix_unit_pair(self):
         assert estimate_m_star(PAIR, 2) == 2
+
+    def test_against_unpruned_scan(self):
+        rng = random.Random(17)
+        for n in (2, 3, 4):
+            field = PrimeField(rng.choice((2, 3, 5, 7)))
+            # best below n: the identity, a nilpotent pair, matrix units
+            low = [GeneratorSet(field, n, (FMatrix.identity(field, n),))] + [
+                GeneratorSet(field, n, (_unit(field, n, 0, 1), _unit(field, n, 1, 2))),
+                GeneratorSet(field, n, (_unit(field, n, 0, 2),)),
+                GeneratorSet(field, n, (_unit(field, n, 0, 0), _unit(field, n, 2, 0))),
+            ] * (n > 2)
+            dense = [GeneratorSet(field, n, tuple(random_matrix(field, n, rng)
+                                                  for _ in range(rng.choice((1, 2, 3)))))
+                     for _ in range(8)]
+            for S in low:
+                assert estimate_m_star(S, 3) == _unpruned_m_star(S, 3) < n
+            for S in dense:
+                assert estimate_m_star(S, 3) == _unpruned_m_star(S, 3)
+
+    def test_stops_at_matrix_size(self, monkeypatch):
+        calls = []
+
+        def counted(a):
+            calls.append(a)
+            return min_poly(a)
+
+        monkeypatch.setattr(algebra, "min_poly", counted)
+        F7 = PrimeField(7)
+        for n in (2, 3, 4, 5):
+            diag = FMatrix.from_rows(F7, [[i + 1 if i == j else 0 for j in range(n)]
+                                          for i in range(n)])
+            S = GeneratorSet(F7, n, (diag, _unit(F7, n, 0, n - 1)))
+            calls.clear()
+            assert estimate_m_star(S, 4) == n
+            assert calls == [diag]
 
     def test_identity(self):
         assert estimate_m_star(GeneratorSet(F5, 2, (FMatrix.identity(F5, 2),)), 3) == 1

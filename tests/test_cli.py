@@ -35,6 +35,20 @@ def unit_pair_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def upper_triangular_file(tmp_path):
+    """diag(1, 2, 3) and a Jordan block over GF(7): they span only the
+    upper-triangular matrices (dim 6, l(S) = 2), so `alg liw` estimates m."""
+    field = PrimeField(7)
+    mats = [
+        FMatrix.from_rows(field, [[1, 0, 0], [0, 2, 0], [0, 0, 3]]),
+        FMatrix.from_rows(field, [[1, 1, 0], [0, 1, 1], [0, 0, 1]]),
+    ]
+    path = tmp_path / "upper.json"
+    path.write_text(json.dumps(dump_matrix_set(field, 3, mats)))
+    return str(path)
+
+
 class TestComplexity:
     def test_worked_example_json(self, capsys):
         code, out = run(capsys, "complexity", "abbabbabbb", "--json")
@@ -193,6 +207,30 @@ class TestAlg:
         assert [r["c"] for r in rows] == [2, 4]
         assert all(r["c_ok"] and r["power_ok"] for r in rows)
 
+    def test_liw_walks_and_searches_once(self, capsys, monkeypatch, upper_triangular_file):
+        calls = {"_levels": 0, "_liw_dfs": 0}
+        for name in calls:
+            def counted(*args, _name=name, _real=getattr(algebra, name)):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(algebra, name, counted)
+        code, out = run(capsys, "alg", "liw", upper_triangular_file, "--json")
+        payload = json.loads(out)
+        assert code == 0
+        assert (payload["length"], payload["generated_dim"], payload["m"]) == (2, 6, 3)
+        assert payload["m_estimated"] is True and len(payload["liw"]) == 2
+        assert calls == {"_levels": 1, "_liw_dfs": 1}
+
+    def test_liw_cap_reached_by_non_full_span(self, capsys, upper_triangular_file):
+        # the span last grows at step 2, but with --cap 2 the walk must still
+        # try step 3 to see that, so it stops there
+        for action in ("length", "liw"):
+            code = main(["alg", action, upper_triangular_file, "--cap", "2"])
+            captured = capsys.readouterr()
+            assert code == 3 and captured.out == ""
+            assert captured.err == "error: still growing after 2 steps\n"
+        assert main(["alg", "liw", upper_triangular_file, "--cap", "3", "--json"]) == 0
+
     def test_missing_file_is_usage_error(self, capsys):
         code, _ = run(capsys, "alg", "length", "/nonexistent.json")
         assert code == 2
@@ -245,7 +283,7 @@ class TestInternalError:
         self._assert_internal(capsys, code, "BoundInvariantError")
 
     def test_liw_search_miss(self, capsys, monkeypatch, unit_pair_file):
-        monkeypatch.setattr(algebra, "_liw_search", lambda S, bases, i: None)
+        monkeypatch.setattr(algebra, "_liw_dfs", lambda S, bases, depth: [])
         code = main(["alg", "liw", unit_pair_file, "--json"])
         self._assert_internal(capsys, code, "RuntimeError")
 
