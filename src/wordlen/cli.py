@@ -93,8 +93,13 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         "profile_max": profile_max,
     }
     if args.n is not None:
-        lhs, rhs = structure.mh_equivalence(w, args.n)
-        payload.update({"n": args.n, "lhs": lhs, "rhs": rhs, "agree": lhs == rhs})
+        n, l = args.n, len(w)
+        if n < 1 or 2 * n > l:
+            raise ValueError(f"need 1 <= n <= l/2, got n={n}, l={l}")
+        # left side from substring sets, right side from the automaton
+        lhs = words.factor_count(w, n) <= n
+        rhs = dec.cost <= n
+        payload.update({"n": n, "lhs": lhs, "rhs": rhs, "agree": lhs == rhs})
     if args.json:
         _emit(payload)
     else:

@@ -102,29 +102,36 @@ def naive_profile(w: Word) -> ComplexityProfile:
 
 
 def brute_min_qpt(w: Word) -> QptDecomposition:
-    """Try every (q, p, t), including degenerate periods longer than the
-    middle segment; min cost, ties to smallest q then smallest t."""
+    """Try every (q, t) and, for each, periods p in increasing order,
+    including degenerate periods longer than the middle segment; min cost,
+    ties to smallest q then smallest t.
+
+    Two prunings cannot change the result.  For fixed (q, t) the cost grows
+    with p, so only the first valid p can win.  The (q, t) pairs come in
+    lexicographic order, so a later pair with a cost equal to the best so
+    far has a larger (cost, q, t) key; p is therefore tried only while
+    q + p + t stays below the best cost found.
+    """
     l = len(w)
     if l == 0:
         raise ValueError("brute_min_qpt requires a non-empty word")
     if l > BRUTE_QPT_CAP:
         raise LengthTooLarge(f"brute_min_qpt handles length <= {BRUTE_QPT_CAP}")
     letters = w.letters
-    best_key = None
+    best_cost = l + 1  # p = l is always valid, so (0, l, 0) beats this
     best = (0, l, 0)
     for q in range(l + 1):
         for t in range(l - q + 1):
-            for p in range(1, l + 1):
+            for p in range(1, best_cost - q - t):
                 ok = True
                 for i in range(q, l - t - p):
                     if letters[i] != letters[i + p]:
                         ok = False
                         break
                 if ok:
-                    key = (q + p + t, q, t)
-                    if best_key is None or key < best_key:
-                        best_key = key
-                        best = (q, p, t)
+                    best_cost = q + p + t
+                    best = (q, p, t)
+                    break
     return QptDecomposition(best[0], best[1], best[2], l)
 
 

@@ -2,34 +2,19 @@
 
 A word of length l splits as a prefix of length q, a core repeating with
 period p, and a suffix of length t; the cost of the split is q + p + t.
-Low factor counts force cheap splits and vice versa, and the verifiers here
-return both sides of that equivalence so sweeps can detect violations
-instead of assuming them.
+The factor-count profile rises, stays flat, then falls by one per step;
+verify checks the theorems that tie the two together, word by word.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .words import (
-    FracExponent,
-    SuffixAutomaton,
-    Word,
-    complexity_profile,
-    factor_count,
-)
+from .words import FracExponent, SuffixAutomaton, Word, complexity_profile
 
 
 class LengthMismatch(ValueError):
     """Decomposition declared for a different word length."""
-
-
-class RangeViolation(ValueError):
-    """Requested n (or window (n, m)) is outside the admissible range."""
-
-
-class PreconditionUnmet(ValueError):
-    """The operation's stated hypotheses do not hold for this input."""
 
 
 class ShapeViolation(RuntimeError):
@@ -123,30 +108,6 @@ def _minimal_qpt_and_automaton(w: Word) -> tuple[QptDecomposition, SuffixAutomat
     return QptDecomposition(q, j - q, l - j - r, l), automaton
 
 
-def mh_equivalence(w: Word, n: int) -> tuple[bool, bool]:
-    """Both sides of the equivalence f(n) <= n  <=>  min cost <= n.
-
-    Returns (lhs, rhs) so a verifier can detect disagreement.  Requires
-    1 <= n <= l/2.
-    """
-    l = len(w)
-    if n < 1 or 2 * n > l:
-        raise RangeViolation(f"need 1 <= n <= l/2, got n={n}, l={l}")
-    lhs = factor_count(w, n) <= n
-    rhs = minimal_qpt(w).cost <= n
-    return lhs, rhs
-
-
-def mh_general_equivalence(w: Word, n: int, m: int) -> tuple[bool, bool]:
-    """Both sides of f(n) <= m  <=>  min cost <= m, for m <= n <= l - m."""
-    l = len(w)
-    if m < 1 or n < m or n > l - m:
-        raise RangeViolation(f"need 1 <= m <= n <= l-m, got n={n}, m={m}, l={l}")
-    lhs = factor_count(w, n) <= m
-    rhs = minimal_qpt(w).cost <= m
-    return lhs, rhs
-
-
 def profile_shape(w: Word) -> ProfileShape:
     """Locate the three profile phases and assert they hold.
 
@@ -170,17 +131,3 @@ def profile_shape(w: Word) -> ProfileShape:
         if counts[n + 1] != counts[n] - 1:
             raise ShapeViolation(n + 1, counts)
     return ProfileShape(m_star, plateau_end, peak)
-
-
-def corollary_max_profile(w: Word, n: int) -> bool:
-    """Given f(n) <= n with n <= l/2, is max_i f(i) <= n?
-
-    Always true mathematically; returned as a bool so sweeps can report
-    rather than assume.
-    """
-    l = len(w)
-    if n < 1 or 2 * n > l:
-        raise PreconditionUnmet(f"need 1 <= n <= l/2, got n={n}, l={l}")
-    if factor_count(w, n) > n:
-        raise PreconditionUnmet(f"need f(n) <= n at n={n}")
-    return max(complexity_profile(w).counts) <= n

@@ -1,19 +1,23 @@
 """Exhaustive theorem sweeps and fast-versus-oracle cross validation.
 
-Each sweep walks a word space (optionally one deterministic shard of it),
-records every violation as a dict, and returns a report whose summary
-carries the words_checked / max_length / alphabet_size record the CLI
-prints.  Zero counterexamples is the expected outcome everywhere.
+Each theorem, and each fast path with its oracle, has one per-word check
+that yields its violations as dicts.  _sweep runs a check over a word space
+(optionally one deterministic shard of it) or seeded random words; the
+report's summary carries the words_checked / max_length / alphabet_size
+record the CLI prints.  Zero counterexamples is expected everywhere.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import chain
+from typing import Callable, Iterator
 
 from .algebra import CapExceeded, GeneratorSet, LengthTrace, length_trace
 from .linalg import PrimeField, random_matrix
 from .oracles import (
+    DEFAULT_ENUMERATION_BUDGET,
     WordSpace,
     brute_length,
     brute_min_qpt,
@@ -64,6 +68,39 @@ def merge_reports(parts: list[SweepReport]) -> SweepReport:
     )
 
 
+def _sweep(name: str, alphabet_size: int, max_len: int, cases: Iterator[Word],
+           check: Callable[[Word], Iterator[dict]]) -> SweepReport:
+    """Count every case and collect the counterexamples check yields for it."""
+    checked = 0
+    bad: list[dict] = []
+    for case in cases:
+        checked += 1
+        bad += check(case)
+    return SweepReport(name, alphabet_size, max_len, checked, bad)
+
+
+def _words(alphabet_size: int, max_len: int, budget: int | None,
+           shard: tuple[int, int] | None) -> Iterator[Word]:
+    budget = DEFAULT_ENUMERATION_BUDGET if budget is None else budget
+    return enumerate_words(WordSpace(alphabet_size, max_len, budget), shard)
+
+
+def _random_words(rng: random.Random, count: int, max_len: int,
+                  sizes: tuple[int, ...]) -> Iterator[Word]:
+    for _ in range(count):
+        k = rng.choice(sizes)
+        l = rng.randint(1, max_len)
+        yield Word(tuple(rng.randrange(k) for _ in range(l)), Alphabet.letters(k))
+
+
+def _check_mh(w: Word) -> Iterator[dict]:
+    cost = minimal_qpt(w).cost
+    for n in range(1, len(w) // 2 + 1):
+        f_n = factor_count(w, n)
+        if (f_n <= n) != (cost <= n):
+            yield {"word": w.render(), "n": n, "f": f_n, "cost": cost}
+
+
 def sweep_mh(
     alphabet_size: int,
     max_len: int,
@@ -72,20 +109,25 @@ def sweep_mh(
 ) -> SweepReport:
     """Check f(n) <= n iff min decomposition cost <= n, for every word and
     every n in [1, l/2]."""
-    space = _space(alphabet_size, max_len, budget)
-    checked = 0
-    bad: list[dict] = []
-    for w in enumerate_words(space, shard):
-        checked += 1
-        l = len(w)
-        if l < 2:
-            continue
-        cost = minimal_qpt(w).cost
-        for n in range(1, l // 2 + 1):
-            f_n = factor_count(w, n)
-            if (f_n <= n) != (cost <= n):
-                bad.append({"word": w.render(), "n": n, "f": f_n, "cost": cost})
-    return SweepReport("mh", alphabet_size, max_len, checked, bad)
+    words = _words(alphabet_size, max_len, budget, shard)
+    return _sweep("mh", alphabet_size, max_len, words, _check_mh)
+
+
+def _check_mhgen(w: Word) -> Iterator[dict]:
+    l = len(w)
+    cost = minimal_qpt(w).cost
+    counts = naive_profile(w).counts
+    peak = max(counts)
+    for m in range(1, l // 2 + 1):
+        rhs = cost <= m
+        for n in range(m, l - m + 1):
+            lhs = counts[n] <= m
+            if lhs != rhs:
+                yield {"kind": "equivalence", "word": w.render(), "n": n, "m": m,
+                       "f": counts[n], "cost": cost}
+            if lhs and peak > m:
+                yield {"kind": "corollary", "word": w.render(), "n": n, "m": m,
+                       "peak": peak}
 
 
 def sweep_mh_general(
@@ -96,32 +138,31 @@ def sweep_mh_general(
 ) -> SweepReport:
     """Check f(n) <= m iff cost <= m over every window m <= n <= l - m, and
     that f(n) <= m forces max_i f(i) <= m."""
-    space = _space(alphabet_size, max_len, budget)
-    checked = 0
-    bad: list[dict] = []
-    for w in enumerate_words(space, shard):
-        checked += 1
-        l = len(w)
-        if l < 2:
+    words = _words(alphabet_size, max_len, budget, shard)
+    return _sweep("mhgen", alphabet_size, max_len, words, _check_mhgen)
+
+
+def _check_tc(w: Word) -> Iterator[dict]:
+    l = len(w)
+    exp, _ = max_factor_exponent(w)
+    counts = naive_profile(w).counts
+    c = sum(counts)
+    for k in range(1, l // 2 + 1):
+        if l * exp.den <= k * exp.num:
             continue
-        cost = minimal_qpt(w).cost
-        counts = naive_profile(w).counts
-        peak = max(counts)
-        for m in range(1, l // 2 + 1):
-            rhs = cost <= m
-            for n in range(m, l - m + 1):
-                lhs = counts[n] <= m
-                if lhs != rhs:
-                    bad.append(
-                        {"kind": "equivalence", "word": w.render(), "n": n, "m": m,
-                         "f": counts[n], "cost": cost}
-                    )
-                if lhs and peak > m:
-                    bad.append(
-                        {"kind": "corollary", "word": w.render(), "n": n, "m": m,
-                         "peak": peak}
-                    )
-    return SweepReport("mhgen", alphabet_size, max_len, checked, bad)
+        bound = (k + 1) * (l - k + 1)
+        lemma1, lemma2, lemma3 = _lemma_flags(counts, l, k)
+        if not (lemma1 and lemma2 and lemma3 and c >= bound):
+            yield {"kind": "theorem", "word": w.render(), "k": k, "c": c,
+                   "bound": bound, "lemmas": [lemma1, lemma2, lemma3]}
+    # integer-d variant: no k <= l/2 restriction
+    d_min = -(-exp.num // exp.den)
+    for d in range(d_min, l):
+        for k in range(1, (l - 1) // d + 1):
+            bound = (k + 1) * (l - k + 1)
+            if c < bound:
+                yield {"kind": "integer", "word": w.render(), "k": k, "d": d,
+                       "c": c, "bound": bound}
 
 
 def sweep_tc(
@@ -133,36 +174,15 @@ def sweep_tc(
     """Total-complexity lower bound, with d instantiated as each word's exact
     max exponent for every admissible k, plus the integer-d variant over
     every admissible (k, d) pair."""
-    space = _space(alphabet_size, max_len, budget)
-    checked = 0
-    bad: list[dict] = []
-    for w in enumerate_words(space, shard):
-        checked += 1
-        l = len(w)
-        exp, _ = max_factor_exponent(w)
-        counts = naive_profile(w).counts
-        c = sum(counts)
-        for k in range(1, l // 2 + 1):
-            if l * exp.den <= k * exp.num:
-                continue
-            bound = (k + 1) * (l - k + 1)
-            lemma1, lemma2, lemma3 = _lemma_flags(counts, l, k)
-            if not (lemma1 and lemma2 and lemma3 and c >= bound):
-                bad.append(
-                    {"kind": "theorem", "word": w.render(), "k": k, "c": c,
-                     "bound": bound, "lemmas": [lemma1, lemma2, lemma3]}
-                )
-        # integer-d variant: no k <= l/2 restriction
-        d_min = -(-exp.num // exp.den)
-        for d in range(d_min, l):
-            for k in range(1, (l - 1) // d + 1):
-                bound = (k + 1) * (l - k + 1)
-                if c < bound:
-                    bad.append(
-                        {"kind": "integer", "word": w.render(), "k": k, "d": d,
-                         "c": c, "bound": bound}
-                    )
-    return SweepReport("tc", alphabet_size, max_len, checked, bad)
+    words = _words(alphabet_size, max_len, budget, shard)
+    return _sweep("tc", alphabet_size, max_len, words, _check_tc)
+
+
+def _check_shape(w: Word) -> Iterator[dict]:
+    try:
+        profile_shape(w)
+    except ShapeViolation as exc:
+        yield {"word": w.render(), "n": exc.n, "counts": list(exc.counts)}
 
 
 def sweep_profile_shape(
@@ -172,17 +192,15 @@ def sweep_profile_shape(
     seed: int = 0,
 ) -> SweepReport:
     """Random words must never violate the three-phase profile shape."""
-    rng = random.Random(seed)
-    bad: list[dict] = []
-    for _ in range(count):
-        k = rng.choice(alphabet_sizes)
-        l = rng.randint(1, max_len)
-        w = Word(tuple(rng.randrange(k) for _ in range(l)), Alphabet.letters(k))
-        try:
-            profile_shape(w)
-        except ShapeViolation as exc:
-            bad.append({"word": w.render(), "n": exc.n, "counts": list(exc.counts)})
-    return SweepReport("shape", max(alphabet_sizes), max_len, count, bad)
+    words = _random_words(random.Random(seed), count, max_len, alphabet_sizes)
+    return _sweep("shape", max(alphabet_sizes), max_len, words, _check_shape)
+
+
+def _check_profiles(w: Word) -> Iterator[dict]:
+    fast = complexity_profile(w)
+    slow = naive_profile(w)
+    if fast != slow or count_distinct_factors(w) != slow.total:
+        yield {"word": w.render(), "fast": list(fast.counts), "naive": list(slow.counts)}
 
 
 def cross_validate_profiles(
@@ -192,18 +210,15 @@ def cross_validate_profiles(
     alphabet_sizes: tuple[int, ...] = (2, 3, 4),
 ) -> SweepReport:
     """Suffix-automaton profile versus substring-set profile, exact."""
-    rng = random.Random(seed)
-    bad: list[dict] = []
-    for _ in range(count):
-        k = rng.choice(alphabet_sizes)
-        l = rng.randint(1, max_len)
-        w = Word(tuple(rng.randrange(k) for _ in range(l)), Alphabet.letters(k))
-        fast = complexity_profile(w)
-        slow = naive_profile(w)
-        if fast != slow or count_distinct_factors(w) != slow.total:
-            bad.append({"word": w.render(), "fast": list(fast.counts),
-                        "naive": list(slow.counts)})
-    return SweepReport("profiles", max(alphabet_sizes), max_len, count, bad)
+    words = _random_words(random.Random(seed), count, max_len, alphabet_sizes)
+    return _sweep("profiles", max(alphabet_sizes), max_len, words, _check_profiles)
+
+
+def _check_qpt(w: Word) -> Iterator[dict]:
+    fast = minimal_qpt(w)
+    slow = brute_min_qpt(w)
+    if fast != slow:
+        yield {"word": w.render(), "fast": str(fast), "brute": str(slow)}
 
 
 def cross_validate_qpt(
@@ -216,25 +231,15 @@ def cross_validate_qpt(
     """Longest-repeat decomposition (min cost = l - R, R read off the suffix
     automaton) versus the exhaustive (q, p, t) scan: exhaustive words up to
     max_len, then random longer words."""
-    bad: list[dict] = []
-    checked = 0
-    for w in enumerate_words(WordSpace(alphabet_size, max_len)):
-        checked += 1
-        fast = minimal_qpt(w)
-        slow = brute_min_qpt(w)
-        if fast != slow:
-            bad.append({"word": w.render(), "fast": str(fast), "brute": str(slow)})
-    rng = random.Random(seed)
-    for _ in range(random_count):
-        k = rng.choice((2, 3))
-        l = rng.randint(1, random_max_len)
-        w = Word(tuple(rng.randrange(k) for _ in range(l)), Alphabet.letters(k))
-        checked += 1
-        fast = minimal_qpt(w)
-        slow = brute_min_qpt(w)
-        if fast != slow:
-            bad.append({"word": w.render(), "fast": str(fast), "brute": str(slow)})
-    return SweepReport("qpt", alphabet_size, max_len, checked, bad)
+    words = chain(
+        enumerate_words(WordSpace(alphabet_size, max_len)),
+        _random_words(random.Random(seed), random_count, random_max_len, (2, 3)),
+    )
+    return _sweep("qpt", alphabet_size, max_len, words, _check_qpt)
+
+
+def _random_set(rng: random.Random, field_: PrimeField, n: int, gens: int) -> GeneratorSet:
+    return GeneratorSet(field_, n, tuple(random_matrix(field_, n, rng) for _ in range(gens)))
 
 
 def cross_validate_length(
@@ -251,9 +256,7 @@ def cross_validate_length(
     bad: list[dict] = []
     checked = 0
     for _ in range(count):
-        S = GeneratorSet(
-            field_, n, tuple(random_matrix(field_, n, rng) for _ in range(gens_per_set))
-        )
+        S = _random_set(rng, field_, n, gens_per_set)
         try:
             fast = length_trace(S, max_len=cap)
             slow = brute_length(S, cap=cap)
@@ -279,18 +282,8 @@ def sample_generating_sets(
     out: list[tuple[GeneratorSet, LengthTrace]] = []
     while len(out) < count:
         n = rng.choice(dims)
-        p = rng.choice(primes)
-        field_ = PrimeField(p)
-        S = GeneratorSet(
-            field_, n, tuple(random_matrix(field_, n, rng) for _ in range(gens_per_set))
-        )
+        S = _random_set(rng, PrimeField(rng.choice(primes)), n, gens_per_set)
         trace = length_trace(S, max_len=n * n)
         if trace.generated_dim == n * n:
             out.append((S, trace))
     return out
-
-
-def _space(alphabet_size: int, max_len: int, budget: int | None) -> WordSpace:
-    if budget is None:
-        return WordSpace(alphabet_size, max_len)
-    return WordSpace(alphabet_size, max_len, budget)

@@ -27,3 +27,9 @@ def words_st(draw, min_size: int = 0, max_size: int = 40, max_alphabet: int = 4)
     k = draw(st.integers(1, max_alphabet))
     letters = draw(st.lists(st.integers(0, k - 1), min_size=min_size, max_size=max_size))
     return Word(tuple(letters), Alphabet.letters(k))
+
+
+def fail_every_word(w: Word):
+    """A per-word sweep check that reports one counterexample for every word,
+    in the mh check's format."""
+    yield {"word": w.render(), "n": 1, "f": len(set(w.letters)), "cost": len(w)}

@@ -8,7 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from wordlen import algebra, bounds, structure, words
+from conftest import fail_every_word
+from wordlen import algebra, bounds, structure, verify, words
 from wordlen.cli import EXIT_INTERNAL, main
 from wordlen.linalg import FMatrix, PrimeField, dump_matrix_set
 
@@ -92,6 +93,21 @@ class TestDecompose:
     def test_bad_n_is_usage_error(self, capsys):
         code, _ = run(capsys, "decompose", "abab", "--n", "3", "--json")
         assert code == 2
+        code, _ = run(capsys, "decompose", "abab", "--n", "0", "--json")
+        assert code == 2
+
+    def test_one_automaton_with_n(self, capsys, monkeypatch):
+        built = []
+        real_init = words.SuffixAutomaton.__init__
+
+        def counted(self, *args):
+            built.append(args)
+            real_init(self, *args)
+
+        monkeypatch.setattr(words.SuffixAutomaton, "__init__", counted)
+        code, out = run(capsys, "decompose", "abbabbabaa", "--n", "5", "--json")
+        assert code == 0 and json.loads(out)["agree"] is True
+        assert len(built) == 1
 
     def test_matches_library_calls(self, capsys):
         # One automaton serves both fields; each must equal its own library call.
@@ -162,29 +178,49 @@ class TestVerify:
         assert exc.value.code == 2
 
     def test_pool_capped_at_cpu_count(self, capsys, monkeypatch):
-        made = []
-
-        class FakePool:
-            def __init__(self, processes):
-                self.processes = processes
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs):
-                made.append((self.processes, len(jobs)))
-                return [fn(job) for job in jobs]
-
-        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+        made = _fake_pool(monkeypatch)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         code1, out1 = run(capsys, "verify", "mh", "--maxlen", "8", "--jobs", "5")
         code2, out2 = run(capsys, "verify", "mh", "--maxlen", "8")
         assert made == [(2, 5)]  # two processes, five shards
         assert code1 == code2 == 0
         assert out1 == out2
+
+    def test_sharded_counterexamples(self, capsys, monkeypatch):
+        _fake_pool(monkeypatch)
+        monkeypatch.setattr(verify, "_check_mh", fail_every_word)
+        outs = {}
+        for jobs in ("1", "3", "5"):
+            code, outs[jobs] = run(capsys, "verify", "mh", "--maxlen", "8", "--jobs", jobs)
+            assert code == 1
+            assert last_json(outs[jobs])["counterexamples"] == 510
+        # every sharded run prints the canonical merge order; the serial run
+        # prints the same lines in enumeration order
+        assert outs["3"] == outs["5"]
+        assert sorted(outs["1"].splitlines()) == sorted(outs["3"].splitlines())
+
+
+def _fake_pool(monkeypatch) -> list:
+    """Run the pool's shards in this process; return the (processes, jobs)
+    record of each map."""
+    made = []
+
+    class FakePool:
+        def __init__(self, processes):
+            self.processes = processes
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            made.append((self.processes, len(jobs)))
+            return [fn(job) for job in jobs]
+
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+    return made
 
 
 class TestAlg:

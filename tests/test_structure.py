@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -7,21 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_word, wd, words_st
+from wordlen import verify
+from wordlen.cli import main
 from wordlen.oracles import WordSpace, brute_min_qpt, enumerate_words, naive_profile
 from wordlen.structure import (
     LengthMismatch,
-    PreconditionUnmet,
     ProfileShape,
     QptDecomposition,
-    RangeViolation,
-    corollary_max_profile,
     decompose_check,
-    mh_equivalence,
-    mh_general_equivalence,
     minimal_qpt,
     profile_shape,
 )
-from wordlen.words import Alphabet, Word, factor_count
+from wordlen.verify import _check_mh, _check_mhgen, sweep_mh, sweep_mh_general
+from wordlen.words import Alphabet, Word, complexity_profile, factor_count
 
 ternary_words = st.lists(st.integers(0, 2), min_size=1, max_size=30).map(
     lambda letters: Word(tuple(letters), Alphabet.letters(3))
@@ -113,69 +112,84 @@ class TestMinimalQpt:
         assert (dec.cost == 1) == (len(set(w.letters)) == 1)
 
 
+def _shifted_cost(monkeypatch):
+    """Make every decomposition cost 99, so each n or window a check examines
+    on a short unary word (f(n) = 1 <= m, cost > m) is reported."""
+    monkeypatch.setattr(verify, "minimal_qpt", lambda w: QptDecomposition(0, 99, 0, len(w)))
+
+
 class TestEquivalence:
     def test_worked_example(self):
-        assert mh_equivalence(wd("abbabbabaa"), 5) == (True, True)
+        w = wd("abbabbabaa")
+        assert (factor_count(w, 5) <= 5, minimal_qpt(w).cost <= 5) == (True, True)
+        assert list(_check_mh(w)) == []
 
     def test_unary(self):
-        assert mh_equivalence(wd("aaaa"), 1) == (True, True)
+        w = wd("aaaa")
+        assert (factor_count(w, 1) <= 1, minimal_qpt(w).cost <= 1) == (True, True)
+        assert list(_check_mh(w)) == []
 
-    def test_range_violation(self):
-        with pytest.raises(RangeViolation):
-            mh_equivalence(wd("abab"), 3)
-        with pytest.raises(RangeViolation):
-            mh_equivalence(wd("abab"), 0)
+    def test_range_violation(self, capsys, monkeypatch):
+        # n outside [1, l/2] is a usage error on the CLI ...
+        for n in ("3", "0"):
+            assert main(["decompose", "abab", "--n", n]) == 2
+            assert capsys.readouterr().err == f"error: need 1 <= n <= l/2, got n={n}, l=4\n"
+        # ... and the sweep check examines exactly n = 1 .. l/2
+        _shifted_cost(monkeypatch)
+        assert [ce["n"] for ce in _check_mh(wd("aaaa"))] == [1, 2]
 
     def test_exhaustive_small(self):
-        for space in (WordSpace(2, 12), WordSpace(3, 8)):
-            for w in enumerate_words(space):
-                for n in range(1, len(w) // 2 + 1):
-                    lhs, rhs = mh_equivalence(w, n)
-                    assert lhs == rhs, (w.render(), n)
+        assert sweep_mh(2, 12).ok
+        assert sweep_mh(3, 8).ok
 
 
 class TestGeneralEquivalence:
     def test_reduces_to_basic_case(self):
-        assert mh_general_equivalence(wd("abbabbabaa"), 5, 5) == (True, True)
+        w = wd("abbabbabaa")
+        assert (factor_count(w, 5) <= 5, minimal_qpt(w).cost <= 5) == (True, True)
+        assert list(_check_mhgen(w)) == []
 
     def test_unary_window(self):
-        assert mh_general_equivalence(wd("aaaaaa"), 3, 1) == (True, True)
+        w = wd("aaaaaa")
+        assert (factor_count(w, 3) <= 1, minimal_qpt(w).cost <= 1) == (True, True)
+        assert list(_check_mhgen(w)) == []
 
-    def test_range_violation(self):
-        with pytest.raises(RangeViolation):
-            mh_general_equivalence(wd("abab"), 1, 2)
-        with pytest.raises(RangeViolation):
-            mh_general_equivalence(wd("abab"), 4, 1)
-        with pytest.raises(RangeViolation):
-            mh_general_equivalence(wd("abab"), 1, 0)
+    def test_range_violation(self, monkeypatch):
+        # the check examines exactly the windows 1 <= m <= n <= l - m, so
+        # (n, m) = (1, 2), (4, 1) and (1, 0) are never claimed for l = 4
+        _shifted_cost(monkeypatch)
+        windows = [(ce["n"], ce["m"]) for ce in _check_mhgen(wd("aaaa"))]
+        assert windows == [(1, 1), (2, 1), (3, 1), (2, 2)]
+        assert not {(1, 2), (4, 1), (1, 0)} & set(windows)
 
     def test_exhaustive_small(self):
-        for w in enumerate_words(WordSpace(2, 10)):
-            l = len(w)
-            for m in range(1, l // 2 + 1):
-                for n in range(m, l - m + 1):
-                    lhs, rhs = mh_general_equivalence(w, n, m)
-                    assert lhs == rhs, (w.render(), n, m)
+        assert sweep_mh_general(2, 10).ok
 
 
 class TestCorollaryMaxProfile:
+    # the mhgen check's m = n windows are the corollary: f(n) <= n with
+    # n <= l/2 forces max_i f(i) <= n
     def test_worked_example(self):
-        assert corollary_max_profile(wd("abbabbabaa"), 5)
+        w = wd("abbabbabaa")
+        assert factor_count(w, 5) <= 5 and max(complexity_profile(w).counts) <= 5
+        assert list(_check_mhgen(w)) == []
 
     def test_unary(self):
-        assert corollary_max_profile(wd("aaaa"), 1)
+        w = wd("aaaa")
+        assert factor_count(w, 1) <= 1 and max(complexity_profile(w).counts) <= 1
+        assert list(_check_mhgen(w)) == []
 
-    def test_precondition(self):
-        with pytest.raises(PreconditionUnmet):
-            corollary_max_profile(wd("abab"), 3)  # n > l/2
-        with pytest.raises(PreconditionUnmet):
-            corollary_max_profile(wd("abcabd"), 2)  # f(2) = 4 > 2
+    def test_precondition(self, capsys):
+        assert main(["decompose", "abab", "--n", "3"]) == 2  # n > l/2
+        capsys.readouterr()
+        # f(2) = 4 > 2: the hypothesis fails, so nothing is claimed at n = 2
+        assert main(["decompose", "abcabd", "--n", "2", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["lhs"], payload["agree"]) == (False, True)
+        assert list(_check_mhgen(wd("abcabd"))) == []
 
     def test_exhaustive_small(self):
-        for w in enumerate_words(WordSpace(2, 12)):
-            for n in range(1, len(w) // 2 + 1):
-                if factor_count(w, n) <= n:
-                    assert corollary_max_profile(w, n)
+        assert sweep_mh_general(2, 12).ok
 
 
 class TestProfileShape:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from conftest import fail_every_word
+from wordlen import verify
 from wordlen.verify import (
     SweepReport,
     cross_validate_length,
@@ -40,6 +42,17 @@ class TestSharding:
         merged = merge_reports(parts)
         assert merged.words_checked == serial.words_checked
         assert merged.counterexamples == serial.counterexamples == []
+
+    def test_merge_with_counterexamples(self, monkeypatch):
+        monkeypatch.setattr(verify, "_check_mh", fail_every_word)
+        serial = sweep_mh(2, 8)
+        merged = merge_reports([sweep_mh(2, 8, shard=(i, 3)) for i in range(3)])
+        assert merged.words_checked == serial.words_checked == 510
+        assert len(serial.counterexamples) == 510
+        # the merge lists counterexamples in canonical order, the serial
+        # sweep in enumeration order: the same list once both are canonical
+        assert merged.counterexamples == merge_reports([serial]).counterexamples
+        assert merged.summary() == serial.summary()
 
     def test_merge_orders_counterexamples(self):
         a = SweepReport("x", 2, 4, 1, [{"word": "bb", "n": 1}])
