@@ -54,21 +54,26 @@ class BestMain:
 
 
 def best_main_bound(d: int, m: int) -> BestMain:
-    """Minimize main_bound over k in [0, ceil(sqrt(d)) + m].
+    """Minimize f(k) = main_bound(d, m, k) over k >= 0 by binary search.
 
-    Beyond the cap the k(m-1) branch alone exceeds the value at
-    k = floor(sqrt(d/m)), so the minimum cannot move.  Lengths are integers,
+    f is convex in k, the max of a linear and a convex function, so its
+    differences f(k + 1) - f(k) never decrease: the first k where the
+    difference is >= 0 is the smallest minimizer.  From k = ceil(sqrt(d)) - 1
+    on, (k + 1)(k + 2) >= d, so both branches are nondecreasing and the
+    search range [0, ceil(sqrt(d)) - 1] holds that k.  Lengths are integers,
     hence the floor is reported alongside the exact value.
     """
     if m < 2 or d < m:
         raise InvalidInputs(f"need m >= 2, d >= m; got d={d}, m={m}")
-    k_cap = _ceil_sqrt(d) + m
-    k_star, value = 0, main_bound(d, m, 0)
-    for k in range(1, k_cap + 1):
-        v = main_bound(d, m, k)
-        if v < value:
-            k_star, value = k, v
-    return BestMain(k_star, value, value.numerator // value.denominator)
+    lo, hi = 0, _ceil_sqrt(d) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if main_bound(d, m, mid + 1) >= main_bound(d, m, mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    value = main_bound(d, m, lo)
+    return BestMain(lo, value, value.numerator // value.denominator)
 
 
 def floor_sqrt_ratio(d: int, m: int) -> int:
@@ -127,7 +132,6 @@ class BoundReport:
     halfdim: Fraction
     paz: int | None
     pappacena: PappacenaBound
-    main_at_k: tuple[tuple[int, Fraction], ...]
     best_main: BestMain
 
 
@@ -138,13 +142,16 @@ def bound_table(d: int, m: int, n: int | None = None) -> BoundReport:
     if n is not None and n < 1:
         raise InvalidInputs(f"matrix size must be >= 1, got {n}")
     trivial = d - 1
-    k_cap = _ceil_sqrt(d) + m
-    main_at_k = tuple((k, main_bound(d, m, k)) for k in range(k_cap + 1))
     best = best_main_bound(d, m)
-    if any(v < best.value for _, v in main_at_k) or best.value > trivial:
+    k, value = best.k_star, best.value
+    # f is convex in k, so a strict descent into k and none out of it make k
+    # the smallest global minimizer; no other k needs evaluating.
+    if (k < 0 or value != main_bound(d, m, k)
+            or (k > 0 and main_bound(d, m, k - 1) <= value)
+            or main_bound(d, m, k + 1) < value or value > trivial):
         raise BoundInvariantError(
-            f"best main bound {best.value} at k={best.k_star} is not the minimum "
-            f"over k <= {k_cap} and the trivial bound {trivial} (d={d}, m={m})"
+            f"best main bound {value} at k={k} is not the smallest minimizer "
+            f"of the max-form bound below the trivial bound {trivial} (d={d}, m={m})"
         )
     return BoundReport(
         d=d,
@@ -154,6 +161,5 @@ def bound_table(d: int, m: int, n: int | None = None) -> BoundReport:
         halfdim=halfdim_bound(d, m),
         paz=paz_bound(n) if n is not None else None,
         pappacena=PappacenaBound(d, m),
-        main_at_k=main_at_k,
         best_main=best,
     )

@@ -3,8 +3,7 @@
 One binary, subcommand style.  Human tables go to stdout; --json switches to
 machine-readable output with stable keys.  Exit codes: 0 success, 1 a
 verifier found a counterexample, 2 usage or input error, 3 budget exceeded,
-4 internal error (a bug, never a verdict).  The WORDLEN_BUDGET environment
-variable overrides the default enumeration budget.
+4 internal error (a bug, never a verdict).
 """
 
 from __future__ import annotations
@@ -128,27 +127,19 @@ def _cmd_powers(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _default_budget(args: argparse.Namespace) -> int | None:
-    if getattr(args, "budget", None) is not None:
-        return args.budget
-    env = os.environ.get("WORDLEN_BUDGET")
-    return int(env) if env else None
-
-
 def _run_sweep_shard(job: tuple[str, int, int, int | None, int, int]) -> verify.SweepReport:
     name, alphabet_size, max_len, budget, which, of = job
     return _SWEEPS[name](alphabet_size, max_len, budget, shard=(which, of))
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    budget = _default_budget(args)
     if args.theorem == "shape":
         report = verify.sweep_profile_shape(args.count, args.maxlen, seed=args.seed)
     elif args.jobs > 1:
         import multiprocessing
 
         jobs = [
-            (args.theorem, args.alphabet, args.maxlen, budget, i, args.jobs)
+            (args.theorem, args.alphabet, args.maxlen, args.budget, i, args.jobs)
             for i in range(args.jobs)
         ]
         # the shard count stays --jobs, so the merged report is the same
@@ -157,7 +148,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             parts = pool.map(_run_sweep_shard, jobs)
         report = verify.merge_reports(parts)
     else:
-        report = _SWEEPS[args.theorem](args.alphabet, args.maxlen, budget)
+        report = _SWEEPS[args.theorem](args.alphabet, args.maxlen, args.budget)
     for ce in report.counterexamples:
         _emit(ce)
     _emit(report.summary())

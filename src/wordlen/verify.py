@@ -37,6 +37,11 @@ class SweepReport:
     words_checked: int
     counterexamples: list[dict] = field(default_factory=list)
 
+    def __post_init__(self) -> None:
+        # one canonical order, so a report does not depend on the order in
+        # which its words were enumerated, nor on how the space was sharded
+        self.counterexamples.sort(key=lambda ce: sorted(ce.items()))
+
     @property
     def ok(self) -> bool:
         return not self.counterexamples
@@ -52,19 +57,17 @@ class SweepReport:
 
 
 def merge_reports(parts: list[SweepReport]) -> SweepReport:
-    """Deterministic merge of shard reports: counts add, counterexamples
-    sort canonically so the result is independent of the partitioning."""
+    """Merge shard reports: counts add, counterexamples concatenate (the
+    report puts them in canonical order)."""
     if not parts:
         raise ValueError("nothing to merge")
     head = parts[0]
-    bad = [ce for part in parts for ce in part.counterexamples]
-    bad.sort(key=lambda ce: sorted(ce.items()))
     return SweepReport(
         head.name,
         head.alphabet_size,
         head.max_length,
         sum(p.words_checked for p in parts),
-        bad,
+        [ce for part in parts for ce in part.counterexamples],
     )
 
 

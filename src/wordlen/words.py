@@ -103,10 +103,6 @@ class Word:
     def __len__(self) -> int:
         return len(self.letters)
 
-    @property
-    def length(self) -> int:
-        return len(self.letters)
-
     def factor(self, start: int, end: int) -> "Word":
         """The factor spanning positions [start, end)."""
         if not 0 <= start <= end <= len(self.letters):
@@ -234,10 +230,6 @@ class SuffixAutomaton:
                 link[q] = clone
                 link[cur] = clone
         self._last = cur
-
-    @property
-    def state_count(self) -> int:
-        return len(self._maxlen)
 
     def distinct_factor_count(self) -> int:
         """Number of distinct non-empty factors: the sum of state spans."""

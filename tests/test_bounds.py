@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,6 +20,22 @@ from wordlen.bounds import (
     pappacena_exceeds_main,
     paz_bound,
 )
+
+
+def _main_at_k(d: int, m: int) -> list[tuple[int, Fraction]]:
+    """The max-form bound at every k <= ceil(sqrt(d)) + m, over the common
+    denominator k + 1; beyond that cap the k(m-1) branch alone exceeds the
+    value at k = floor(sqrt(d/m))."""
+    r = math.isqrt(d)
+    k_cap = r + (r * r < d) + m
+    return [(k, Fraction(max(k * (m - 1) * (k + 1), d + k * k - 1), k + 1))
+            for k in range(k_cap + 1)]
+
+
+def _scan_best_main(d: int, m: int) -> BestMain:
+    """Oracle for best_main_bound: the first k of strictly smallest value."""
+    k_star, value = min(_main_at_k(d, m), key=lambda kv: kv[1])
+    return BestMain(k_star, value, math.floor(value))
 
 
 class TestPazBound:
@@ -75,8 +93,24 @@ class TestBestMain:
                 prev = v
 
     def test_minimum_over_evaluated_range(self):
-        report = bound_table(50, 4)
-        assert all(report.best_main.value <= v for _, v in report.main_at_k)
+        best = bound_table(50, 4).best_main
+        assert all(best.value <= v for _, v in _main_at_k(50, 4))
+
+    def test_matches_scan_on_grid(self):
+        for m in range(2, 21):
+            for d in range(m, 2001):
+                assert best_main_bound(d, m) == _scan_best_main(d, m), (d, m)
+
+    def test_matches_scan_on_random(self):
+        rng = random.Random(9)
+        for _ in range(300):
+            m = rng.randint(2, 200)
+            d = rng.randint(m, 10**6)
+            assert best_main_bound(d, m) == _scan_best_main(d, m), (d, m)
+
+    def test_huge_dimension(self):
+        best = best_main_bound(10**14, 4)
+        assert (best.k_star, best.integer_value) == (7071067, 21213201)
 
 
 class TestHalfdim:
@@ -145,3 +179,12 @@ class TestBoundTable:
         monkeypatch.setattr(bounds, "best_main_bound", lambda d, m: worse)
         with pytest.raises(BoundInvariantError):
             bound_table(9, 3)
+
+    def test_tied_later_minimizer_raises(self, monkeypatch):
+        # f(1) = f(2) = 3 at (6, 2): k = 2 attains the minimum value but is
+        # not the smallest minimizer.
+        tied = BestMain(2, Fraction(3), 3)
+        assert main_bound(6, 2, 1) == main_bound(6, 2, 2) == tied.value
+        monkeypatch.setattr(bounds, "best_main_bound", lambda d, m: tied)
+        with pytest.raises(BoundInvariantError):
+            bound_table(6, 2)

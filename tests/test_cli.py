@@ -163,11 +163,6 @@ class TestVerify:
         code, out = run(capsys, "verify", "shape", "--count", "200", "--maxlen", "50")
         assert code == 0 and last_json(out)["counterexamples"] == 0
 
-    def test_budget_env_var(self, capsys, monkeypatch):
-        monkeypatch.setenv("WORDLEN_BUDGET", "10")
-        code, _ = run(capsys, "verify", "mh", "--maxlen", "8")
-        assert code == 3
-
     def test_budget_flag(self, capsys):
         code, _ = run(capsys, "verify", "mh", "--maxlen", "8", "--budget", "5")
         assert code == 3
@@ -194,10 +189,9 @@ class TestVerify:
             code, outs[jobs] = run(capsys, "verify", "mh", "--maxlen", "8", "--jobs", jobs)
             assert code == 1
             assert last_json(outs[jobs])["counterexamples"] == 510
-        # every sharded run prints the canonical merge order; the serial run
-        # prints the same lines in enumeration order
-        assert outs["3"] == outs["5"]
-        assert sorted(outs["1"].splitlines()) == sorted(outs["3"].splitlines())
+        # every report, serial or merged, lists its counterexamples in one
+        # canonical order, so the output does not depend on --jobs
+        assert outs["1"] == outs["3"] == outs["5"]
 
 
 def _fake_pool(monkeypatch) -> list:
