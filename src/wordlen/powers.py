@@ -143,21 +143,16 @@ def avoids(w: Word, d: Fraction | int, strict_plus: bool) -> bool:
     return exp.value <= bound if strict_plus else exp.value < bound
 
 
-def _lemma_flags(counts: tuple[int, ...], l: int, k: int) -> tuple[bool, bool, bool]:
-    lemma1 = all(counts[n] >= n + 1 for n in range(k + 1))
-    lemma2 = all(counts[n] >= k + 1 for n in range(k, l - k + 1))
-    lemma3 = all(counts[n] == l - n + 1 for n in range(l - k, l + 1))
-    return lemma1, lemma2, lemma3
-
-
-def _tc_report(w: Word, k: int, d: Exponent) -> TcReport:
-    """c >= (k+1)(l-k+1), with the lemma flags where 1 <= k <= l/2."""
-    l = len(w)
-    counts = complexity_profile(w).counts
+def _tc_report(counts: tuple[int, ...], k: int, d: Exponent) -> TcReport:
+    """c >= (k+1)(l-k+1) for the counts f(0..l), with the per-range lemma
+    flags where 1 <= k <= l/2."""
+    l = len(counts) - 1
     c = sum(counts)
     bound = (k + 1) * (l - k + 1)
     if k >= 1 and 2 * k <= l:
-        lemma1, lemma2, lemma3 = _lemma_flags(counts, l, k)
+        lemma1 = all(counts[n] >= n + 1 for n in range(k + 1))
+        lemma2 = all(counts[n] >= k + 1 for n in range(k, l - k + 1))
+        lemma3 = all(counts[n] == l - n + 1 for n in range(l - k, l + 1))
     else:
         lemma1 = lemma2 = lemma3 = None
     return TcReport(l, k, d, lemma1, lemma2, lemma3, c >= bound, c, bound)
@@ -180,7 +175,7 @@ def verify_tc(w: Word, k: int) -> TcReport:
     exp, _ = max_factor_exponent(w)
     if l * exp.den <= k * exp.num:
         raise HypothesisUnmet("l > k*d")
-    return _tc_report(w, k, exp)
+    return _tc_report(complexity_profile(w).counts, k, exp)
 
 
 def verify_tc_integer(w: Word, k: int, d: int) -> TcReport:
@@ -197,4 +192,4 @@ def verify_tc_integer(w: Word, k: int, d: int) -> TcReport:
         raise HypothesisUnmet("w avoids d+ powers")
     if l <= k * d:
         raise HypothesisUnmet("l > k*d")
-    return _tc_report(w, k, Exponent(d, 1))
+    return _tc_report(complexity_profile(w).counts, k, Exponent(d, 1))

@@ -94,18 +94,11 @@ def minimal_qpt(w: Word) -> QptDecomposition:
     is the smallest q and, for it, the smallest t.  With no repeated letter
     R = 0 and the split is (0, l, 0).
     """
-    return _minimal_qpt_and_automaton(w)[0]
-
-
-def _minimal_qpt_and_automaton(w: Word) -> tuple[QptDecomposition, SuffixAutomaton]:
-    """minimal_qpt(w) and the suffix automaton it was read from, for a
-    caller that needs more of the automaton than the decomposition."""
     l = len(w)
     if l == 0:
         raise ValueError("minimal_qpt requires a non-empty word")
-    automaton = SuffixAutomaton(w.letters)
-    r, q, j = automaton.longest_repeat()
-    return QptDecomposition(q, j - q, l - j - r, l), automaton
+    r, q, j = SuffixAutomaton(w.letters).longest_repeat()
+    return QptDecomposition(q, j - q, l - j - r, l)
 
 
 def profile_shape(w: Word) -> ProfileShape:

@@ -1,10 +1,12 @@
 """Exhaustive theorem sweeps and fast-versus-oracle cross validation.
 
 Each theorem, and each fast path with its oracle, has one per-word check
-that yields its violations as dicts.  _sweep runs a check over a word space
-(optionally one deterministic shard of it) or seeded random words; the
-report's summary carries the words_checked / max_length / alphabet_size
-record the CLI prints.  Zero counterexamples is expected everywhere.
+that yields its violations as dicts; the total-complexity check tests one k
+per kind of violation, by the nesting lemmas in sweep_tc.  _sweep runs a
+check over a word space (optionally one deterministic shard of it) or seeded
+random words; the report's summary carries the words_checked / max_length /
+alphabet_size record the CLI prints.  Zero counterexamples is expected
+everywhere.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .oracles import (
     enumerate_words,
     naive_profile,
 )
-from .powers import _lemma_flags, max_factor_exponent
+from .powers import _tc_report, max_factor_exponent
 from .structure import ShapeViolation, minimal_qpt, profile_shape
 from .words import Alphabet, Word, complexity_profile, count_distinct_factors, factor_count
 
@@ -149,23 +151,18 @@ def _check_tc(w: Word) -> Iterator[dict]:
     l = len(w)
     exp, _ = max_factor_exponent(w)
     counts = naive_profile(w).counts
-    c = sum(counts)
-    for k in range(1, l // 2 + 1):
-        if l * exp.den <= k * exp.num:
-            continue
-        bound = (k + 1) * (l - k + 1)
-        lemma1, lemma2, lemma3 = _lemma_flags(counts, l, k)
-        if not (lemma1 and lemma2 and lemma3 and c >= bound):
-            yield {"kind": "theorem", "word": w.render(), "k": k, "c": c,
-                   "bound": bound, "lemmas": [lemma1, lemma2, lemma3]}
-    # integer-d variant: no k <= l/2 restriction
-    d_min = -(-exp.num // exp.den)
-    for d in range(d_min, l):
-        for k in range(1, (l - 1) // d + 1):
-            bound = (k + 1) * (l - k + 1)
-            if c < bound:
-                yield {"kind": "integer", "word": w.render(), "k": k, "d": d,
-                       "c": c, "bound": bound}
+    k = min(l // 2, (l * exp.den - 1) // exp.num)  # K of Lemma A
+    if k >= 1:
+        r = _tc_report(counts, k, exp)
+        if not r.all_ok:
+            yield {"kind": "theorem", "word": w.render(), "k": k, "c": r.c,
+                   "bound": r.bound, "lemmas": [r.lemma1_ok, r.lemma2_ok, r.lemma3_ok]}
+    d = -(-exp.num // exp.den)
+    k = min(l // 2, (l - 1) // d)  # k* of Lemma B
+    c, bound = sum(counts), (k + 1) * (l - k + 1)
+    if k >= 1 and c < bound:
+        yield {"kind": "integer", "word": w.render(), "k": k, "d": d, "c": c,
+               "bound": bound}
 
 
 def sweep_tc(
@@ -174,9 +171,19 @@ def sweep_tc(
     budget: int | None = None,
     shard: tuple[int, int] | None = None,
 ) -> SweepReport:
-    """Total-complexity lower bound, with d instantiated as each word's exact
-    max exponent for every admissible k, plus the integer-d variant over
-    every admissible (k, d) pair."""
+    """Total-complexity bound c >= (k+1)(l-k+1), checked once per word and
+    kind, with d the word's exact maximal exponent e = num/den.
+
+    Lemma A (nesting): with K = min(l // 2, (l*den - 1) // num), the largest
+    k with 2k <= l and l > k*e, passing lemmas 1-3 and the bound at K implies
+    passing them at every 1 <= k <= K.  Lemmas 1 and 3 at k test sub-ranges
+    of theirs at K; on [k, l - k], f(n) >= k + 1 follows from lemmas 1, 2, 3
+    at K below K, on [K, l - K] and above l - K; and (k+1)(l-k+1) rises up
+    to l/2.  Lemma B (integer d): the bound does not depend on d, and
+    k <= (l - 1) // d is admissible for each d >= ceil(e), most at ceil(e);
+    the bound is symmetric about l/2, so some (k, d) fails exactly when c is
+    below it at k* = min(l // 2, (l - 1) // ceil(e)).
+    """
     words = _words(alphabet_size, max_len, budget, shard)
     return _sweep("tc", alphabet_size, max_len, words, _check_tc)
 

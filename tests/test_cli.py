@@ -251,6 +251,18 @@ class TestAlg:
         assert payload["m_estimated"] is True and len(payload["liw"]) == 2
         assert calls == {"_levels": 1, "_liw_dfs": 1}
 
+    def test_liw_power_failure_under_estimated_m_is_not_fatal(
+        self, capsys, monkeypatch, upper_triangular_file
+    ):
+        # m = 1 sets the power limit to 0, which every word exceeds; an
+        # estimated m is only a lower bound, so the rows do not fail the run
+        monkeypatch.setattr(algebra, "estimate_m_star", lambda S, word_len_cap: 1)
+        code, out = run(capsys, "alg", "liw", upper_triangular_file, "--json")
+        payload = json.loads(out)
+        assert payload["m"] == 1 and payload["m_estimated"] is True
+        assert payload["liw"] and not any(r["power_ok"] for r in payload["liw"])
+        assert code == 0
+
     def test_liw_cap_reached_by_non_full_span(self, capsys, upper_triangular_file):
         # the span last grows at step 2, but with --cap 2 the walk must still
         # try step 3 to see that, so it stops there
@@ -349,6 +361,17 @@ class TestBounds:
         assert code == 2
         assert flag in captured.err
         assert captured.out == ""
+
+
+    @pytest.mark.parametrize("fmt", [["--json"], []])
+    def test_float_range_of_sqrt_form(self, capsys, fmt):
+        code, out = run(capsys, "bounds", "--dim", str(10**300), "--m", "4", *fmt)
+        assert code == 0 and out
+        code = main(["bounds", "--dim", str(10**400), "--m", "4", *fmt])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: --dim ")
+        assert "Traceback" not in captured.err
 
 
 class TestOracle:

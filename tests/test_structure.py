@@ -92,6 +92,12 @@ class TestMinimalQpt:
             assert dec.cost == l - r, (k, l)
             assert decompose_check(w, dec)
 
+    def test_cost_is_profile_max(self):
+        # `decompose` reports max_n f(n) as the cost l - R: f(R + 1) = l - R
+        # starts the decreasing phase, which cannot start earlier
+        for w in enumerate_words(WordSpace(2, 12)):
+            assert max(naive_profile(w).counts) == minimal_qpt(w).cost, w.render()
+
     @given(ternary_words)
     @settings(max_examples=150, deadline=None)
     def test_against_brute_force(self, w):

@@ -1,7 +1,14 @@
 from __future__ import annotations
 
+import random
+from collections import Counter
+
+import pytest
+
 from conftest import fail_every_word
 from wordlen import verify
+from wordlen.oracles import WordSpace, enumerate_words, naive_profile
+from wordlen.powers import max_factor_exponent
 from wordlen.verify import (
     SweepReport,
     cross_validate_length,
@@ -14,6 +21,7 @@ from wordlen.verify import (
     sweep_profile_shape,
     sweep_tc,
 )
+from wordlen.words import ComplexityProfile
 
 
 class TestSweeps:
@@ -33,6 +41,64 @@ class TestSweeps:
     def test_shape_random(self):
         report = sweep_profile_shape(500, 60, seed=8)
         assert report.ok and report.words_checked == 500
+
+
+def reference_tc_kinds(w, counts) -> set[str]:
+    """The kinds of total-complexity failure of w under the counts f(0..l),
+    by the loops over every admissible k and every admissible (k, d) that
+    sweep_tc's two nesting lemmas replace."""
+    l = len(w)
+    exp, _ = max_factor_exponent(w)
+    c = sum(counts)
+    kinds = set()
+    for k in range(1, l // 2 + 1):
+        if l * exp.den <= k * exp.num:
+            continue
+        lemma1 = all(counts[n] >= n + 1 for n in range(k + 1))
+        lemma2 = all(counts[n] >= k + 1 for n in range(k, l - k + 1))
+        lemma3 = all(counts[n] == l - n + 1 for n in range(l - k, l + 1))
+        if not (lemma1 and lemma2 and lemma3 and c >= (k + 1) * (l - k + 1)):
+            kinds.add("theorem")
+    for d in range(-(-exp.num // exp.den), l):
+        for k in range(1, (l - 1) // d + 1):
+            if c < (k + 1) * (l - k + 1):
+                kinds.add("integer")
+    return kinds
+
+
+def zero_last(w, counts):
+    counts[-1] = 0  # breaks lemma 3 wherever some k is admissible
+
+
+def lower_f1(w, counts):
+    counts[1] -= len(w)  # c falls below the bound for part of the words
+
+
+def perturb(w, counts):
+    rng = random.Random(w.render())
+    for _ in range(2):
+        counts[rng.randrange(len(counts))] += rng.choice((-1, 1))
+
+
+class TestTcPlantedFaults:
+    @pytest.mark.parametrize("fault", [zero_last, lower_f1, perturb])
+    def test_matches_reference_loops(self, monkeypatch, fault):
+        def planted(w):
+            counts = list(naive_profile(w).counts)
+            fault(w, counts)
+            return ComplexityProfile(tuple(counts), sum(counts))
+
+        monkeypatch.setattr(verify, "naive_profile", planted)
+        report = sweep_tc(2, 10)
+        per_word = Counter((ce["word"], ce["kind"]) for ce in report.counterexamples)
+        assert max(per_word.values()) == 1
+        expected = {
+            (w.render(), kind)
+            for w in enumerate_words(WordSpace(2, 10))
+            for kind in reference_tc_kinds(w, planted(w).counts)
+        }
+        assert set(per_word) == expected
+        assert {kind for _, kind in expected} == {"theorem", "integer"}
 
 
 class TestSharding:
