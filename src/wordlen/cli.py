@@ -227,7 +227,8 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
                 return EXIT_USAGE
         bad = []
         cells = 0
-        for m in range(2, args.m_max + 1):
+        # d >= m, so no row past d_max has a cell
+        for m in range(2, min(args.m_max, args.d_max) + 1):
             for d in range(m, args.d_max + 1):
                 cells += 1
                 if not bounds.pappacena_exceeds_main(d, m):

@@ -10,9 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import ne
+from itertools import repeat
 
 from .words import Word, border_array, complexity_profile
+
+
+_NONZERO_TO_ONE = bytes([0]) + bytes([1]) * 255
 
 
 class EmptyWord(ValueError):
@@ -91,8 +94,12 @@ def max_factor_exponent(w: Word) -> tuple[Exponent, tuple[int, int]]:
     shortest.  A word with no repeated letter gives 1/1 at [0, 1).
 
     Periods p = 1, 2, ... are scanned while a factor of period p can still
-    reach the best exponent num/den (l * den >= num * p).  For each p the
-    mismatch mask m[i] = (w[i] != w[i+p]) is built in one C-level pass; a
+    reach the best exponent num/den (l * den >= num * p).  The word is
+    packed into one big int, s bytes per letter (s the byte width of its
+    largest letter id), so for each p the mismatch mask
+    m[i] = (w[i] != w[i+p]) comes from one XOR with the int shifted by p
+    slots: OR-folding each slot's bytes into its low byte and mapping
+    nonzero bytes to 1 leaves one mask byte per position.  A
     maximal zero run [i, e) of m is the factor [i, e + p) of exponent
     (e - i + p) / p, and only runs of at least (num - den) * p / den zeros
     can match or beat the best, so ``bytes.find`` skips the rest.  Every
@@ -104,12 +111,18 @@ def max_factor_exponent(w: Word) -> tuple[Exponent, tuple[int, int]]:
     l = len(w)
     if l == 0:
         raise EmptyWord("max_factor_exponent of the empty word")
-    letters = w.letters
+    s = (max(w.letters).bit_length() + 7) // 8 or 1
+    packed = b"".join(map(int.to_bytes, w.letters, repeat(s), repeat("little")))
+    big = int.from_bytes(packed, "little")
+    folds = range(8, 8 * s, 8)
     best_num, best_den = 1, 1
     best_start, best_len = 0, 1
     p = 1
     while p < l and l * best_den >= best_num * p:
-        mask = bytes(map(ne, letters, letters[p:]))
+        x = diff = big ^ (big >> 8 * s * p)
+        for shift in folds:
+            x |= diff >> shift
+        mask = x.to_bytes(s * l, "little")[: s * (l - p) : s].translate(_NONZERO_TO_ONE)
         need = max(1, -(-(best_num - best_den) * p // best_den))
         zeros = bytes(need)
         i = mask.find(zeros)

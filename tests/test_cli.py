@@ -347,6 +347,18 @@ class TestBounds:
         summary = last_json(out)
         assert summary["counterexamples"] == 0
 
+    def test_grid_rows_stop_at_d_max(self, capsys):
+        # Every cell has d >= m, so rows m > d_max are empty: an m_max of
+        # 10^12 must not loop over them.
+        _, small = run(capsys, "bounds", "--grid", "--m-max", "10", "--d-max", "10")
+        code, huge = run(capsys, "bounds", "--grid", "--m-max", str(10**12), "--d-max", "10")
+        small_lines, huge_lines = small.splitlines(), huge.splitlines()
+        assert code == 0
+        assert huge_lines[:-1] == small_lines[:-1]
+        summary = last_json(huge)
+        assert summary.pop("m_max") == 10**12
+        assert summary == {k: v for k, v in last_json(small).items() if k != "m_max"}
+
     def test_missing_args(self, capsys):
         code, _ = run(capsys, "bounds")
         assert code == 2

@@ -176,6 +176,42 @@ class TestMaxFactorExponent:
             assert exp.value == value and span == dumb_span
 
 
+class TestWideSlots:
+    """Letter ids past 255 take s > 1 bytes per mask slot."""
+
+    @pytest.mark.parametrize("k, same_low_byte", [
+        (257, (0, 256)),
+        (1000, (1, 257, 513, 769)),
+        (65538, (1, 257, 65537)),
+    ])
+    def test_letters_equal_in_the_low_byte_differ(self, k, same_low_byte):
+        alphabet = Alphabet.indices(k)
+        a, b = same_low_byte[:2]
+        # abababa has exponent 7/2; with a == b it would read 7/1
+        w = Word((a, b) * 3 + (a,), alphabet)
+        assert max_factor_exponent(w) == (Exponent(7, 2), (0, 7))
+        rng = random.Random(k)
+        for _ in range(60):
+            letters = tuple(rng.choice(same_low_byte) for _ in range(rng.randint(1, 60)))
+            w = Word(letters, alphabet)
+            assert max_factor_exponent(w) == brute_max_exponent(w), letters
+
+    def test_letters_equal_in_the_high_byte_differ(self):
+        alphabet = Alphabet.indices(1000)
+        w = Word((256, 257, 256, 257, 256, 300, 300, 256), alphabet)
+        assert max_factor_exponent(w) == brute_max_exponent(w) == (Exponent(5, 2), (0, 5))
+
+    @pytest.mark.parametrize("k", [2, 257, 300, 1000])
+    def test_random_words_against_brute_oracle(self, k):
+        rng = random.Random(7 * k)
+        alphabet = Alphabet.indices(k)
+        for length in (1, 2, 50, 333, 1000):
+            for used in (2, 5, k):
+                pool = rng.sample(range(k), min(used, k))
+                w = Word(tuple(rng.choice(pool) for _ in range(length)), alphabet)
+                assert max_factor_exponent(w) == brute_max_exponent(w), (k, length, used)
+
+
 class TestAvoids:
     def test_worked_example(self):
         w = wd("abcdbcdef")

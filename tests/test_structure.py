@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 from conftest import random_word, wd, words_st
 from wordlen import verify
 from wordlen.cli import main
-from wordlen.oracles import WordSpace, brute_min_qpt, enumerate_words, naive_profile
+from wordlen.oracles import (
+    BRUTE_QPT_CAP,
+    WordSpace,
+    brute_min_qpt,
+    enumerate_words,
+    naive_profile,
+)
 from wordlen.structure import (
     LengthMismatch,
     ProfileShape,
@@ -102,6 +108,29 @@ class TestMinimalQpt:
     @settings(max_examples=150, deadline=None)
     def test_against_brute_force(self, w):
         assert minimal_qpt(w) == brute_min_qpt(w)
+
+    @pytest.mark.parametrize("alphabet, k", [
+        (Alphabet.letters(26), 16),
+        (Alphabet.letters(26), 17),
+        (Alphabet(tuple(f"t{i}" for i in range(300))), 20),
+    ])
+    def test_both_transition_stores_against_brute_force(self, alphabet, k):
+        # k <= ROW_LETTERS_MAX builds on per-letter rows, k > it on dicts
+        rng = random.Random(30 * k + alphabet.size)
+        for _ in range(150):
+            letters = rng.sample(range(alphabet.size), k)
+            extra = rng.randint(0, BRUTE_QPT_CAP - k)
+            if rng.random() < 0.5:
+                # a copied block makes the longest repeat long
+                start = rng.randrange(k - extra + 1)
+                block = letters[start : start + extra]
+            else:
+                block = [rng.choice(letters) for _ in range(extra)]
+            at = rng.randrange(k + 1)
+            letters[at:at] = block
+            w = Word(tuple(letters), alphabet)
+            assert len(set(letters)) == k
+            assert minimal_qpt(w) == brute_min_qpt(w), w.render()
 
     def test_empty_rejected(self):
         from wordlen.words import Alphabet, parse_word

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -9,11 +10,13 @@ from hypothesis import strategies as st
 from conftest import wd, words_st
 from wordlen.oracles import WordSpace, enumerate_words, naive_profile
 from wordlen.words import (
+    ROW_LETTERS_MAX,
     Alphabet,
     DenominatorMismatch,
     EmptyFactor,
     FracExponent,
     LengthOutOfRange,
+    SuffixAutomaton,
     UnknownToken,
     Word,
     complexity_profile,
@@ -184,6 +187,85 @@ class TestComplexityProfile:
         prof = complexity_profile(w)
         assert prof.total == count_distinct_factors(w)
         assert prof.counts[1] == 2
+
+
+def words_with_exactly(rng: random.Random, alphabet: Alphabet, k: int, count: int) -> list[Word]:
+    """Seeded words that use exactly k letters of the alphabet: random ones,
+    and near-periodic ones (a base holding all k letters, repeated, a few
+    letters changed), which force long repeats and many clones."""
+    out = []
+    for _ in range(count):
+        used = rng.sample(range(alphabet.size), k)
+        l = rng.randint(k, 2 * k + 100)
+        if rng.random() < 0.5:
+            letters = used + [rng.choice(used) for _ in range(l - k)]
+            rng.shuffle(letters)
+        else:
+            base = used + [rng.choice(used) for _ in range(rng.randint(0, k // 4))]
+            rng.shuffle(base)
+            letters = [base[i % len(base)] for i in range(max(l, 2 * len(base)))]
+            for _ in range(rng.randint(0, 3)):
+                letters[rng.randrange(len(base), len(letters))] = rng.choice(used)
+        out.append(Word(tuple(letters), alphabet))
+    return out
+
+
+def brute_repeats(letters: tuple[int, ...]) -> list[int]:
+    """For each end e, the longest suffix of letters[:e+1] that also ends
+    earlier, by comparing slices."""
+    out = []
+    for e in range(len(letters)):
+        prefix = letters[: e + 1]
+        earlier = [n for n in range(1, e + 1)
+                   if any(prefix[i : i + n] == prefix[e + 1 - n :] for i in range(e + 1 - n))]
+        out.append(max(earlier, default=0))
+    return out
+
+
+class TestTransitionStores:
+    """Words with at most ROW_LETTERS_MAX distinct letters build on per-letter
+    rows, wider ones on per-state dicts; both must match the oracles."""
+
+    def test_threshold_between_the_sizes_tested(self):
+        assert ROW_LETTERS_MAX == 16
+
+    @pytest.mark.parametrize("k", [16, 17])
+    def test_both_sides_of_the_selection_match_naive(self, k):
+        rng = random.Random(1600 + k)
+        for w in words_with_exactly(rng, Alphabet.letters(26), k, 60):
+            assert len(set(w.letters)) == k
+            prof = complexity_profile(w)
+            assert prof == naive_profile(w), w.render()
+            assert count_distinct_factors(w) == prof.total
+
+    def test_many_token_alphabet_matches_naive(self):
+        rng = random.Random(300)
+        alphabet = Alphabet(tuple(f"t{i}" for i in range(300)))
+        for k in (2, 17, 50, 300):
+            for w in words_with_exactly(rng, alphabet, k, 6):
+                prof = complexity_profile(w)
+                assert prof == naive_profile(w), (k, w.render())
+                assert count_distinct_factors(w) == prof.total
+
+    def test_repeats_exhaustive_binary(self):
+        for w in enumerate_words(WordSpace(2, 10)):
+            assert SuffixAutomaton(w.letters).repeats == brute_repeats(w.letters), w.render()
+
+    def test_wide_alphabet_memory(self):
+        # 2,000 distinct letters, each used twice: per-state dicts stay small,
+        # where per-letter rows would preallocate about 128 MB
+        rng = random.Random(2000)
+        letters = list(range(2000)) * 2
+        rng.shuffle(letters)
+        w = Word(tuple(letters), Alphabet.indices(2000))
+        tracemalloc.start()
+        try:
+            prof = complexity_profile(w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert prof.counts[1] == 2000
+        assert peak < 16 * 2**20
 
 
 class TestOccurrenceQueries:
