@@ -112,10 +112,7 @@ def max_factor_exponent(w: Word) -> tuple[Exponent, tuple[int, int]]:
     if l == 0:
         raise EmptyWord("max_factor_exponent of the empty word")
     s = (max(w.letters).bit_length() + 7) // 8 or 1
-    if s == 1:
-        packed = bytes(w.letters)  # the same slots, a quarter of the cost on short words
-    else:
-        packed = b"".join(map(int.to_bytes, w.letters, repeat(s), repeat("little")))
+    packed = b"".join(map(int.to_bytes, w.letters, repeat(s), repeat("little")))
     big = int.from_bytes(packed, "little")
     folds = range(8, 8 * s, 8)
     best_num, best_den = 1, 1

@@ -305,7 +305,11 @@ class SuffixAutomaton:
     letters (best of 3, tracemalloc peak; CPython 3.11, 2-core Xeon), rows
     against dicts: k' = 4, 0.18 s and 18 MB against 0.32 s and 47 MB;
     k' = 16, 0.23 s and 36 MB against 0.26 s and 42 MB; k' = 32, 0.36 s
-    and 60 MB against 0.24 s and 40 MB.
+    and 60 MB against 0.24 s and 40 MB.  Two passes over every k' from 16
+    to 32 put the memory crossover at k' = 19-20 (40 MB each) and the time
+    crossover at 25-26: up to 25 the two builds differ by less than the
+    spread between passes (up to 20 %), and from 26 on rows were slower in
+    both passes (1.03-1.40x).  The threshold 16 sits below both.
     """
 
     def __init__(self, letters: Sequence[int] = ()) -> None:

@@ -26,7 +26,7 @@ from wordlen.structure import (
     profile_shape,
 )
 from wordlen.verify import _check_mh, _check_mhgen, sweep_mh, sweep_mh_general
-from wordlen.words import Alphabet, Word, complexity_profile, factor_count
+from wordlen.words import ROW_LETTERS_MAX, Alphabet, Word, complexity_profile, factor_count
 
 ternary_words = st.lists(st.integers(0, 2), min_size=1, max_size=30).map(
     lambda letters: Word(tuple(letters), Alphabet.letters(3))
@@ -110,8 +110,8 @@ class TestMinimalQpt:
         assert minimal_qpt(w) == brute_min_qpt(w)
 
     @pytest.mark.parametrize("alphabet, k", [
-        (Alphabet.letters(26), 16),
-        (Alphabet.letters(26), 17),
+        (Alphabet.letters(26), ROW_LETTERS_MAX),
+        (Alphabet.letters(26), ROW_LETTERS_MAX + 1),
         (Alphabet(tuple(f"t{i}" for i in range(300))), 20),
     ])
     def test_both_transition_stores_against_brute_force(self, alphabet, k):

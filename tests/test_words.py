@@ -226,10 +226,7 @@ class TestTransitionStores:
     """Words with at most ROW_LETTERS_MAX distinct letters build on per-letter
     rows, wider ones on per-state dicts; both must match the oracles."""
 
-    def test_threshold_between_the_sizes_tested(self):
-        assert ROW_LETTERS_MAX == 16
-
-    @pytest.mark.parametrize("k", [16, 17])
+    @pytest.mark.parametrize("k", [ROW_LETTERS_MAX, ROW_LETTERS_MAX + 1])
     def test_both_sides_of_the_selection_match_naive(self, k):
         rng = random.Random(1600 + k)
         for w in words_with_exactly(rng, Alphabet.letters(26), k, 60):
