@@ -3,8 +3,10 @@
 Products of generators are words over the generator alphabet; the span of
 all products of length <= i grows with i and the length of the set is the
 last i at which it grows.  A word is reducible when its product already
-lies in the span of strictly shorter products; searches below exploit that
-a word with a reducible prefix is itself reducible.
+lies in the span of strictly shorter products.  The walk that grows the span
+extends its frontier in lexicographic order, so the first product it
+inserts at each length is the minimal irreducible word of that length:
+no search is needed to find those words.
 """
 
 from __future__ import annotations
@@ -121,9 +123,13 @@ class PowerFreeReport:
         return all(e.ok for e in self.entries)
 
 
-def _levels(S: GeneratorSet, max_len: int) -> Iterator[SpanBasis]:
-    """Grow the span of products breadth-first, yielding the basis of the
-    span of products of length <= i for i = 0, 1, ..., l(S).
+def _levels(
+    S: GeneratorSet, max_len: int
+) -> Iterator[tuple[SpanBasis, tuple[int, ...]]]:
+    """Grow the span of products breadth-first, yielding for i = 0, 1, ...,
+    l(S) the basis of the span of products of length <= i and the
+    lexicographically minimal irreducible word of length i (the empty word
+    at level 0).
 
     Only products that were independent when inserted are kept on the
     frontier; multiplying just frontier x generators is enough because a
@@ -131,6 +137,17 @@ def _levels(S: GeneratorSet, max_len: int) -> Iterator[SpanBasis]:
     it depends on.  The walk stops at full dimension or when a level adds
     nothing, so the span of every longer product is the last one yielded.
     The basis yielded is the live one: a caller that keeps a level copies it.
+
+    Each level extends the frontier words in order by the generators in
+    index order, so its candidates, and the frontier it keeps, come in
+    lexicographic order.  The first candidate inserted as independent at
+    level i is the minimal irreducible word of length i.  Every earlier
+    candidate was dependent on a basis holding no level-i product, so it
+    is reducible, and the first independent one is not.  Conversely let
+    w = ug be the minimal irreducible word of length i.  Then u is
+    irreducible; were it off the frontier, u = sum c_j u_j + (shorter
+    products) with frontier words u_j < u, so some u_j g < w would be
+    irreducible.  Hence w is a candidate, and the first independent one.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
@@ -138,28 +155,28 @@ def _levels(S: GeneratorSet, max_len: int) -> Iterator[SpanBasis]:
     basis = SpanBasis(ambient, S.field)
     ident = FMatrix.identity(S.field, S.n)
     basis.insert(ident.vectorize())
-    yield basis
-    frontier = [ident]
+    yield basis, ()
+    frontier: list[tuple[tuple[int, ...], FMatrix]] = [((), ident)]
     step = 0
     while basis.dim < ambient:
         step += 1
         if step > max_len:
             raise CapExceeded(max_len)
         new_frontier = []
-        for mat in frontier:
-            for g in S.gens:
+        for word, mat in frontier:
+            for letter, g in enumerate(S.gens):
                 prod = mat @ g
                 if basis.insert(prod.vectorize()):
-                    new_frontier.append(prod)
+                    new_frontier.append((word + (letter,), prod))
         if not new_frontier:
             return
-        yield basis
+        yield basis, new_frontier[0][0]
         frontier = new_frontier
 
 
 def length_trace(S: GeneratorSet, max_len: int) -> LengthTrace:
     """Grow the span of products breadth-first until it stabilizes."""
-    dims = tuple(basis.dim for basis in _levels(S, max_len))
+    dims = tuple(basis.dim for basis, _ in _levels(S, max_len))
     return LengthTrace(dims, len(dims) - 1, dims[-1])
 
 
@@ -180,44 +197,8 @@ def is_reducible(word: Sequence[int], S: GeneratorSet) -> bool:
         if not 0 <= idx < k:
             raise IndexOutOfRange(f"generator index {idx} outside [0, {k})")
     # level j - 1, or the final span if the walk ends before it
-    *_, basis = islice(_levels(S, S.n * S.n), j)
+    *_, (basis, _) = islice(_levels(S, S.n * S.n), j)
     return basis.contains(_product(word, S).vectorize())
-
-
-def _liw_dfs(S: GeneratorSet, bases: list[SpanBasis], depth: int) -> list[tuple[int, ...]]:
-    """The minimal irreducible word of each length 1, 2, ... up to depth,
-    from one depth-first scan; bases[j] spans the products of length <= j.
-
-    A prefix whose product lies in the span of shorter products makes every
-    extension reducible, so such subtrees are skipped.  Pre-order visits the
-    words of each fixed length in lexicographic order, and skipping whole
-    subtrees keeps that order, so the first word the scan reaches at depth i
-    is the minimal irreducible word of length i.  The list is shorter than
-    depth when the scan runs out of irreducible words first.
-    """
-    gens = S.gens
-    k = len(gens)
-    found: list[tuple[int, ...]] = []
-    word: list[int] = []
-    prods: list[FMatrix] = []  # prods[j] is the product of word[:j + 1]
-    letter = 0
-    while len(found) < depth:
-        if letter == k:  # every child of this node is done: backtrack
-            if not word:
-                break
-            letter = word.pop() + 1
-            prods.pop()
-            continue
-        prod = prods[-1] @ gens[letter] if prods else gens[letter]
-        if bases[len(word)].contains(prod.vectorize()):
-            letter += 1
-            continue
-        word.append(letter)
-        prods.append(prod)
-        if len(word) > len(found):
-            found.append(tuple(word))
-        letter = 0
-    return found
 
 
 def _word_complexity(word: Sequence[int], k: int) -> int:
@@ -227,41 +208,34 @@ def _word_complexity(word: Sequence[int], k: int) -> int:
 def liw(S: GeneratorSet, i: int, budget: int = DEFAULT_SEARCH_BUDGET) -> LiwResult | None:
     """Lexicographically minimal irreducible word of length i, or None.
 
-    None means no irreducible word of that length exists, which happens
-    exactly when i exceeds the length of the set.
+    The word is the first product the span walk inserts at level i (see
+    `_levels`).  None means no irreducible word of that length exists,
+    which happens exactly when i exceeds the length of the set.  The
+    budget bounds |S|^i, the number of words of length i.
     """
     if i < 1:
         raise ValueError("i must be >= 1")
     k = len(S.gens)
     if k**i > budget:
         raise SearchBudgetExceeded(f"|S|^i = {k**i} exceeds budget {budget}")
-    bases = [basis.copy() for basis in islice(_levels(S, S.n * S.n), i)]
-    if len(bases) < i:  # the span stopped growing before length i - 1
+    words = [word for _, word in islice(_levels(S, S.n * S.n), i + 1)]
+    if len(words) <= i:  # the span stopped growing before length i
         return None
-    found = _liw_dfs(S, bases, i)
-    if len(found) < i:
-        return None
-    return LiwResult(i, found[-1], _word_complexity(found[-1], k))
+    return LiwResult(i, words[i], _word_complexity(words[i], k))
 
 
-def _liw_walk(S: GeneratorSet, max_len: int) -> tuple[LengthTrace, list[SpanBasis]]:
-    """The length trace and a copy of every level, from one walk."""
-    bases = [basis.copy() for basis in _levels(S, max_len)]
-    dims = tuple(basis.dim for basis in bases)
-    return LengthTrace(dims, len(dims) - 1, dims[-1]), bases
+def _liw_walk(S: GeneratorSet, max_len: int) -> tuple[LengthTrace, list[tuple[int, ...]]]:
+    """The length trace and the minimal irreducible word of each length
+    1..l(S), from one walk."""
+    dims, words = zip(*((basis.dim, word) for basis, word in _levels(S, max_len)))
+    return LengthTrace(dims, len(dims) - 1, dims[-1]), list(words[1:])
 
 
-def _liw_words(S: GeneratorSet, bases: list[SpanBasis], budget: int) -> list[tuple[int, ...]]:
-    """The minimal irreducible word of each length 1..l(S), given every
-    level of the walk, so l(S) = len(bases) - 1."""
-    length = len(bases) - 1
+def _check_liw_budget(S: GeneratorSet, length: int, budget: int) -> None:
+    """Refuse a set with more than budget words of length l(S)."""
     k = len(S.gens)
     if length >= 1 and k**length > budget:
         raise SearchBudgetExceeded(f"|S|^l(S) = {k**length} exceeds budget {budget}")
-    words = _liw_dfs(S, bases, length)
-    if len(words) < length:
-        raise RuntimeError(f"no irreducible word of length {len(words) + 1} <= l(S)")
-    return words
 
 
 def _complexity_report(
@@ -292,8 +266,9 @@ def check_liw_complexity(
 ) -> LiwComplexityReport:
     """Total complexity of each minimal irreducible word versus the
     generated dimension; the bound must hold for every length."""
-    trace, bases = _liw_walk(S, S.n * S.n)
-    return _complexity_report(S, trace.generated_dim, _liw_words(S, bases, budget))
+    trace, words = _liw_walk(S, S.n * S.n)
+    _check_liw_budget(S, trace.length, budget)
+    return _complexity_report(S, trace.generated_dim, words)
 
 
 def check_irreducible_power_free(
@@ -306,8 +281,9 @@ def check_irreducible_power_free(
     """
     if S.field.p <= m:
         raise ValueError(f"need field size > m = {m}")
-    _, bases = _liw_walk(S, S.n * S.n)
-    return _power_free_report(S, m, _liw_words(S, bases, budget))
+    trace, words = _liw_walk(S, S.n * S.n)
+    _check_liw_budget(S, trace.length, budget)
+    return _power_free_report(S, m, words)
 
 
 def estimate_m_star(

@@ -171,8 +171,8 @@ def _cmd_alg(args: argparse.Namespace) -> int:
             print(f"l(S) = {trace.length}, dim L(S) = {trace.generated_dim}")
         return EXIT_OK
 
-    # one walk and one search serve the trace and both reports
-    trace, bases = algebra._liw_walk(S, cap)
+    # one walk serves the trace, the words and both reports
+    trace, found = algebra._liw_walk(S, cap)
     full = trace.generated_dim == S.n * S.n
     if full:
         m, estimated = S.n, False
@@ -180,7 +180,7 @@ def _cmd_alg(args: argparse.Namespace) -> int:
         m = algebra.estimate_m_star(S, word_len_cap=max(trace.length, 1) + 1)
         estimated = True
     budget = algebra.DEFAULT_SEARCH_BUDGET if args.budget is None else args.budget
-    found = algebra._liw_words(S, bases, budget)
+    algebra._check_liw_budget(S, trace.length, budget)
     comp = algebra._complexity_report(S, trace.generated_dim, found)
     power_report = algebra._power_free_report(S, m, found) if S.field.p > m else None
     alphabet = S.word_alphabet
@@ -338,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("action", choices=["length", "liw"])
     a.add_argument("file", help="matrix JSON {p, n, matrices}")
     a.add_argument("--cap", type=positive_int, help="step cap (default n^2)")
-    a.add_argument("--budget", type=positive_int, help="word search budget")
+    a.add_argument("--budget", type=positive_int, help="max |S|^l(S), the words of length l(S)")
     a.add_argument("--json", action="store_true")
     a.set_defaults(func=_cmd_alg)
 

@@ -161,19 +161,88 @@ def _jordan_corner(field, n):
     return GeneratorSet(field, n, tuple(FMatrix.from_rows(field, g) for g in (jordan, corner)))
 
 
+def _diag_shift(field, n):
+    """diag(1..n) and the cyclic shift; they generate the full matrix
+    algebra with l(S) = n."""
+    diag = [[i + 1 if i == j else 0 for j in range(n)] for i in range(n)]
+    shift = [[int(j == (i + 1) % n) for j in range(n)] for i in range(n)]
+    return GeneratorSet(field, n, tuple(FMatrix.from_rows(field, g) for g in (diag, shift)))
+
+
+def _upper_triangular(field, n):
+    """diag(1..n) and the n x n Jordan block; they span only the
+    upper-triangular matrices, with l(S) = n - 1."""
+    diag = [[i + 1 if i == j else 0 for j in range(n)] for i in range(n)]
+    jordan = [[int(j in (i, i + 1)) for j in range(n)] for i in range(n)]
+    return GeneratorSet(field, n, tuple(FMatrix.from_rows(field, g) for g in (diag, jordan)))
+
+
+def _sparse_sets(count, seed):
+    """Seeded sets over GF(2), GF(3), GF(5) and GF(7) with n in {2, 3} and
+    1-3 generators, each entry non-zero with probability 1/3: many spans
+    are not full, and many products coincide or vanish."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        field = PrimeField(rng.choice((2, 3, 5, 7)))
+        n = rng.choice((2, 3))
+        gens = tuple(
+            FMatrix.from_rows(field, [[rng.randrange(1, field.p) if rng.random() < 1 / 3 else 0
+                                       for _ in range(n)] for _ in range(n)])
+            for _ in range(rng.choice((1, 2, 3)))
+        )
+        out.append(GeneratorSet(field, n, gens))
+    return out
+
+
+def _dfs_liw_words(S):
+    """The minimal irreducible word of each length 1..l(S), from a pre-order
+    depth-first search over words, tested against a copy of each level of
+    the span walk.
+
+    A prefix whose product lies in the span of shorter products makes every
+    extension reducible, so such subtrees are skipped.  Pre-order visits the
+    words of each fixed length in lexicographic order, and skipping whole
+    subtrees keeps that order, so the first word the search reaches at depth
+    i is the minimal irreducible word of length i.
+    """
+    bases = [basis.copy() for basis, _ in algebra._levels(S, S.n * S.n)]
+    depth = len(bases) - 1
+    gens = S.gens
+    k = len(gens)
+    found = []
+    word = []
+    prods = []  # prods[j] is the product of word[:j + 1]
+    letter = 0
+    while len(found) < depth:
+        if letter == k:  # every child of this node is done: backtrack
+            if not word:
+                break
+            letter = word.pop() + 1
+            prods.pop()
+            continue
+        prod = prods[-1] @ gens[letter] if prods else gens[letter]
+        if bases[len(word)].contains(prod.vectorize()):
+            letter += 1
+            continue
+        word.append(letter)
+        prods.append(prod)
+        if len(word) > len(found):
+            found.append(tuple(word))
+        letter = 0
+    return found
+
+
 def _oracle_sets():
     """Full sets with n in {2, 3}; Jordan-corner sets with n in {4, 5},
-    whose l(S) = 2n - 2 sends the search down deep paths; then sets whose
-    walk ends on an empty frontier below full dimension: diag(1, 2, 3) with
-    a Jordan block spans the upper-triangular matrices, and a lone matrix
-    unit spans <I, E12>."""
-    F7 = PrimeField(7)
-    diag = FMatrix.from_rows(F7, [[1, 0, 0], [0, 2, 0], [0, 0, 3]])
-    jordan = FMatrix.from_rows(F7, [[1, 1, 0], [0, 1, 1], [0, 0, 1]])
+    whose l(S) = 2n - 2 gives long minimal words; then sets whose walk ends
+    on an empty frontier below full dimension: diag(1, 2, 3) with a Jordan
+    block spans the upper-triangular matrices, and a lone matrix unit spans
+    <I, E12>."""
     return [S for S, _ in sample_generating_sets(12, dims=(2, 3), seed=5)] + [
         _jordan_corner(PrimeField(11), 4),
         _jordan_corner(PrimeField(11), 5),
-        GeneratorSet(F7, 3, (diag, jordan)),
+        _upper_triangular(PrimeField(7), 3),
         GeneratorSet(F5, 2, (E12,)),
     ]
 
@@ -193,6 +262,22 @@ class TestAgainstBruteForce:
             assert [e.word for e in comp.entries] == [e.word for e in power.entries]
             assert [e.word for e in comp.entries] == ref[:length]
             assert (comp.length, comp.generated_dim, power.length) == (length, rank, length)
+
+    def test_walk_words_match_search(self):
+        families = [
+            family(PrimeField(p), n)
+            for family in (_diag_shift, _jordan_corner, _upper_triangular)
+            for n, p in ((5, 11), (6, 13))
+        ]
+        sets = (
+            _oracle_sets()
+            + [S for S, _ in sample_generating_sets(200, seed=6)]
+            + _sparse_sets(300, seed=7)
+            + families
+        )
+        for S in sets:
+            words = [e.word for e in check_liw_complexity(S).entries]
+            assert words == _dfs_liw_words(S), S
 
     def test_is_reducible(self):
         for S in _oracle_sets():

@@ -237,19 +237,22 @@ class TestAlg:
         assert [r["c"] for r in rows] == [2, 4]
         assert all(r["c_ok"] and r["power_ok"] for r in rows)
 
-    def test_liw_walks_and_searches_once(self, capsys, monkeypatch, upper_triangular_file):
-        calls = {"_levels": 0, "_liw_dfs": 0}
-        for name in calls:
-            def counted(*args, _name=name, _real=getattr(algebra, name)):
-                calls[_name] += 1
-                return _real(*args)
-            monkeypatch.setattr(algebra, name, counted)
+    def test_liw_walks_once(self, capsys, monkeypatch, upper_triangular_file):
+        calls = []
+        real = algebra._levels
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(algebra, "_levels", counted)
         code, out = run(capsys, "alg", "liw", upper_triangular_file, "--json")
         payload = json.loads(out)
         assert code == 0
         assert (payload["length"], payload["generated_dim"], payload["m"]) == (2, 6, 3)
         assert payload["m_estimated"] is True and len(payload["liw"]) == 2
-        assert calls == {"_levels": 1, "_liw_dfs": 1}
+        assert len(calls) == 1
+        assert not hasattr(algebra, "_liw_dfs")
 
     def test_liw_power_failure_under_estimated_m_is_not_fatal(
         self, capsys, monkeypatch, upper_triangular_file
@@ -324,8 +327,11 @@ class TestInternalError:
         code = main(["bounds", "--dim", "9", "--m", "3", "--json"])
         self._assert_internal(capsys, code, "BoundInvariantError")
 
-    def test_liw_search_miss(self, capsys, monkeypatch, unit_pair_file):
-        monkeypatch.setattr(algebra, "_liw_dfs", lambda S, bases, depth: [])
+    def test_liw_internal_error(self, capsys, monkeypatch, unit_pair_file):
+        def broken(S, dim, words):
+            raise RuntimeError("report invariant broken")
+
+        monkeypatch.setattr(algebra, "_complexity_report", broken)
         code = main(["alg", "liw", unit_pair_file, "--json"])
         self._assert_internal(capsys, code, "RuntimeError")
 
