@@ -205,23 +205,20 @@ def _word_complexity(word: Sequence[int], k: int) -> int:
     return count_distinct_factors(Word(tuple(word), Alphabet.indices(k)))
 
 
-def liw(S: GeneratorSet, i: int, budget: int = DEFAULT_SEARCH_BUDGET) -> LiwResult | None:
+def liw(S: GeneratorSet, i: int) -> LiwResult | None:
     """Lexicographically minimal irreducible word of length i, or None.
 
     The word is the first product the span walk inserts at level i (see
-    `_levels`).  None means no irreducible word of that length exists,
-    which happens exactly when i exceeds the length of the set.  The
-    budget bounds |S|^i, the number of words of length i.
+    `_levels`), so the cost is that of the walk up to level i, not of the
+    |S|^i words of length i.  None means no irreducible word of that length
+    exists, which happens exactly when i exceeds the length of the set.
     """
     if i < 1:
         raise ValueError("i must be >= 1")
-    k = len(S.gens)
-    if k**i > budget:
-        raise SearchBudgetExceeded(f"|S|^i = {k**i} exceeds budget {budget}")
     words = [word for _, word in islice(_levels(S, S.n * S.n), i + 1)]
     if len(words) <= i:  # the span stopped growing before length i
         return None
-    return LiwResult(i, words[i], _word_complexity(words[i], k))
+    return LiwResult(i, words[i], _word_complexity(words[i], len(S.gens)))
 
 
 def _liw_walk(S: GeneratorSet, max_len: int) -> tuple[LengthTrace, list[tuple[int, ...]]]:
@@ -229,13 +226,6 @@ def _liw_walk(S: GeneratorSet, max_len: int) -> tuple[LengthTrace, list[tuple[in
     1..l(S), from one walk."""
     dims, words = zip(*((basis.dim, word) for basis, word in _levels(S, max_len)))
     return LengthTrace(dims, len(dims) - 1, dims[-1]), list(words[1:])
-
-
-def _check_liw_budget(S: GeneratorSet, length: int, budget: int) -> None:
-    """Refuse a set with more than budget words of length l(S)."""
-    k = len(S.gens)
-    if length >= 1 and k**length > budget:
-        raise SearchBudgetExceeded(f"|S|^l(S) = {k**length} exceeds budget {budget}")
 
 
 def _complexity_report(
@@ -261,19 +251,14 @@ def _power_free_report(
     return PowerFreeReport(len(words), limit, tuple(entries))
 
 
-def check_liw_complexity(
-    S: GeneratorSet, budget: int = DEFAULT_SEARCH_BUDGET
-) -> LiwComplexityReport:
+def check_liw_complexity(S: GeneratorSet) -> LiwComplexityReport:
     """Total complexity of each minimal irreducible word versus the
     generated dimension; the bound must hold for every length."""
     trace, words = _liw_walk(S, S.n * S.n)
-    _check_liw_budget(S, trace.length, budget)
     return _complexity_report(S, trace.generated_dim, words)
 
 
-def check_irreducible_power_free(
-    S: GeneratorSet, m: int, budget: int = DEFAULT_SEARCH_BUDGET
-) -> PowerFreeReport:
+def check_irreducible_power_free(S: GeneratorSet, m: int) -> PowerFreeReport:
     """Max factor exponent of each minimal irreducible word versus m - 1.
 
     m is the max minimal-polynomial degree in play (matrix size for a full
@@ -281,8 +266,7 @@ def check_irreducible_power_free(
     """
     if S.field.p <= m:
         raise ValueError(f"need field size > m = {m}")
-    trace, words = _liw_walk(S, S.n * S.n)
-    _check_liw_budget(S, trace.length, budget)
+    _, words = _liw_walk(S, S.n * S.n)
     return _power_free_report(S, m, words)
 
 

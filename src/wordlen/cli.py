@@ -86,7 +86,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         "t": dec.t,
         "l": dec.l,
         "cost": dec.cost,
-        "core_exponent": f"{dec.core_exponent.num}/{dec.core_exponent.den}",
+        "core_exponent": str(dec.core_exponent),
         # max f = f(R + 1) = l - R: from R + 1 on no factor repeats, so f falls
         "profile_max": dec.cost,
     }
@@ -179,8 +179,6 @@ def _cmd_alg(args: argparse.Namespace) -> int:
     else:
         m = algebra.estimate_m_star(S, word_len_cap=max(trace.length, 1) + 1)
         estimated = True
-    budget = algebra.DEFAULT_SEARCH_BUDGET if args.budget is None else args.budget
-    algebra._check_liw_budget(S, trace.length, budget)
     comp = algebra._complexity_report(S, trace.generated_dim, found)
     power_report = algebra._power_free_report(S, m, found) if S.field.p > m else None
     alphabet = S.word_alphabet
@@ -338,7 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("action", choices=["length", "liw"])
     a.add_argument("file", help="matrix JSON {p, n, matrices}")
     a.add_argument("--cap", type=positive_int, help="step cap (default n^2)")
-    a.add_argument("--budget", type=positive_int, help="max |S|^l(S), the words of length l(S)")
     a.add_argument("--json", action="store_true")
     a.set_defaults(func=_cmd_alg)
 

@@ -318,9 +318,6 @@ class MinPoly:
             acc = (acc * x + c) % p
         return acc
 
-    def evaluate(self, a: FMatrix) -> FMatrix:
-        return _poly_at(self.coeffs, a)
-
 
 def _poly_at(coeffs: Sequence[int], a: FMatrix) -> FMatrix:
     ident = FMatrix.identity(a.field, a.n)
@@ -451,11 +448,3 @@ def load_matrix_set(source: str | Path | Mapping) -> tuple[PrimeField, int, list
         mats.append(FMatrix.from_flat(field, n, values))
     return field, n, mats
 
-
-def dump_matrix_set(field: PrimeField, n: int, matrices: Sequence[FMatrix]) -> dict:
-    """Inverse of load_matrix_set, producing the documented JSON schema."""
-    return {
-        "p": field.p,
-        "n": n,
-        "matrices": [list(m.vectorize()) for m in matrices],
-    }

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 
-from .words import Word, border_array, complexity_profile
+from .words import Word, complexity_profile
 
 
 _NONZERO_TO_ONE = bytes([0]) + bytes([1]) * 255
@@ -76,14 +76,6 @@ class TcReport:
     def all_ok(self) -> bool:
         flags = (self.lemma1_ok, self.lemma2_ok, self.lemma3_ok)
         return self.theorem_ok and all(f is not False for f in flags)
-
-
-def minimal_period(w: Word) -> int:
-    """Smallest p >= 1 with w[i] == w[i+p] wherever both sides exist."""
-    l = len(w)
-    if l == 0:
-        raise EmptyWord("minimal_period of the empty word")
-    return l - border_array(w.letters)[l - 1]
 
 
 def max_factor_exponent(w: Word) -> tuple[Exponent, tuple[int, int]]:

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .words import FracExponent, SuffixAutomaton, Word, complexity_profile
+from .powers import Exponent
+from .words import SuffixAutomaton, Word, complexity_profile
 
 
 class LengthMismatch(ValueError):
@@ -50,9 +51,15 @@ class QptDecomposition:
         return self.q + self.p + self.t
 
     @property
-    def core_exponent(self) -> FracExponent:
-        """Exponent (l - q - t) / p of the periodic core."""
-        return FracExponent(self.l - self.q - self.t, self.p)
+    def core_exponent(self) -> Exponent:
+        """Exponent (l - q - t) / p of the periodic core, unreduced.
+
+        Defined for the decompositions that `minimal_qpt` and the
+        brute-force oracle return: their core is the period plus a border of
+        length R >= 0, so l - q - t = p + R >= p and 1 <= den <= num holds.
+        A split whose core is shorter than its period raises ValueError.
+        """
+        return Exponent(self.l - self.q - self.t, self.p)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate, repeat
 from operator import sub
 from string import ascii_lowercase
-from typing import Iterator, Sequence
+from typing import Sequence
 
 
 class UnknownToken(ValueError):
@@ -35,16 +35,8 @@ class UnknownToken(ValueError):
         self.position = position
 
 
-class DenominatorMismatch(ValueError):
-    """Fractional-power denominator does not equal the base word length."""
-
-
 class LengthOutOfRange(ValueError):
     """Requested factor length is outside [0, len(word)]."""
-
-
-class EmptyFactor(ValueError):
-    """Occurrence queries are defined for non-empty factors only."""
 
 
 def tokenize(text: str) -> list[str]:
@@ -129,21 +121,6 @@ class Word:
 
 
 @dataclass(frozen=True)
-class FracExponent:
-    """Unreduced fraction num/den: (6, 3) and (2, 1) are distinct powers.
-
-    den is pinned to the base word length; num is the target length.
-    """
-
-    num: int
-    den: int
-
-    def __post_init__(self) -> None:
-        if self.num < 0 or self.den < 1:
-            raise ValueError(f"invalid fractional exponent {self.num}/{self.den}")
-
-
-@dataclass(frozen=True)
 class ComplexityProfile:
     """Factor counts f(0..l) and their sum, the total complexity."""
 
@@ -160,17 +137,6 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
             raise UnknownToken(token, pos)
         ids.append(idx)
     return Word(tuple(ids), alphabet)
-
-
-def fractional_power(base: Word, exp: FracExponent) -> Word:
-    """Repeat base with period len(base) out to exp.num letters."""
-    if exp.den != len(base):
-        raise DenominatorMismatch(
-            f"denominator {exp.den} != base length {len(base)}"
-        )
-    period = len(base)
-    letters = base.letters
-    return Word(tuple(letters[i % period] for i in range(exp.num)), base.alphabet)
 
 
 def factor_count(w: Word, n: int) -> int:
@@ -376,41 +342,3 @@ def count_distinct_factors(w: Word) -> int:
         return 1
     return SuffixAutomaton(w.letters).distinct_factor_count() + 1
 
-
-def _occurrences(haystack: tuple[int, ...], needle: tuple[int, ...]) -> Iterator[int]:
-    f = len(needle)
-    for i in range(len(haystack) - f + 1):
-        if haystack[i : i + f] == needle:
-            yield i
-
-
-def _check_factor_query(w: Word, factor: Word) -> None:
-    if len(factor) == 0:
-        raise EmptyFactor("factor must be non-empty")
-    if w.alphabet != factor.alphabet:
-        raise ValueError("word and factor use different alphabets")
-
-
-def is_repeated(w: Word, factor: Word) -> bool:
-    """True iff factor occurs at two or more start positions in w."""
-    _check_factor_query(w, factor)
-    count = 0
-    for _ in _occurrences(w.letters, factor.letters):
-        count += 1
-        if count >= 2:
-            return True
-    return False
-
-
-def is_right_special(w: Word, factor: Word) -> bool:
-    """True iff occurrences of factor are followed by >= 2 distinct letters."""
-    _check_factor_query(w, factor)
-    letters = w.letters
-    f = len(factor)
-    followers: set[int] = set()
-    for i in _occurrences(letters, factor.letters):
-        if i + f < len(letters):
-            followers.add(letters[i + f])
-            if len(followers) >= 2:
-                return True
-    return False

@@ -6,6 +6,7 @@ import random
 
 from hypothesis import strategies as st
 
+from wordlen.linalg import FMatrix, PrimeField
 from wordlen.words import Alphabet, Word, parse_word
 
 _FULL = Alphabet.letters(26)
@@ -33,3 +34,12 @@ def fail_every_word(w: Word):
     """A per-word sweep check that reports one counterexample for every word,
     in the mh check's format."""
     yield {"word": w.render(), "n": 1, "f": len(set(w.letters)), "cost": len(w)}
+
+
+def dump_matrix_set(field: PrimeField, n: int, matrices: list[FMatrix]) -> dict:
+    """The matrix JSON schema {"p", "n", "matrices"} that load_matrix_set reads."""
+    return {
+        "p": field.p,
+        "n": n,
+        "matrices": [list(m.vectorize()) for m in matrices],
+    }

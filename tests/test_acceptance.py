@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import time
 
-from conftest import wd
+from conftest import dump_matrix_set, wd
 from wordlen.algebra import DEFAULT_SEARCH_BUDGET, check_irreducible_power_free, check_liw_complexity
 from wordlen.bounds import (
     best_main_bound,
@@ -23,7 +23,6 @@ from wordlen.linalg import (
     FMatrix,
     PrimeField,
     _poly_at,
-    dump_matrix_set,
     min_poly,
     random_matrix,
     shift_to_invertible,

@@ -111,10 +111,6 @@ class TestLiw:
     def test_identity_generator(self):
         assert liw(GeneratorSet(F5, 2, (FMatrix.identity(F5, 2),)), 1) is None
 
-    def test_budget(self):
-        with pytest.raises(SearchBudgetExceeded):
-            liw(PAIR, 4, budget=10)
-
     def test_prefixes_of_liw_are_irreducible(self):
         for S, trace in sample_generating_sets(15, dims=(2, 3), seed=3):
             for i in range(1, trace.length + 1):

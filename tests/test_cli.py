@@ -8,10 +8,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import fail_every_word
+from conftest import dump_matrix_set, fail_every_word
 from wordlen import algebra, bounds, structure, verify, words
 from wordlen.cli import EXIT_INTERNAL, main
-from wordlen.linalg import FMatrix, PrimeField, dump_matrix_set
+from wordlen.linalg import FMatrix, PrimeField
 
 
 def run(capsys, *argv):
@@ -276,6 +276,22 @@ class TestAlg:
             assert captured.err == "error: still growing after 2 steps\n"
         assert main(["alg", "liw", upper_triangular_file, "--cap", "3", "--json"]) == 0
 
+    def test_liw_has_no_word_budget(self, capsys, tmp_path):
+        # the 12 x 12 Jordan block and corner unit over GF(13): l(S) = 22,
+        # so there are 2^22 > 2 * 10^6 words of length l(S), yet the walk
+        # reads every minimal irreducible word off 22 levels
+        n, field = 12, PrimeField(13)
+        jordan = [[int(j in (i, i + 1)) for j in range(n)] for i in range(n)]
+        corner = [[int((i, j) == (n - 1, 0)) for j in range(n)] for i in range(n)]
+        mats = [FMatrix.from_rows(field, g) for g in (jordan, corner)]
+        path = tmp_path / "jordan12.json"
+        path.write_text(json.dumps(dump_matrix_set(field, n, mats)))
+        code, out = run(capsys, "alg", "liw", str(path), "--json")
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["length"] == 22 and payload["generated_dim"] == 144
+        assert len(payload["liw"]) == 22
+
     def test_missing_file_is_usage_error(self, capsys):
         code, _ = run(capsys, "alg", "length", "/nonexistent.json")
         assert code == 2
@@ -299,7 +315,6 @@ class TestAlg:
         ["verify", "mh", "--maxlen", "0"],
         ["verify", "mh", "--budget", "0"],
         ["alg", "length", "FILE", "--cap", "0"],
-        ["alg", "liw", "FILE", "--budget", "0"],
         ["oracle", "--words", "0"],
         ["oracle", "--maxlen", "-1"],
         ["oracle", "--qpt-maxlen", "0"],

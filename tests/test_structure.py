@@ -17,6 +17,7 @@ from wordlen.oracles import (
     enumerate_words,
     naive_profile,
 )
+from wordlen.powers import Exponent
 from wordlen.structure import (
     LengthMismatch,
     ProfileShape,
@@ -101,8 +102,11 @@ class TestMinimalQpt:
     def test_cost_is_profile_max(self):
         # `decompose` reports max_n f(n) as the cost l - R: f(R + 1) = l - R
         # starts the decreasing phase, which cannot start earlier
+        # the core is p + R >= p, so its exponent is a `powers.Exponent`
         for w in enumerate_words(WordSpace(2, 12)):
-            assert max(naive_profile(w).counts) == minimal_qpt(w).cost, w.render()
+            dec = minimal_qpt(w)
+            assert max(naive_profile(w).counts) == dec.cost, w.render()
+            assert dec.core_exponent == Exponent(dec.l - dec.q - dec.t, dec.p)
 
     @given(ternary_words)
     @settings(max_examples=150, deadline=None)

@@ -12,9 +12,6 @@ from wordlen.oracles import WordSpace, enumerate_words, naive_profile
 from wordlen.words import (
     ROW_LETTERS_MAX,
     Alphabet,
-    DenominatorMismatch,
-    EmptyFactor,
-    FracExponent,
     LengthOutOfRange,
     SuffixAutomaton,
     UnknownToken,
@@ -22,9 +19,6 @@ from wordlen.words import (
     complexity_profile,
     count_distinct_factors,
     factor_count,
-    fractional_power,
-    is_repeated,
-    is_right_special,
     parse_word,
 )
 
@@ -73,37 +67,6 @@ class TestParse:
     def test_word_validates_letter_ids(self):
         with pytest.raises(ValueError):
             Word((0, 5), Alphabet.letters(2))
-
-
-class TestFractionalPower:
-    def test_seven_thirds(self):
-        w = fractional_power(wd("abc"), FracExponent(7, 3))
-        assert w.render() == "abcabca"
-
-    def test_whole_power(self):
-        assert fractional_power(wd("abc"), FracExponent(6, 3)).render() == "abcabc"
-
-    def test_zero_power_is_empty(self):
-        assert len(fractional_power(wd("abc"), FracExponent(0, 3))) == 0
-
-    def test_denominator_mismatch(self):
-        with pytest.raises(DenominatorMismatch):
-            fractional_power(wd("abc"), FracExponent(7, 4))
-        with pytest.raises(DenominatorMismatch):
-            fractional_power(wd(""), FracExponent(0, 1))
-
-    def test_exponent_validation(self):
-        with pytest.raises(ValueError):
-            FracExponent(-1, 3)
-        with pytest.raises(ValueError):
-            FracExponent(3, 0)
-        # deliberately unreduced: these are distinct values
-        assert FracExponent(6, 3) != FracExponent(2, 1)
-
-    @given(words_st(min_size=1, max_size=12), st.integers(0, 4))
-    def test_whole_exponent_is_concatenation(self, base, k):
-        w = fractional_power(base, FracExponent(k * len(base), len(base)))
-        assert w.letters == base.letters * k
 
 
 class TestFactorCount:
@@ -264,28 +227,3 @@ class TestTransitionStores:
         assert prof.counts[1] == 2000
         assert peak < 16 * 2**20
 
-
-class TestOccurrenceQueries:
-    def test_repeated(self):
-        assert is_repeated(wd("abab"), wd("ab"))
-        assert not is_repeated(wd("abab"), wd("ba"))
-        assert is_repeated(wd("abbabbabaa"), wd("abb"))
-
-    def test_overlapping_occurrences_count(self):
-        assert is_repeated(wd("aaa"), wd("aa"))
-
-    def test_right_special(self):
-        # every 'a' in abab is followed by b (or nothing)
-        assert not is_right_special(wd("abab"), wd("a"))
-        # 'a' in aabab is followed by a and by b
-        assert is_right_special(wd("aabab"), wd("a"))
-        # the whole word has no follower
-        w = wd("abba")
-        assert not is_right_special(w, w)
-
-    def test_empty_factor_rejected(self):
-        empty = parse_word("", Alphabet.letters(26))
-        with pytest.raises(EmptyFactor):
-            is_repeated(wd("ab"), empty)
-        with pytest.raises(EmptyFactor):
-            is_right_special(wd("ab"), empty)
