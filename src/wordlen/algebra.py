@@ -31,12 +31,8 @@ class CapExceeded(RuntimeError):
         self.max_len = max_len
 
 
-class IndexOutOfRange(ValueError):
-    """A generator index in a word is outside the generator list."""
-
-
 class SearchBudgetExceeded(RuntimeError):
-    """The word enumeration would exceed the configured budget."""
+    """The product scan would keep more distinct products than its budget."""
 
 
 @dataclass(frozen=True)
@@ -180,27 +176,6 @@ def length_trace(S: GeneratorSet, max_len: int) -> LengthTrace:
     return LengthTrace(dims, len(dims) - 1, dims[-1])
 
 
-def _product(word: Sequence[int], S: GeneratorSet) -> FMatrix:
-    prod = S.gens[word[0]]
-    for idx in word[1:]:
-        prod = prod @ S.gens[idx]
-    return prod
-
-
-def is_reducible(word: Sequence[int], S: GeneratorSet) -> bool:
-    """Is the product of this word in the span of strictly shorter products?"""
-    j = len(word)
-    if j < 1:
-        raise ValueError("word must be non-empty")
-    k = len(S.gens)
-    for idx in word:
-        if not 0 <= idx < k:
-            raise IndexOutOfRange(f"generator index {idx} outside [0, {k})")
-    # level j - 1, or the final span if the walk ends before it
-    *_, (basis, _) = islice(_levels(S, S.n * S.n), j)
-    return basis.contains(_product(word, S).vectorize())
-
-
 def _word_complexity(word: Sequence[int], k: int) -> int:
     return count_distinct_factors(Word(tuple(word), Alphabet.indices(k)))
 
@@ -280,14 +255,12 @@ def estimate_m_star(
     n x n matrix has degree above n, so the scan stops at the first product
     of degree n: any non-derogatory product, such as one with n distinct
     eigenvalues, ends it.  Distinct product matrices are visited once, since
-    equal products have equal extensions.
+    equal products have equal extensions.  The budget bounds the distinct
+    products kept, which is what the scan stores and multiplies out: a set
+    with few distinct products scans any cap, however many words it has.
     """
     if word_len_cap < 1:
         raise ValueError("word_len_cap must be >= 1")
-    k = len(S.gens)
-    total = sum(k**i for i in range(1, word_len_cap + 1))
-    if total > budget:
-        raise SearchBudgetExceeded(f"{total} words exceed budget {budget}")
     ident = FMatrix.identity(S.field, S.n)
     seen = {ident.entries}
     frontier = [ident]
@@ -299,6 +272,10 @@ def estimate_m_star(
                 prod = mat @ g
                 if prod.entries in seen:
                     continue
+                if len(seen) > budget:  # seen holds the identity and budget products
+                    raise SearchBudgetExceeded(
+                        f"{budget + 1} distinct products exceed budget {budget}"
+                    )
                 seen.add(prod.entries)
                 nxt.append(prod)
                 best = max(best, min_poly(prod).degree)

@@ -126,7 +126,7 @@ def _cmd_powers(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _run_sweep_shard(job: tuple[str, int, int, int | None, int, int]) -> verify.SweepReport:
+def _run_sweep_shard(job: tuple[str, int, int, int, int, int]) -> verify.SweepReport:
     name, alphabet_size, max_len, budget, which, of = job
     return _SWEEPS[name](alphabet_size, max_len, budget, shard=(which, of))
 
@@ -329,7 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--jobs", type=positive_int, default=1,
                    help="shards, run on at most one process per CPU")
-    v.add_argument("--budget", type=positive_int, help="enumeration budget override")
+    v.add_argument("--budget", type=positive_int, default=oracles.DEFAULT_ENUMERATION_BUDGET,
+                   help="enumeration budget (words)")
     v.set_defaults(func=_cmd_verify)
 
     a = sub.add_parser("alg", help="generating-set length and irreducible words")

@@ -24,10 +24,6 @@ from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
 
-class DivisionByZero(ZeroDivisionError):
-    """Inverse of zero requested in GF(p)."""
-
-
 class DimensionMismatch(ValueError):
     """Operands have incompatible dimensions or fields."""
 
@@ -53,13 +49,6 @@ class PrimeField:
             if p % d == 0:
                 raise ValueError(f"{p} is not prime")
             d += 2
-
-    def inv(self, x: int) -> int:
-        x %= self.p
-        if x == 0:
-            raise DivisionByZero("inverse of 0 in GF(p)")
-        return pow(x, self.p - 2, self.p)
-
 
 # array typecode per slot width in bytes; 16-byte slots are stored as two
 # 64-bit halves, low half first.

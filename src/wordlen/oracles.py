@@ -11,7 +11,6 @@ fast path is required to agree with its oracle on the stated overlap domain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice, product
 from typing import Iterator, Sequence
 
@@ -34,42 +33,32 @@ class LengthTooLarge(ValueError):
     """Input is beyond the stated domain of this brute-force path."""
 
 
-@dataclass(frozen=True)
-class WordSpace:
-    """All words over a fixed alphabet up to a maximum length."""
-
-    alphabet_size: int
-    max_length: int
-    budget: int = DEFAULT_ENUMERATION_BUDGET
-
-    def __post_init__(self) -> None:
-        if self.alphabet_size < 1 or self.max_length < 1 or self.budget < 1:
-            raise ValueError("alphabet size, max length, and budget must be >= 1")
-
-    def total_words(self) -> int:
-        k = self.alphabet_size
-        return sum(k**j for j in range(1, self.max_length + 1))
-
-
 def enumerate_words(
-    space: WordSpace, shard: tuple[int, int] | None = None
+    alphabet_size: int,
+    max_len: int,
+    shard: tuple[int, int] | None = None,
+    budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> Iterator[Word]:
-    """Every word of length 1..max_length exactly once, in (length, lex) order.
+    """Every word over alphabet_size letters of length 1..max_len exactly
+    once, in (length, lex) order.
 
     shard=(which, of) keeps only words whose running index is congruent to
     which mod of, giving a deterministic partition for parallel sweeps.
+    BudgetExceeded is raised before the first word when the whole space,
+    not just the shard, holds more than budget words.
     """
-    if space.total_words() > space.budget:
-        raise BudgetExceeded(
-            f"{space.total_words()} words exceed budget {space.budget}"
-        )
+    if alphabet_size < 1 or max_len < 1 or budget < 1:
+        raise ValueError("alphabet size, max length, and budget must be >= 1")
+    k = alphabet_size
+    total = sum(k**j for j in range(1, max_len + 1))
+    if total > budget:
+        raise BudgetExceeded(f"{total} words exceed budget {budget}")
     which, of = shard or (0, 1)
     if not 0 <= which < of:
         raise ValueError(f"invalid shard {shard}")
-    alphabet = Alphabet.letters(space.alphabet_size)
-    k = space.alphabet_size
+    alphabet = Alphabet.letters(k)
     idx = 0  # running index of the first word of the current length
-    for length in range(1, space.max_length + 1):
+    for length in range(1, max_len + 1):
         # Step straight from one word of this shard to the next in C.
         block = product(range(k), repeat=length)
         for tup in islice(block, (which - idx) % of, None, of):

@@ -1,9 +1,12 @@
-"""Periods, exact rational factor exponents, and power avoidance.
+"""Exact rational factor exponents, power avoidance, and the
+total-complexity lower bound.
 
 Exponents are kept as unreduced integer pairs (factor length, minimal
 period) and compared by cross-multiplication or as ``fractions.Fraction``;
 no floating point enters this module because the d versus d-plus
-distinctions are knife-edge.
+distinctions are knife-edge.  The bound c >= (k+1)(l-k+1) is checked with
+d the word's own maximal exponent (verify_tc); the integer-d variant is
+swept word by word in ``verify.sweep_tc``, by its Lemma B.
 """
 
 from __future__ import annotations
@@ -55,27 +58,22 @@ class Exponent:
 
 @dataclass(frozen=True)
 class TcReport:
-    """Outcome of the total-complexity lower-bound checks.
-
-    Lemma flags are None when the lemma hypotheses do not apply (the
-    integer-d variant admits k > l/2, where the per-range lemmas say
-    nothing).
-    """
+    """Outcome of the total-complexity lower-bound checks at one
+    1 <= k <= l/2: the three per-range lemmas and the bound itself."""
 
     l: int
     k: int
     d: Exponent
-    lemma1_ok: bool | None
-    lemma2_ok: bool | None
-    lemma3_ok: bool | None
+    lemma1_ok: bool
+    lemma2_ok: bool
+    lemma3_ok: bool
     theorem_ok: bool
     c: int
     bound: int
 
     @property
     def all_ok(self) -> bool:
-        flags = (self.lemma1_ok, self.lemma2_ok, self.lemma3_ok)
-        return self.theorem_ok and all(f is not False for f in flags)
+        return self.theorem_ok and self.lemma1_ok and self.lemma2_ok and self.lemma3_ok
 
 
 def max_factor_exponent(w: Word) -> tuple[Exponent, tuple[int, int]]:
@@ -150,16 +148,14 @@ def avoids(w: Word, d: Fraction | int, strict_plus: bool) -> bool:
 
 def _tc_report(counts: tuple[int, ...], k: int, d: Exponent) -> TcReport:
     """c >= (k+1)(l-k+1) for the counts f(0..l), with the per-range lemma
-    flags where 1 <= k <= l/2."""
+    flags.  The caller guarantees 1 <= k <= l/2, where all three lemmas
+    apply."""
     l = len(counts) - 1
     c = sum(counts)
     bound = (k + 1) * (l - k + 1)
-    if k >= 1 and 2 * k <= l:
-        lemma1 = all(counts[n] >= n + 1 for n in range(k + 1))
-        lemma2 = all(counts[n] >= k + 1 for n in range(k, l - k + 1))
-        lemma3 = all(counts[n] == l - n + 1 for n in range(l - k, l + 1))
-    else:
-        lemma1 = lemma2 = lemma3 = None
+    lemma1 = all(counts[n] >= n + 1 for n in range(k + 1))
+    lemma2 = all(counts[n] >= k + 1 for n in range(k, l - k + 1))
+    lemma3 = all(counts[n] == l - n + 1 for n in range(l - k, l + 1))
     return TcReport(l, k, d, lemma1, lemma2, lemma3, c >= bound, c, bound)
 
 
@@ -181,20 +177,3 @@ def verify_tc(w: Word, k: int) -> TcReport:
     if l * exp.den <= k * exp.num:
         raise HypothesisUnmet("l > k*d")
     return _tc_report(complexity_profile(w).counts, k, exp)
-
-
-def verify_tc_integer(w: Word, k: int, d: int) -> TcReport:
-    """Integer-d variant: requires d-plus-freeness and l > k*d, but not
-    k <= l/2.  Lemma flags are filled only where their hypotheses hold."""
-    l = len(w)
-    if l == 0:
-        raise EmptyWord("verify_tc_integer of the empty word")
-    if d < 1:
-        raise HypothesisUnmet("d >= 1")
-    if k < 0:
-        raise HypothesisUnmet("k >= 0")
-    if not avoids(w, d, strict_plus=True):
-        raise HypothesisUnmet("w avoids d+ powers")
-    if l <= k * d:
-        raise HypothesisUnmet("l > k*d")
-    return _tc_report(complexity_profile(w).counts, k, Exponent(d, 1))

@@ -20,7 +20,6 @@ from .algebra import CapExceeded, GeneratorSet, LengthTrace, length_trace
 from .linalg import PrimeField, random_matrix
 from .oracles import (
     DEFAULT_ENUMERATION_BUDGET,
-    WordSpace,
     brute_length,
     brute_min_qpt,
     enumerate_words,
@@ -84,12 +83,6 @@ def _sweep(name: str, alphabet_size: int, max_len: int, cases: Iterator[Word],
     return SweepReport(name, alphabet_size, max_len, checked, bad)
 
 
-def _words(alphabet_size: int, max_len: int, budget: int | None,
-           shard: tuple[int, int] | None) -> Iterator[Word]:
-    budget = DEFAULT_ENUMERATION_BUDGET if budget is None else budget
-    return enumerate_words(WordSpace(alphabet_size, max_len, budget), shard)
-
-
 def _random_words(rng: random.Random, count: int, max_len: int,
                   sizes: tuple[int, ...]) -> Iterator[Word]:
     for _ in range(count):
@@ -109,12 +102,12 @@ def _check_mh(w: Word) -> Iterator[dict]:
 def sweep_mh(
     alphabet_size: int,
     max_len: int,
-    budget: int | None = None,
+    budget: int = DEFAULT_ENUMERATION_BUDGET,
     shard: tuple[int, int] | None = None,
 ) -> SweepReport:
     """Check f(n) <= n iff min decomposition cost <= n, for every word and
     every n in [1, l/2]."""
-    words = _words(alphabet_size, max_len, budget, shard)
+    words = enumerate_words(alphabet_size, max_len, shard, budget)
     return _sweep("mh", alphabet_size, max_len, words, _check_mh)
 
 
@@ -138,12 +131,12 @@ def _check_mhgen(w: Word) -> Iterator[dict]:
 def sweep_mh_general(
     alphabet_size: int,
     max_len: int,
-    budget: int | None = None,
+    budget: int = DEFAULT_ENUMERATION_BUDGET,
     shard: tuple[int, int] | None = None,
 ) -> SweepReport:
     """Check f(n) <= m iff cost <= m over every window m <= n <= l - m, and
     that f(n) <= m forces max_i f(i) <= m."""
-    words = _words(alphabet_size, max_len, budget, shard)
+    words = enumerate_words(alphabet_size, max_len, shard, budget)
     return _sweep("mhgen", alphabet_size, max_len, words, _check_mhgen)
 
 
@@ -168,7 +161,7 @@ def _check_tc(w: Word) -> Iterator[dict]:
 def sweep_tc(
     alphabet_size: int,
     max_len: int,
-    budget: int | None = None,
+    budget: int = DEFAULT_ENUMERATION_BUDGET,
     shard: tuple[int, int] | None = None,
 ) -> SweepReport:
     """Total-complexity bound c >= (k+1)(l-k+1), checked once per word and
@@ -184,7 +177,7 @@ def sweep_tc(
     the bound is symmetric about l/2, so some (k, d) fails exactly when c is
     below it at k* = min(l // 2, (l - 1) // ceil(e)).
     """
-    words = _words(alphabet_size, max_len, budget, shard)
+    words = enumerate_words(alphabet_size, max_len, shard, budget)
     return _sweep("tc", alphabet_size, max_len, words, _check_tc)
 
 
@@ -242,7 +235,7 @@ def cross_validate_qpt(
     automaton) versus the exhaustive (q, p, t) scan: exhaustive words up to
     max_len, then random longer words."""
     words = chain(
-        enumerate_words(WordSpace(alphabet_size, max_len)),
+        enumerate_words(alphabet_size, max_len),
         _random_words(random.Random(seed), random_count, random_max_len, (2, 3)),
     )
     return _sweep("qpt", alphabet_size, max_len, words, _check_qpt)

@@ -9,12 +9,10 @@ from wordlen import algebra
 from wordlen.algebra import (
     CapExceeded,
     GeneratorSet,
-    IndexOutOfRange,
     SearchBudgetExceeded,
     check_irreducible_power_free,
     check_liw_complexity,
     estimate_m_star,
-    is_reducible,
     length_trace,
     liw,
 )
@@ -81,21 +79,15 @@ class TestLengthTrace:
 
 class TestReducibility:
     def test_square_of_nilpotent(self):
-        assert is_reducible((0, 0), PAIR)  # product is zero, in every span
+        assert _reducible((0, 0), PAIR)  # product is zero, in every span
 
     def test_irreducible_product(self):
-        assert not is_reducible((0, 1), PAIR)  # E11 outside <I, E12, E21>
-
-    def test_index_validation(self):
-        with pytest.raises(IndexOutOfRange):
-            is_reducible((0, 2), PAIR)
-        with pytest.raises(ValueError):
-            is_reducible((), PAIR)
+        assert not _reducible((0, 1), PAIR)  # E11 outside <I, E12, E21>
 
     def test_reducible_factor_spreads(self):
         # any word containing the reducible factor aa stays reducible
         for word in [(0, 0, 1), (1, 0, 0), (0, 0, 0), (1, 0, 0, 1)]:
-            assert is_reducible(word, PAIR)
+            assert _reducible(word, PAIR)
 
 
 class TestLiw:
@@ -113,11 +105,13 @@ class TestLiw:
 
     def test_prefixes_of_liw_are_irreducible(self):
         for S, trace in sample_generating_sets(15, dims=(2, 3), seed=3):
+            levels, _ = _brute_irreducible(S, trace.length)
+            outside = dict(pair for level in levels for pair in level)
             for i in range(1, trace.length + 1):
                 found = liw(S, i)
                 assert found is not None
                 for cut in range(1, i):
-                    assert not is_reducible(found.word[:cut], S)
+                    assert outside[found.word[:cut]]
 
     def test_exists_iff_within_length(self):
         for S, trace in sample_generating_sets(10, dims=(2, 3), seed=4):
@@ -191,6 +185,22 @@ def _sparse_sets(count, seed):
     return out
 
 
+def _level_bases(S):
+    """A copy of the span basis at each level 0..l(S) of the span walk."""
+    return [basis.copy() for basis, _ in algebra._levels(S, S.n * S.n)]
+
+
+def _reducible(word, S, bases=None):
+    """Whether the product of a non-empty word lies in the span of strictly
+    shorter products: the walk's basis at level len(word) - 1, or at its
+    last level, past which the span no longer grows."""
+    bases = _level_bases(S) if bases is None else bases
+    prod = S.gens[word[0]]
+    for idx in word[1:]:
+        prod = prod @ S.gens[idx]
+    return bases[min(len(word), len(bases)) - 1].contains(prod.vectorize())
+
+
 def _dfs_liw_words(S):
     """The minimal irreducible word of each length 1..l(S), from a pre-order
     depth-first search over words, tested against a copy of each level of
@@ -202,7 +212,7 @@ def _dfs_liw_words(S):
     subtrees keeps that order, so the first word the search reaches at depth
     i is the minimal irreducible word of length i.
     """
-    bases = [basis.copy() for basis, _ in algebra._levels(S, S.n * S.n)]
+    bases = _level_bases(S)
     depth = len(bases) - 1
     gens = S.gens
     k = len(gens)
@@ -276,12 +286,14 @@ class TestAgainstBruteForce:
             assert words == _dfs_liw_words(S), S
 
     def test_is_reducible(self):
+        # the walk's level bases decide reducibility for every word, also
+        # for words longer than l(S)
         for S in _oracle_sets():
-            trace = length_trace(S, S.n * S.n)
-            levels, _ = _brute_irreducible(S, trace.length + 3)
+            bases = _level_bases(S)
+            levels, _ = _brute_irreducible(S, len(bases) + 2)
             for level in levels:
                 for word, outside in level:
-                    assert is_reducible(word, S) == (not outside), word
+                    assert _reducible(word, S, bases) == (not outside), word
 
 
 class TestChecks:
@@ -379,8 +391,18 @@ class TestEstimateMStar:
             assert 1 <= estimate_m_star(S, 3) <= n
 
     def test_budget(self):
-        with pytest.raises(SearchBudgetExceeded):
-            estimate_m_star(PAIR, 30)
+        # the products are diag(1, 1, 2^a 3^b) with 1 <= a + b <= 30: 495
+        # distinct ones for 2^31 - 2 words, every one of degree 2 < n, so the
+        # scan never stops early and keeps them all
+        field = PrimeField(10007)
+        S = GeneratorSet(field, 3, tuple(
+            FMatrix.from_rows(field, [[1, 0, 0], [0, 1, 0], [0, 0, x]]) for x in (2, 3)
+        ))
+        for budget in (100, 494):
+            with pytest.raises(SearchBudgetExceeded):
+                estimate_m_star(S, 30, budget=budget)
+        for budget in (495, 10_000):
+            assert estimate_m_star(S, 30, budget=budget) == 2
 
 
 class TestMainTheoremSampling:

@@ -292,6 +292,21 @@ class TestAlg:
         assert payload["length"] == 22 and payload["generated_dim"] == 144
         assert len(payload["liw"]) == 22
 
+    def test_liw_m_scan_charges_kept_products(self, capsys, tmp_path):
+        # diag(1..21) and the 21 x 21 Jordan block over GF(23) span only the
+        # upper-triangular matrices, so m is estimated; 2^1 + ... + 2^21
+        # words exceed the scan's budget, but diag(1..21) alone ends the scan
+        n, field = 21, PrimeField(23)
+        diag = [[i + 1 if i == j else 0 for j in range(n)] for i in range(n)]
+        jordan = [[int(j in (i, i + 1)) for j in range(n)] for i in range(n)]
+        mats = [FMatrix.from_rows(field, g) for g in (diag, jordan)]
+        path = tmp_path / "upper21.json"
+        path.write_text(json.dumps(dump_matrix_set(field, n, mats)))
+        code, out = run(capsys, "alg", "liw", str(path), "--json")
+        payload = json.loads(out)
+        assert code == 0
+        assert (payload["length"], payload["m"], payload["m_estimated"]) == (20, 21, True)
+
     def test_missing_file_is_usage_error(self, capsys):
         code, _ = run(capsys, "alg", "length", "/nonexistent.json")
         assert code == 2

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from conftest import dump_matrix_set
 from wordlen.linalg import (
     DimensionMismatch,
-    DivisionByZero,
     FMatrix,
     PrimeField,
     SpanBasis,
@@ -40,17 +39,6 @@ class TestPrimeField:
         for p in (1, 4, 9, 15, 2**31):
             with pytest.raises(ValueError):
                 PrimeField(p)
-
-    def test_inverse(self):
-        assert F5.inv(2) == 3
-        assert F7.inv(1) == 1
-        assert F7.inv(4) == 2
-
-    def test_inverse_of_zero(self):
-        with pytest.raises(DivisionByZero):
-            F5.inv(0)
-        with pytest.raises(DivisionByZero):
-            F5.inv(10)
 
 
 class TestFMatrix:

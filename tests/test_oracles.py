@@ -11,7 +11,6 @@ from wordlen.powers import EmptyWord, Exponent
 from wordlen.oracles import (
     BudgetExceeded,
     LengthTooLarge,
-    WordSpace,
     brute_length,
     brute_max_exponent,
     brute_min_qpt,
@@ -28,30 +27,30 @@ E21 = FMatrix.from_rows(F5, [[0, 0], [1, 0]])
 
 class TestEnumerateWords:
     def test_small_binary(self):
-        rendered = [w.render() for w in enumerate_words(WordSpace(2, 2))]
+        rendered = [w.render() for w in enumerate_words(2, 2)]
         assert rendered == ["a", "b", "aa", "ab", "ba", "bb"]
 
     def test_unary(self):
-        rendered = [w.render() for w in enumerate_words(WordSpace(1, 3))]
+        rendered = [w.render() for w in enumerate_words(1, 3)]
         assert rendered == ["a", "aa", "aaa"]
 
     def test_counts_per_length(self):
         per_length: dict[int, int] = {}
-        for w in enumerate_words(WordSpace(3, 4)):
+        for w in enumerate_words(3, 4):
             per_length[len(w)] = per_length.get(len(w), 0) + 1
         assert per_length == {1: 3, 2: 9, 3: 27, 4: 81}
         assert sum(per_length.values()) == 120
 
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
-            list(enumerate_words(WordSpace(2, 10, budget=100)))
+            list(enumerate_words(2, 10, budget=100))
 
     def test_shards_partition(self):
         for k, l in ((2, 6), (2, 14), (3, 9), (4, 5)):
-            full = [w.letters for w in enumerate_words(WordSpace(k, l))]
+            full = [w.letters for w in enumerate_words(k, l)]
             for of in (1, 3, 64, 1000):
                 pieces = [
-                    [w.letters for w in enumerate_words(WordSpace(k, l), shard=(i, of))]
+                    [w.letters for w in enumerate_words(k, l, shard=(i, of))]
                     for i in range(of)
                 ]
                 assert sorted(sum(pieces, [])) == sorted(full)
@@ -61,7 +60,7 @@ class TestEnumerateWords:
 
     def test_shard_validation(self):
         with pytest.raises(ValueError):
-            list(enumerate_words(WordSpace(2, 2), shard=(3, 3)))
+            list(enumerate_words(2, 2, shard=(3, 3)))
 
 
 class TestNaiveProfile:
@@ -92,7 +91,7 @@ class TestBruteMinQpt:
             brute_min_qpt(Word((0,) * 31, Alphabet.letters(2)))
 
     def test_agreement_exhaustive_binary(self):
-        for w in enumerate_words(WordSpace(2, 16)):
+        for w in enumerate_words(2, 16):
             assert minimal_qpt(w) == brute_min_qpt(w), w.render()
 
     def test_agreement_random_longer(self):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_word, wd, words_st
-from wordlen.oracles import WordSpace, brute_max_exponent, enumerate_words
+from wordlen.oracles import brute_max_exponent, enumerate_words
 from wordlen.powers import (
     EmptyWord,
     Exponent,
@@ -17,9 +17,9 @@ from wordlen.powers import (
     avoids,
     max_factor_exponent,
     verify_tc,
-    verify_tc_integer,
 )
-from wordlen.words import Alphabet, Word, border_array, parse_word
+from wordlen.verify import _check_tc
+from wordlen.words import Alphabet, Word, border_array, complexity_profile, parse_word
 
 
 def dumb_max_exponent(w: Word) -> tuple[Fraction, tuple[int, int]]:
@@ -165,8 +165,8 @@ class TestMaxFactorExponent:
         assert max_factor_exponent(sqfree)[0].value < 2
 
     def test_against_dumb_oracle_exhaustive(self):
-        for space in (WordSpace(2, 10), WordSpace(3, 7)):
-            for w in enumerate_words(space):
+        for k, l in ((2, 10), (3, 7)):
+            for w in enumerate_words(k, l):
                 exp, span = max_factor_exponent(w)
                 value, dumb_span = dumb_max_exponent(w)
                 assert exp.value == value, w.render()
@@ -234,8 +234,8 @@ class TestAvoids:
         assert avoids(parse_word("", Alphabet.letters(2)), 1, strict_plus=True)
 
     def test_one_plus_free_iff_distinct_letters(self):
-        for space in (WordSpace(2, 10), WordSpace(3, 7)):
-            for w in enumerate_words(space):
+        for k, l in ((2, 10), (3, 7)):
+            for w in enumerate_words(k, l):
                 assert avoids(w, 1, strict_plus=True) == (
                     len(set(w.letters)) == len(w)
                 )
@@ -277,7 +277,7 @@ class TestVerifyTc:
         assert exc.value.which == "l > k*d"
 
     def test_exhaustive_small(self):
-        for w in enumerate_words(WordSpace(2, 10)):
+        for w in enumerate_words(2, 10):
             l = len(w)
             exp, _ = max_factor_exponent(w)
             for k in range(1, l // 2 + 1):
@@ -286,30 +286,23 @@ class TestVerifyTc:
 
 
 class TestVerifyTcInteger:
-    def test_large_k_allowed(self):
-        r = verify_tc_integer(wd("abcdefgh"), 7, 1)
-        assert r.theorem_ok and r.c == 37 and r.bound == 16
-        assert r.lemma1_ok is None and r.lemma2_ok is None and r.lemma3_ok is None
+    """The integer-d variant of the bound, which verify.sweep_tc checks once
+    per word, at k* = min(l // 2, (l - 1) // ceil(e)), by its Lemma B."""
 
     def test_worked_example(self):
-        r = verify_tc_integer(wd("abbabbabbb"), 3, 3)
-        assert (r.c, r.bound) == (32, 32)
-        assert r.all_ok
-
-    def test_hypothesis_errors(self):
-        with pytest.raises(HypothesisUnmet) as exc:
-            verify_tc_integer(wd("aa"), 1, 1)  # aa is a square, not 1+-free
-        assert exc.value.which == "w avoids d+ powers"
-        with pytest.raises(HypothesisUnmet):
-            verify_tc_integer(wd("abab"), 2, 2)  # l = 4 <= k*d
-        with pytest.raises(HypothesisUnmet):
-            verify_tc_integer(wd("ab"), 1, 0)
+        # e = 9/3, so k* = 3, and c = 32 meets (k* + 1)(l - k* + 1) = 32 exactly
+        w = wd("abbabbabbb")
+        assert complexity_profile(w).total == 32
+        assert list(_check_tc(w)) == []
 
     def test_exhaustive_ternary(self):
-        for w in enumerate_words(WordSpace(3, 9)):
+        # every admissible k, also above l/2, not only the k* that Lemma B
+        # reduces them to; the bound does not depend on d, and d = ceil(e)
+        # admits the most k, those with l > k*d
+        for w in enumerate_words(3, 9):
             l = len(w)
             exp, _ = max_factor_exponent(w)
-            d_min = -(-exp.num // exp.den)
-            for d in range(d_min, l):
-                for k in range(1, (l - 1) // d + 1):
-                    assert verify_tc_integer(w, k, d).theorem_ok, (w.render(), k, d)
+            c = complexity_profile(w).total
+            d = -(-exp.num // exp.den)
+            for k in range(1, (l - 1) // d + 1):
+                assert c >= (k + 1) * (l - k + 1), (w.render(), k, d)

@@ -12,7 +12,6 @@ from wordlen import verify
 from wordlen.cli import main
 from wordlen.oracles import (
     BRUTE_QPT_CAP,
-    WordSpace,
     brute_min_qpt,
     enumerate_words,
     naive_profile,
@@ -103,7 +102,7 @@ class TestMinimalQpt:
         # `decompose` reports max_n f(n) as the cost l - R: f(R + 1) = l - R
         # starts the decreasing phase, which cannot start earlier
         # the core is p + R >= p, so its exponent is a `powers.Exponent`
-        for w in enumerate_words(WordSpace(2, 12)):
+        for w in enumerate_words(2, 12):
             dec = minimal_qpt(w)
             assert max(naive_profile(w).counts) == dec.cost, w.render()
             assert dec.core_exponent == Exponent(dec.l - dec.q - dec.t, dec.p)
@@ -249,6 +248,6 @@ class TestProfileShape:
             profile_shape(random_word(rng, 120))
 
     def test_exhaustive_small(self):
-        for w in enumerate_words(WordSpace(3, 9)):
+        for w in enumerate_words(3, 9):
             shape = profile_shape(w)
             assert 0 <= shape.m_star <= shape.plateau_end <= len(w)

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import fail_every_word
 from wordlen import verify
-from wordlen.oracles import WordSpace, enumerate_words, naive_profile
+from wordlen.oracles import enumerate_words, naive_profile
 from wordlen.powers import max_factor_exponent
 from wordlen.verify import (
     SweepReport,
@@ -94,7 +94,7 @@ class TestTcPlantedFaults:
         assert max(per_word.values()) == 1
         expected = {
             (w.render(), kind)
-            for w in enumerate_words(WordSpace(2, 10))
+            for w in enumerate_words(2, 10)
             for kind in reference_tc_kinds(w, planted(w).counts)
         }
         assert set(per_word) == expected

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import wd, words_st
-from wordlen.oracles import WordSpace, enumerate_words, naive_profile
+from wordlen.oracles import enumerate_words, naive_profile
 from wordlen.words import (
     ROW_LETTERS_MAX,
     Alphabet,
@@ -119,7 +119,7 @@ class TestComplexityProfile:
             assert count_distinct_factors(w) == naive_profile(w).total
 
     def test_total_equals_distinct_count_exhaustive_binary(self):
-        for w in enumerate_words(WordSpace(2, 14)):
+        for w in enumerate_words(2, 14):
             prof = complexity_profile(w)
             assert prof.total == count_distinct_factors(w)
             assert prof.total == sum(prof.counts)
@@ -208,7 +208,7 @@ class TestTransitionStores:
                 assert count_distinct_factors(w) == prof.total
 
     def test_repeats_exhaustive_binary(self):
-        for w in enumerate_words(WordSpace(2, 10)):
+        for w in enumerate_words(2, 10):
             assert SuffixAutomaton(w.letters).repeats == brute_repeats(w.letters), w.render()
 
     def test_wide_alphabet_memory(self):
