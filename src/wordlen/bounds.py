@@ -76,13 +76,6 @@ def best_main_bound(d: int, m: int) -> BestMain:
     return BestMain(lo, value, value.numerator // value.denominator)
 
 
-def floor_sqrt_ratio(d: int, m: int) -> int:
-    """floor(sqrt(d/m)) computed exactly: isqrt(d // m)."""
-    if m < 1 or d < 0:
-        raise InvalidInputs(f"need m >= 1, d >= 0; got d={d}, m={m}")
-    return math.isqrt(d // m)
-
-
 @dataclass(frozen=True)
 class PappacenaBound:
     """Handle on m*sqrt(2d/(m-1) + 1/4) + m/2 - 2 with exact comparisons."""
@@ -116,9 +109,9 @@ class PappacenaBound:
 
 def pappacena_exceeds_main(d: int, m: int) -> bool:
     """Is the square-root bound strictly above the max-form bound evaluated
-    at k = floor(sqrt(d/m))?  Compared exactly."""
-    k = floor_sqrt_ratio(d, m)
-    return PappacenaBound(d, m).greater_than(main_bound(d, m, k))
+    at k = floor(sqrt(d/m)) = isqrt(d // m)?  Compared exactly."""
+    bound = PappacenaBound(d, m)  # validates d and m
+    return bound.greater_than(main_bound(d, m, math.isqrt(d // m)))
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,9 @@ One binary, subcommand style.  Human tables go to stdout; --json switches to
 machine-readable output with stable keys.  Exit codes: 0 success, 1 a
 verifier found a counterexample, 2 usage or input error, 3 budget exceeded,
 4 internal error (a bug, never a verdict).  An `alg liw` power row fails only
-under a certified m = n: an m estimated from products is a lower bound.
+under a certified m: n for a full span, else a product scan that reaches
+min(n, dim L(S)), the most any element of L(S) can have.  A scan below that
+is only a lower bound, reported as estimated.
 """
 
 from __future__ import annotations
@@ -173,12 +175,13 @@ def _cmd_alg(args: argparse.Namespace) -> int:
 
     # one walk serves the trace, the words and both reports
     trace, found = algebra._liw_walk(S, cap)
-    full = trace.generated_dim == S.n * S.n
-    if full:
-        m, estimated = S.n, False
+    if trace.generated_dim == S.n * S.n:
+        m = S.n
     else:
         m = algebra.estimate_m_star(S, word_len_cap=max(trace.length, 1) + 1)
-        estimated = True
+    # no x in L(S) has deg mu_x above n (Cayley-Hamilton) or above dim L(S)
+    # (1, x, ..., x^dim are dependent), so a scan that reaches both is exact
+    estimated = m < min(S.n, trace.generated_dim)
     comp = algebra._complexity_report(S, trace.generated_dim, found)
     power_report = algebra._power_free_report(S, m, found) if S.field.p > m else None
     alphabet = S.word_alphabet
@@ -277,7 +280,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     checks = [
         verify.cross_validate_profiles(args.words, args.maxlen, seed=args.seed),
-        verify.cross_validate_qpt(2, args.qpt_maxlen, seed=args.seed),
+        verify.cross_validate_qpt(args.qpt_maxlen, seed=args.seed),
         verify.cross_validate_length(args.sets, seed=args.seed),
     ]
     failed = False

@@ -1,12 +1,13 @@
 """Exhaustive theorem sweeps and fast-versus-oracle cross validation.
 
-Each theorem, and each fast path with its oracle, has one per-word check
+Each theorem, and each fast path with its oracle, has one per-case check
 that yields its violations as dicts; the total-complexity check tests one k
-per kind of violation, by the nesting lemmas in sweep_tc.  _sweep runs a
-check over a word space (optionally one deterministic shard of it) or seeded
-random words; the report's summary carries the words_checked / max_length /
-alphabet_size record the CLI prints.  Zero counterexamples is expected
-everywhere.
+per kind of violation, by the nesting lemmas in sweep_tc.  One driver,
+_sweep, runs every sweep and every cross-check: it runs a check over a word
+space (optionally one deterministic shard of it), seeded random words, or
+seeded random generating sets; the report's summary carries the
+words_checked / max_length / alphabet_size record the CLI prints.  Zero
+counterexamples is expected everywhere.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Callable, Iterator
+from typing import Callable, Iterator, TypeVar
 
-from .algebra import CapExceeded, GeneratorSet, LengthTrace, length_trace
+from .algebra import GeneratorSet, length_trace
 from .linalg import PrimeField, random_matrix
 from .oracles import (
     DEFAULT_ENUMERATION_BUDGET,
@@ -28,6 +29,13 @@ from .oracles import (
 from .powers import _tc_report, max_factor_exponent
 from .structure import ShapeViolation, minimal_qpt, profile_shape
 from .words import Alphabet, Word, complexity_profile, count_distinct_factors, factor_count
+
+# The cross-checks' fixed spaces; the CLI varies only counts, lengths and seeds.
+RANDOM_ALPHABETS = (2, 3, 4)  # letters of the random words of shape and profiles
+QPT_ALPHABET, QPT_RANDOM_WORDS, QPT_RANDOM_MAX_LEN = 2, 200, 30
+LENGTH_N, LENGTH_P, LENGTH_GENS, LENGTH_CAP = 2, 5, 2, 8
+
+Case = TypeVar("Case")
 
 
 @dataclass
@@ -72,8 +80,8 @@ def merge_reports(parts: list[SweepReport]) -> SweepReport:
     )
 
 
-def _sweep(name: str, alphabet_size: int, max_len: int, cases: Iterator[Word],
-           check: Callable[[Word], Iterator[dict]]) -> SweepReport:
+def _sweep(name: str, alphabet_size: int, max_len: int, cases: Iterator[Case],
+           check: Callable[[Case], Iterator[dict]]) -> SweepReport:
     """Count every case and collect the counterexamples check yields for it."""
     checked = 0
     bad: list[dict] = []
@@ -188,15 +196,10 @@ def _check_shape(w: Word) -> Iterator[dict]:
         yield {"word": w.render(), "n": exc.n, "counts": list(exc.counts)}
 
 
-def sweep_profile_shape(
-    count: int,
-    max_len: int,
-    alphabet_sizes: tuple[int, ...] = (2, 3, 4),
-    seed: int = 0,
-) -> SweepReport:
+def sweep_profile_shape(count: int, max_len: int, seed: int = 0) -> SweepReport:
     """Random words must never violate the three-phase profile shape."""
-    words = _random_words(random.Random(seed), count, max_len, alphabet_sizes)
-    return _sweep("shape", max(alphabet_sizes), max_len, words, _check_shape)
+    words = _random_words(random.Random(seed), count, max_len, RANDOM_ALPHABETS)
+    return _sweep("shape", max(RANDOM_ALPHABETS), max_len, words, _check_shape)
 
 
 def _check_profiles(w: Word) -> Iterator[dict]:
@@ -206,15 +209,10 @@ def _check_profiles(w: Word) -> Iterator[dict]:
         yield {"word": w.render(), "fast": list(fast.counts), "naive": list(slow.counts)}
 
 
-def cross_validate_profiles(
-    count: int,
-    max_len: int,
-    seed: int = 0,
-    alphabet_sizes: tuple[int, ...] = (2, 3, 4),
-) -> SweepReport:
+def cross_validate_profiles(count: int, max_len: int, seed: int = 0) -> SweepReport:
     """Suffix-automaton profile versus substring-set profile, exact."""
-    words = _random_words(random.Random(seed), count, max_len, alphabet_sizes)
-    return _sweep("profiles", max(alphabet_sizes), max_len, words, _check_profiles)
+    words = _random_words(random.Random(seed), count, max_len, RANDOM_ALPHABETS)
+    return _sweep("profiles", max(RANDOM_ALPHABETS), max_len, words, _check_profiles)
 
 
 def _check_qpt(w: Word) -> Iterator[dict]:
@@ -224,69 +222,36 @@ def _check_qpt(w: Word) -> Iterator[dict]:
         yield {"word": w.render(), "fast": str(fast), "brute": str(slow)}
 
 
-def cross_validate_qpt(
-    alphabet_size: int,
-    max_len: int,
-    random_count: int = 200,
-    random_max_len: int = 30,
-    seed: int = 0,
-) -> SweepReport:
+def cross_validate_qpt(max_len: int, seed: int = 0) -> SweepReport:
     """Longest-repeat decomposition (min cost = l - R, R read off the suffix
-    automaton) versus the exhaustive (q, p, t) scan: exhaustive words up to
-    max_len, then random longer words."""
+    automaton) versus the exhaustive (q, p, t) scan: every binary word up to
+    max_len, then QPT_RANDOM_WORDS random longer words over 2 or 3 letters."""
     words = chain(
-        enumerate_words(alphabet_size, max_len),
-        _random_words(random.Random(seed), random_count, random_max_len, (2, 3)),
+        enumerate_words(QPT_ALPHABET, max_len),
+        _random_words(random.Random(seed), QPT_RANDOM_WORDS, QPT_RANDOM_MAX_LEN, (2, 3)),
     )
-    return _sweep("qpt", alphabet_size, max_len, words, _check_qpt)
+    return _sweep("qpt", QPT_ALPHABET, max_len, words, _check_qpt)
 
 
-def _random_set(rng: random.Random, field_: PrimeField, n: int, gens: int) -> GeneratorSet:
-    return GeneratorSet(field_, n, tuple(random_matrix(field_, n, rng) for _ in range(gens)))
+def _check_length(S: GeneratorSet) -> Iterator[dict]:
+    # Every level of a trace adds a dimension, from 1 up to at most n^2 = 4,
+    # so l(S) <= 3 < LENGTH_CAP: neither side raises CapExceeded, and the
+    # |S|^LENGTH_CAP = 256 words stay inside brute_length's budget.
+    fast = length_trace(S, max_len=LENGTH_CAP)
+    slow = brute_length(S, cap=LENGTH_CAP)
+    if fast != slow:
+        yield {"gens": [list(g.vectorize()) for g in S.gens],
+               "fast": str(fast), "brute": str(slow)}
 
 
-def cross_validate_length(
-    count: int = 50,
-    n: int = 2,
-    p: int = 5,
-    gens_per_set: int = 2,
-    cap: int = 8,
-    seed: int = 0,
-) -> SweepReport:
-    """Frontier-cached length trace versus the from-scratch oracle."""
+def cross_validate_length(count: int = 50, seed: int = 0) -> SweepReport:
+    """Frontier-cached length trace versus the from-scratch oracle, on count
+    seeded random pairs of 2 x 2 matrices over GF(5)."""
     rng = random.Random(seed)
-    field_ = PrimeField(p)
-    bad: list[dict] = []
-    checked = 0
-    for _ in range(count):
-        S = _random_set(rng, field_, n, gens_per_set)
-        try:
-            fast = length_trace(S, max_len=cap)
-            slow = brute_length(S, cap=cap)
-        except CapExceeded:
-            continue
-        checked += 1
-        if fast != slow:
-            bad.append({"gens": [list(g.vectorize()) for g in S.gens],
-                        "fast": str(fast), "brute": str(slow)})
-    return SweepReport("length", n, cap, checked, bad)
-
-
-def sample_generating_sets(
-    count: int,
-    dims: tuple[int, ...] = (2, 3, 4),
-    primes: tuple[int, ...] = (5, 7, 11),
-    gens_per_set: int = 2,
-    seed: int = 0,
-) -> list[tuple[GeneratorSet, LengthTrace]]:
-    """Seeded random generating sets of full matrix algebras, with their
-    traces; candidates that fail to generate everything are resampled."""
-    rng = random.Random(seed)
-    out: list[tuple[GeneratorSet, LengthTrace]] = []
-    while len(out) < count:
-        n = rng.choice(dims)
-        S = _random_set(rng, PrimeField(rng.choice(primes)), n, gens_per_set)
-        trace = length_trace(S, max_len=n * n)
-        if trace.generated_dim == n * n:
-            out.append((S, trace))
-    return out
+    field_ = PrimeField(LENGTH_P)
+    sets = (
+        GeneratorSet(field_, LENGTH_N,
+                     tuple(random_matrix(field_, LENGTH_N, rng) for _ in range(LENGTH_GENS)))
+        for _ in range(count)
+    )
+    return _sweep("length", LENGTH_N, LENGTH_CAP, sets, _check_length)

@@ -329,16 +329,11 @@ class SuffixAutomaton:
 
 def complexity_profile(w: Word) -> ComplexityProfile:
     """f(0..l) plus the total complexity, via the suffix automaton."""
-    l = len(w)
-    if l == 0:
-        return ComplexityProfile((1,), 1)
     counts = [1] + SuffixAutomaton(w.letters).length_counts()
     return ComplexityProfile(tuple(counts), sum(counts))
 
 
 def count_distinct_factors(w: Word) -> int:
     """Total complexity: distinct factors of every length, empty included."""
-    if len(w) == 0:
-        return 1
     return SuffixAutomaton(w.letters).distinct_factor_count() + 1
 

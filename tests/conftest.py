@@ -6,7 +6,8 @@ import random
 
 from hypothesis import strategies as st
 
-from wordlen.linalg import FMatrix, PrimeField
+from wordlen.algebra import GeneratorSet, LengthTrace, length_trace
+from wordlen.linalg import FMatrix, PrimeField, random_matrix
 from wordlen.words import Alphabet, Word, parse_word
 
 _FULL = Alphabet.letters(26)
@@ -43,3 +44,23 @@ def dump_matrix_set(field: PrimeField, n: int, matrices: list[FMatrix]) -> dict:
         "n": n,
         "matrices": [list(m.vectorize()) for m in matrices],
     }
+
+
+def sample_generating_sets(
+    count: int,
+    dims: tuple[int, ...] = (2, 3, 4),
+    primes: tuple[int, ...] = (5, 7, 11),
+    seed: int = 0,
+) -> list[tuple[GeneratorSet, LengthTrace]]:
+    """Seeded random pairs that generate the full matrix algebra, with their
+    traces; candidates that fail to generate everything are resampled."""
+    rng = random.Random(seed)
+    out: list[tuple[GeneratorSet, LengthTrace]] = []
+    while len(out) < count:
+        n = rng.choice(dims)
+        field = PrimeField(rng.choice(primes))
+        S = GeneratorSet(field, n, (random_matrix(field, n, rng), random_matrix(field, n, rng)))
+        trace = length_trace(S, max_len=n * n)
+        if trace.generated_dim == n * n:
+            out.append((S, trace))
+    return out

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import time
 
-from conftest import dump_matrix_set, wd
+from conftest import dump_matrix_set, sample_generating_sets, wd
 from wordlen.algebra import DEFAULT_SEARCH_BUDGET, check_irreducible_power_free, check_liw_complexity
 from wordlen.bounds import (
     best_main_bound,
@@ -32,7 +32,6 @@ from wordlen.powers import avoids, max_factor_exponent, verify_tc
 from wordlen.structure import QptDecomposition
 from wordlen.verify import (
     cross_validate_profiles,
-    sample_generating_sets,
     sweep_mh,
     sweep_mh_general,
     sweep_profile_shape,
@@ -106,7 +105,7 @@ def test_04_general_equivalence_exhaustive():
 
 
 def test_05_profile_shape_random():
-    r = sweep_profile_shape(10_000, 200, alphabet_sizes=(2, 3, 4), seed=1405)
+    r = sweep_profile_shape(10_000, 200, seed=1405)
     report(5, r.ok, f"{r.words_checked} words, {len(r.counterexamples)} shape violations")
 
 

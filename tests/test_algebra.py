@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from conftest import sample_generating_sets
 from wordlen import algebra
 from wordlen.algebra import (
     CapExceeded,
@@ -19,7 +20,6 @@ from wordlen.algebra import (
 from wordlen.bounds import best_main_bound
 from wordlen.linalg import FMatrix, PrimeField, min_poly, random_matrix
 from wordlen.oracles import _GaussRows
-from wordlen.verify import sample_generating_sets
 
 F5 = PrimeField(5)
 E12 = FMatrix.from_rows(F5, [[0, 1], [0, 0]])

@@ -14,7 +14,6 @@ from wordlen.bounds import (
     PappacenaBound,
     best_main_bound,
     bound_table,
-    floor_sqrt_ratio,
     halfdim_bound,
     main_bound,
     pappacena_exceeds_main,
@@ -127,11 +126,6 @@ class TestPappacena:
     def test_examples(self):
         assert pappacena_exceeds_main(9, 3)
         assert pappacena_exceeds_main(4, 2)
-
-    def test_floor_sqrt_ratio(self):
-        assert floor_sqrt_ratio(9, 3) == 1
-        assert floor_sqrt_ratio(16, 4) == 2
-        assert floor_sqrt_ratio(400, 2) == 14
 
     def test_exact_comparison_is_strict(self):
         pb = PappacenaBound(4, 2)

@@ -12,6 +12,7 @@ from conftest import dump_matrix_set, fail_every_word
 from wordlen import algebra, bounds, structure, verify, words
 from wordlen.cli import EXIT_INTERNAL, main
 from wordlen.linalg import FMatrix, PrimeField
+from wordlen.powers import Exponent
 
 
 def run(capsys, *argv):
@@ -39,7 +40,8 @@ def unit_pair_file(tmp_path):
 @pytest.fixture
 def upper_triangular_file(tmp_path):
     """diag(1, 2, 3) and a Jordan block over GF(7): they span only the
-    upper-triangular matrices (dim 6, l(S) = 2), so `alg liw` estimates m."""
+    upper-triangular matrices (dim 6, l(S) = 2), so `alg liw` scans products
+    for m, and diag(1, 2, 3) reaches the certified maximum min(n, 6) = 3."""
     field = PrimeField(7)
     mats = [
         FMatrix.from_rows(field, [[1, 0, 0], [0, 2, 0], [0, 0, 3]]),
@@ -250,7 +252,7 @@ class TestAlg:
         payload = json.loads(out)
         assert code == 0
         assert (payload["length"], payload["generated_dim"], payload["m"]) == (2, 6, 3)
-        assert payload["m_estimated"] is True and len(payload["liw"]) == 2
+        assert payload["m_estimated"] is False and len(payload["liw"]) == 2
         assert len(calls) == 1
         assert not hasattr(algebra, "_liw_dfs")
 
@@ -265,6 +267,44 @@ class TestAlg:
         assert payload["m"] == 1 and payload["m_estimated"] is True
         assert payload["liw"] and not any(r["power_ok"] for r in payload["liw"])
         assert code == 0
+
+    def test_liw_power_failure_under_certified_m_is_fatal(
+        self, capsys, monkeypatch, upper_triangular_file
+    ):
+        # the scan certifies m = 3 on a non-full span, so a planted 9th power
+        # in every minimal irreducible word is a counterexample
+        monkeypatch.setattr(algebra, "max_factor_exponent", lambda w: (Exponent(9, 1), (0, 1)))
+        code, out = run(capsys, "alg", "liw", upper_triangular_file, "--json")
+        payload = json.loads(out)
+        assert (payload["m"], payload["m_estimated"]) == (3, False)
+        assert payload["liw"] and not any(r["power_ok"] for r in payload["liw"])
+        assert code == 1
+
+    @pytest.mark.parametrize(
+        "diagonals, dim, m, estimated",
+        [
+            # dim L(S) = 2 < n, and diag(1, 1, 2) has degree 2: m is exact
+            ([(1, 1, 2)], 2, 2, False),
+            # every product of E11, E22, E33 has degree <= 2, but
+            # diag(1, 2, 3) in L(S) has degree 3: m stays an estimate
+            ([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3, 2, True),
+        ],
+    )
+    def test_liw_m_certified_at_min_of_n_and_dim(
+        self, capsys, tmp_path, diagonals, dim, m, estimated
+    ):
+        field = PrimeField(7)
+        mats = [
+            FMatrix.from_rows(field, [[d[i] if i == j else 0 for j in range(3)] for i in range(3)])
+            for d in diagonals
+        ]
+        path = tmp_path / "diagonal.json"
+        path.write_text(json.dumps(dump_matrix_set(field, 3, mats)))
+        code, out = run(capsys, "alg", "liw", str(path), "--json")
+        payload = json.loads(out)
+        assert code == 0
+        assert (payload["generated_dim"], payload["m"], payload["m_estimated"]) == (
+            dim, m, estimated)
 
     def test_liw_cap_reached_by_non_full_span(self, capsys, upper_triangular_file):
         # the span last grows at step 2, but with --cap 2 the walk must still
@@ -294,8 +334,8 @@ class TestAlg:
 
     def test_liw_m_scan_charges_kept_products(self, capsys, tmp_path):
         # diag(1..21) and the 21 x 21 Jordan block over GF(23) span only the
-        # upper-triangular matrices, so m is estimated; 2^1 + ... + 2^21
-        # words exceed the scan's budget, but diag(1..21) alone ends the scan
+        # upper-triangular matrices, so m comes from the scan; 2^1 + ... + 2^21
+        # words exceed its budget, but diag(1..21) alone ends it at m = n
         n, field = 21, PrimeField(23)
         diag = [[i + 1 if i == j else 0 for j in range(n)] for i in range(n)]
         jordan = [[int(j in (i, i + 1)) for j in range(n)] for i in range(n)]
@@ -305,7 +345,7 @@ class TestAlg:
         code, out = run(capsys, "alg", "liw", str(path), "--json")
         payload = json.loads(out)
         assert code == 0
-        assert (payload["length"], payload["m"], payload["m_estimated"]) == (20, 21, True)
+        assert (payload["length"], payload["m"], payload["m_estimated"]) == (20, 21, False)
 
     def test_missing_file_is_usage_error(self, capsys):
         code, _ = run(capsys, "alg", "length", "/nonexistent.json")

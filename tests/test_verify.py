@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import fail_every_word
+from conftest import fail_every_word, sample_generating_sets
 from wordlen import verify
 from wordlen.oracles import enumerate_words, naive_profile
 from wordlen.powers import max_factor_exponent
@@ -15,7 +15,6 @@ from wordlen.verify import (
     cross_validate_profiles,
     cross_validate_qpt,
     merge_reports,
-    sample_generating_sets,
     sweep_mh,
     sweep_mh_general,
     sweep_profile_shape,
@@ -134,7 +133,7 @@ class TestCrossValidation:
         assert cross_validate_profiles(300, 120, seed=6).ok
 
     def test_qpt(self):
-        assert cross_validate_qpt(2, 10, random_count=50, seed=6).ok
+        assert cross_validate_qpt(10, seed=6).ok
 
     def test_length(self):
         report = cross_validate_length(50, seed=7)

@@ -109,6 +109,7 @@ class TestComplexityProfile:
     def test_total_counts(self):
         assert count_distinct_factors(wd("abbabbabbb")) == 32
         assert count_distinct_factors(wd("ab")) == 4  # e, a, b, ab
+        assert count_distinct_factors(wd("")) == 1  # the empty factor alone
 
     def test_1000_random_words_match_naive_total(self):
         rng = random.Random(200)
