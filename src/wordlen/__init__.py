@@ -6,7 +6,7 @@ public name is imported from its module (``wordlen.words``,
 ``wordlen.structure``, ``wordlen.verify`` and so on).
 """
 
-from .algebra import GeneratorSet, length_trace, liw
+from .algebra import GeneratorSet, length_trace
 from .bounds import best_main_bound, pappacena_exceeds_main
 from .linalg import FMatrix, PrimeField, shift_to_invertible
 from .powers import avoids, max_factor_exponent, verify_tc

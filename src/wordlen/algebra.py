@@ -1,20 +1,20 @@
-"""Lengths of matrix generating sets and irreducible-word machinery.
+"""Lengths of matrix generating sets and their minimal irreducible words.
 
 Products of generators are words over the generator alphabet; the span of
 all products of length <= i grows with i and the length of the set is the
 last i at which it grows.  A word is reducible when its product already
-lies in the span of strictly shorter products.  The walk that grows the span
-extends its frontier in lexicographic order, so the first product it
-inserts at each length is the minimal irreducible word of that length:
-no search is needed to find those words.
+lies in the span of strictly shorter products.  `length_trace` grows the
+span breadth-first, extending its frontier in lexicographic order, so the
+first product it inserts at each length is the minimal irreducible word of
+that length: the one walk yields the dimensions and the words, and no
+search is needed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping
 
 from .linalg import FMatrix, PrimeField, SpanBasis, load_matrix_set, min_poly
 from .powers import Exponent, max_factor_exponent
@@ -63,20 +63,16 @@ class GeneratorSet:
 @dataclass(frozen=True)
 class LengthTrace:
     """Dimensions of the spans of products of length <= i, up to the last
-    strict increase; length is the index of that increase."""
+    strict increase; length is the index of that increase, and words[i - 1]
+    is the lexicographically minimal irreducible word of length i.
+
+    words defaults to () only for callers that build a trace from the first
+    three fields, such as the benchmark's planted wrong trace."""
 
     dims: tuple[int, ...]
     length: int
     generated_dim: int
-
-
-@dataclass(frozen=True)
-class LiwResult:
-    """Lexicographically minimal irreducible word of a given length."""
-
-    i: int
-    word: tuple[int, ...]
-    complexity_total: int
+    words: tuple[tuple[int, ...], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -119,20 +115,17 @@ class PowerFreeReport:
         return all(e.ok for e in self.entries)
 
 
-def _levels(
-    S: GeneratorSet, max_len: int
-) -> Iterator[tuple[SpanBasis, tuple[int, ...]]]:
-    """Grow the span of products breadth-first, yielding for i = 0, 1, ...,
-    l(S) the basis of the span of products of length <= i and the
-    lexicographically minimal irreducible word of length i (the empty word
-    at level 0).
+def length_trace(S: GeneratorSet, max_len: int) -> LengthTrace:
+    """Grow the span of products breadth-first until it stabilizes, keeping
+    the dimension of the span of products of length <= i for i = 0, 1, ...,
+    l(S) and the lexicographically minimal irreducible word of each length
+    1..l(S).
 
     Only products that were independent when inserted are kept on the
     frontier; multiplying just frontier x generators is enough because a
     dependent product's extensions are spanned by extensions of the words
     it depends on.  The walk stops at full dimension or when a level adds
-    nothing, so the span of every longer product is the last one yielded.
-    The basis yielded is the live one: a caller that keeps a level copies it.
+    nothing, so the span of every longer product is the last one reached.
 
     Each level extends the frontier words in order by the generators in
     index order, so its candidates, and the frontier it keeps, come in
@@ -151,12 +144,11 @@ def _levels(
     basis = SpanBasis(ambient, S.field)
     ident = FMatrix.identity(S.field, S.n)
     basis.insert(ident.vectorize())
-    yield basis, ()
+    dims = [1]
+    words: list[tuple[int, ...]] = []
     frontier: list[tuple[tuple[int, ...], FMatrix]] = [((), ident)]
-    step = 0
     while basis.dim < ambient:
-        step += 1
-        if step > max_len:
+        if len(dims) > max_len:  # this level's products have length len(dims)
             raise CapExceeded(max_len)
         new_frontier = []
         for word, mat in frontier:
@@ -165,72 +157,37 @@ def _levels(
                 if basis.insert(prod.vectorize()):
                     new_frontier.append((word + (letter,), prod))
         if not new_frontier:
-            return
-        yield basis, new_frontier[0][0]
+            break
+        dims.append(basis.dim)
+        words.append(new_frontier[0][0])
         frontier = new_frontier
+    return LengthTrace(tuple(dims), len(dims) - 1, dims[-1], tuple(words))
 
 
-def length_trace(S: GeneratorSet, max_len: int) -> LengthTrace:
-    """Grow the span of products breadth-first until it stabilizes."""
-    dims = tuple(basis.dim for basis, _ in _levels(S, max_len))
-    return LengthTrace(dims, len(dims) - 1, dims[-1])
-
-
-def _word_complexity(word: Sequence[int], k: int) -> int:
-    return count_distinct_factors(Word(tuple(word), Alphabet.indices(k)))
-
-
-def liw(S: GeneratorSet, i: int) -> LiwResult | None:
-    """Lexicographically minimal irreducible word of length i, or None.
-
-    The word is the first product the span walk inserts at level i (see
-    `_levels`), so the cost is that of the walk up to level i, not of the
-    |S|^i words of length i.  None means no irreducible word of that length
-    exists, which happens exactly when i exceeds the length of the set.
-    """
-    if i < 1:
-        raise ValueError("i must be >= 1")
-    words = [word for _, word in islice(_levels(S, S.n * S.n), i + 1)]
-    if len(words) <= i:  # the span stopped growing before length i
-        return None
-    return LiwResult(i, words[i], _word_complexity(words[i], len(S.gens)))
-
-
-def _liw_walk(S: GeneratorSet, max_len: int) -> tuple[LengthTrace, list[tuple[int, ...]]]:
-    """The length trace and the minimal irreducible word of each length
-    1..l(S), from one walk."""
-    dims, words = zip(*((basis.dim, word) for basis, word in _levels(S, max_len)))
-    return LengthTrace(dims, len(dims) - 1, dims[-1]), list(words[1:])
-
-
-def _complexity_report(
-    S: GeneratorSet, dim: int, words: list[tuple[int, ...]]
-) -> LiwComplexityReport:
-    k = len(S.gens)
+def _complexity_report(S: GeneratorSet, trace: LengthTrace) -> LiwComplexityReport:
+    alphabet = S.word_alphabet
+    dim = trace.generated_dim
     entries = []
-    for i, word in enumerate(words, start=1):
-        c = _word_complexity(word, k)
+    for i, word in enumerate(trace.words, start=1):
+        c = count_distinct_factors(Word(word, alphabet))
         entries.append(LiwComplexityEntry(i, word, c, dim, c <= dim))
-    return LiwComplexityReport(len(words), dim, tuple(entries))
+    return LiwComplexityReport(trace.length, dim, tuple(entries))
 
 
-def _power_free_report(
-    S: GeneratorSet, m: int, words: list[tuple[int, ...]]
-) -> PowerFreeReport:
-    alphabet = Alphabet.indices(len(S.gens))
+def _power_free_report(S: GeneratorSet, m: int, trace: LengthTrace) -> PowerFreeReport:
+    alphabet = S.word_alphabet
     limit = m - 1
     entries = []
-    for i, word in enumerate(words, start=1):
+    for i, word in enumerate(trace.words, start=1):
         exp, _ = max_factor_exponent(Word(word, alphabet))
         entries.append(PowerFreeEntry(i, word, exp, limit, exp.value <= limit))
-    return PowerFreeReport(len(words), limit, tuple(entries))
+    return PowerFreeReport(trace.length, limit, tuple(entries))
 
 
 def check_liw_complexity(S: GeneratorSet) -> LiwComplexityReport:
     """Total complexity of each minimal irreducible word versus the
     generated dimension; the bound must hold for every length."""
-    trace, words = _liw_walk(S, S.n * S.n)
-    return _complexity_report(S, trace.generated_dim, words)
+    return _complexity_report(S, length_trace(S, S.n * S.n))
 
 
 def check_irreducible_power_free(S: GeneratorSet, m: int) -> PowerFreeReport:
@@ -241,8 +198,7 @@ def check_irreducible_power_free(S: GeneratorSet, m: int) -> PowerFreeReport:
     """
     if S.field.p <= m:
         raise ValueError(f"need field size > m = {m}")
-    _, words = _liw_walk(S, S.n * S.n)
-    return _power_free_report(S, m, words)
+    return _power_free_report(S, m, length_trace(S, S.n * S.n))
 
 
 def estimate_m_star(

@@ -50,7 +50,7 @@ def _parse_word_arg(text: str, alphabet_spec: str | None) -> tuple[words.Word, b
         return words.parse_word(text, words.Alphabet.from_spec(alphabet_spec)), False
     tokens = words.tokenize(text)
     if not tokens:
-        raise words.UnknownToken("", 0)
+        raise ValueError("cannot infer an alphabet from an empty word; give --alphabet")
     first_seen = list(dict.fromkeys(tokens))
     alphabet = words.Alphabet(tuple(first_seen))
     return words.parse_word(text, alphabet), True
@@ -159,8 +159,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_alg(args: argparse.Namespace) -> int:
     S = algebra.GeneratorSet.from_file(args.file)
     cap = S.n * S.n if args.cap is None else args.cap
+    # one walk serves the trace, the words and both reports
+    trace = algebra.length_trace(S, max_len=cap)
     if args.action == "length":
-        trace = algebra.length_trace(S, max_len=cap)
         payload = {
             "dims": list(trace.dims),
             "length": trace.length,
@@ -173,8 +174,6 @@ def _cmd_alg(args: argparse.Namespace) -> int:
             print(f"l(S) = {trace.length}, dim L(S) = {trace.generated_dim}")
         return EXIT_OK
 
-    # one walk serves the trace, the words and both reports
-    trace, found = algebra._liw_walk(S, cap)
     if trace.generated_dim == S.n * S.n:
         m = S.n
     else:
@@ -182,8 +181,8 @@ def _cmd_alg(args: argparse.Namespace) -> int:
     # no x in L(S) has deg mu_x above n (Cayley-Hamilton) or above dim L(S)
     # (1, x, ..., x^dim are dependent), so a scan that reaches both is exact
     estimated = m < min(S.n, trace.generated_dim)
-    comp = algebra._complexity_report(S, trace.generated_dim, found)
-    power_report = algebra._power_free_report(S, m, found) if S.field.p > m else None
+    comp = algebra._complexity_report(S, trace)
+    power_report = algebra._power_free_report(S, m, trace) if S.field.p > m else None
     alphabet = S.word_alphabet
     rows = []
     for idx, entry in enumerate(comp.entries):

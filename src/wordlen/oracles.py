@@ -190,8 +190,12 @@ def brute_length(
     """Length of a generating set with every product recomputed from scratch.
 
     Each level multiplies out all |S|^i words fully with the schoolbook
-    product; no frontier reuse, no shared product or span code.  Must agree
-    with the fast trace wherever both finish.
+    product; no frontier reuse, no shared product or span code.  At each
+    level it records the first word, in lex order over generator indices,
+    whose product it inserts as independent: every earlier word of the level
+    lay in the span of strictly shorter products, so that word is the
+    minimal irreducible word of its length by definition.  Must agree with
+    the fast trace, words included, wherever both finish.
     """
     k = len(S.gens)
     if cap < 1:
@@ -200,24 +204,27 @@ def brute_length(
         raise BudgetExceeded(f"|S|^cap = {k**cap} exceeds budget {budget}")
     ambient = S.n * S.n
     p = S.field.p
+    gens = [g.entries for g in S.gens]
     span = _GaussRows(p)
     ident_vec = [int(i == j) for i in range(S.n) for j in range(S.n)]
     span.insert(ident_vec)
     dims = [1]
+    words = []
     for length in range(1, cap + 1):
         if dims[-1] == ambient:
             break
-        grew = False
-        for combo in product([g.entries for g in S.gens], repeat=length):
-            mat = combo[0]
-            for g in combo[1:]:
-                mat = _schoolbook_product(mat, g, p)
-            if span.insert([x for row in mat for x in row]):
-                grew = True
-        if not grew:
+        first = None
+        for word in product(range(k), repeat=length):
+            mat = gens[word[0]]
+            for idx in word[1:]:
+                mat = _schoolbook_product(mat, gens[idx], p)
+            if span.insert([x for row in mat for x in row]) and first is None:
+                first = word
+        if first is None:
             break
         dims.append(len(span.rows))
+        words.append(first)
     else:
         if dims[-1] != ambient:
             raise CapExceeded(cap)
-    return LengthTrace(tuple(dims), len(dims) - 1, dims[-1])
+    return LengthTrace(tuple(dims), len(dims) - 1, dims[-1], tuple(words))

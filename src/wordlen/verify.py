@@ -245,8 +245,9 @@ def _check_length(S: GeneratorSet) -> Iterator[dict]:
 
 
 def cross_validate_length(count: int = 50, seed: int = 0) -> SweepReport:
-    """Frontier-cached length trace versus the from-scratch oracle, on count
-    seeded random pairs of 2 x 2 matrices over GF(5)."""
+    """Frontier-cached length trace versus the from-scratch oracle, dims and
+    minimal irreducible words, on count seeded random pairs of 2 x 2
+    matrices over GF(5)."""
     rng = random.Random(seed)
     field_ = PrimeField(LENGTH_P)
     sets = (

@@ -15,11 +15,11 @@ from wordlen.algebra import (
     check_liw_complexity,
     estimate_m_star,
     length_trace,
-    liw,
 )
 from wordlen.bounds import best_main_bound
-from wordlen.linalg import FMatrix, PrimeField, min_poly, random_matrix
+from wordlen.linalg import FMatrix, PrimeField, SpanBasis, min_poly, random_matrix
 from wordlen.oracles import _GaussRows
+from wordlen.words import Word, count_distinct_factors
 
 F5 = PrimeField(5)
 E12 = FMatrix.from_rows(F5, [[0, 1], [0, 0]])
@@ -49,6 +49,7 @@ class TestLengthTrace:
         assert trace.dims == (1, 3, 4)
         assert trace.length == 2
         assert trace.generated_dim == 4
+        assert trace.words == ((0,), (0, 1))
 
     def test_identity_only(self):
         trace = length_trace(GeneratorSet(F5, 2, (FMatrix.identity(F5, 2),)), 4)
@@ -92,31 +93,34 @@ class TestReducibility:
 
 class TestLiw:
     def test_minimal_words(self):
-        r1 = liw(PAIR, 1)
-        assert r1.word == (0,) and r1.complexity_total == 2
-        r2 = liw(PAIR, 2)
-        assert r2.word == (0, 1) and r2.complexity_total == 4
+        words = length_trace(PAIR, 4).words
+        assert words[0] == (0,) and _complexity_total(words[0], PAIR) == 2
+        assert words[1] == (0, 1) and _complexity_total(words[1], PAIR) == 4
 
     def test_none_beyond_length(self):
-        assert liw(PAIR, 3) is None
+        assert len(length_trace(PAIR, 4).words) == 2
 
     def test_identity_generator(self):
-        assert liw(GeneratorSet(F5, 2, (FMatrix.identity(F5, 2),)), 1) is None
+        assert length_trace(GeneratorSet(F5, 2, (FMatrix.identity(F5, 2),)), 4).words == ()
 
     def test_prefixes_of_liw_are_irreducible(self):
         for S, trace in sample_generating_sets(15, dims=(2, 3), seed=3):
             levels, _ = _brute_irreducible(S, trace.length)
             outside = dict(pair for level in levels for pair in level)
-            for i in range(1, trace.length + 1):
-                found = liw(S, i)
-                assert found is not None
+            assert len(trace.words) == trace.length
+            for i, word in enumerate(trace.words, start=1):
+                assert len(word) == i
                 for cut in range(1, i):
-                    assert outside[found.word[:cut]]
+                    assert outside[word[:cut]]
 
     def test_exists_iff_within_length(self):
         for S, trace in sample_generating_sets(10, dims=(2, 3), seed=4):
-            for i in range(1, trace.length + 4):
-                assert (liw(S, i) is not None) == (i <= trace.length)
+            assert [len(w) for w in trace.words] == list(range(1, trace.length + 1))
+
+
+def _complexity_total(word, S):
+    """Total complexity of a word over the generator alphabet of S."""
+    return count_distinct_factors(Word(word, S.word_alphabet))
 
 
 def _brute_irreducible(S, max_i):
@@ -186,14 +190,28 @@ def _sparse_sets(count, seed):
 
 
 def _level_bases(S):
-    """A copy of the span basis at each level 0..l(S) of the span walk."""
-    return [basis.copy() for basis, _ in algebra._levels(S, S.n * S.n)]
+    """The span basis of every product of length <= i, for each level i =
+    0..l(S): each level multiplies out every word of its length, and stops
+    at full dimension or at the first length that adds nothing."""
+    ambient = S.n * S.n
+    basis = SpanBasis(ambient, S.field)
+    ident = FMatrix.identity(S.field, S.n)
+    basis.insert(ident.vectorize())
+    bases = [basis.copy()]
+    prods = [ident]  # every product of the current length, in lex order
+    while basis.dim < ambient:
+        prods = [mat @ g for mat in prods for g in S.gens]
+        grew = [basis.insert(mat.vectorize()) for mat in prods]
+        if not any(grew):
+            break
+        bases.append(basis.copy())
+    return bases
 
 
 def _reducible(word, S, bases=None):
     """Whether the product of a non-empty word lies in the span of strictly
-    shorter products: the walk's basis at level len(word) - 1, or at its
-    last level, past which the span no longer grows."""
+    shorter products: the basis at level len(word) - 1, or at the last
+    level, past which the span no longer grows."""
     bases = _level_bases(S) if bases is None else bases
     prod = S.gens[word[0]]
     for idx in word[1:]:
@@ -203,8 +221,8 @@ def _reducible(word, S, bases=None):
 
 def _dfs_liw_words(S):
     """The minimal irreducible word of each length 1..l(S), from a pre-order
-    depth-first search over words, tested against a copy of each level of
-    the span walk.
+    depth-first search over words, tested against the span of every product
+    of each length below.
 
     A prefix whose product lies in the span of shorter products makes every
     extension reducible, so such subtrees are skipped.  Pre-order visits the
@@ -262,7 +280,7 @@ class TestAgainstBruteForce:
             length = sum(w is not None for w in ref)
             assert ref[length:] == [None] * 3
             assert (trace.length, trace.generated_dim) == (length, rank)
-            assert [getattr(liw(S, i), "word", None) for i in range(1, length + 4)] == ref
+            assert list(trace.words) + [None] * 3 == ref
             comp = check_liw_complexity(S)
             power = check_irreducible_power_free(S, S.n)
             assert [e.word for e in comp.entries] == [e.word for e in power.entries]
@@ -286,8 +304,8 @@ class TestAgainstBruteForce:
             assert words == _dfs_liw_words(S), S
 
     def test_is_reducible(self):
-        # the walk's level bases decide reducibility for every word, also
-        # for words longer than l(S)
+        # the level bases decide reducibility for every word, also for words
+        # longer than l(S)
         for S in _oracle_sets():
             bases = _level_bases(S)
             levels, _ = _brute_irreducible(S, len(bases) + 2)

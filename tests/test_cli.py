@@ -76,6 +76,15 @@ class TestComplexity:
         assert code == 2
 
 
+@pytest.mark.parametrize("command", ["complexity", "decompose", "powers"])
+def test_empty_word_needs_alphabet(capsys, command):
+    # no letter to infer an alphabet from: a usage error that says so
+    assert main([command, ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cannot infer an alphabet from an empty word; give --alphabet\n"
+
+
 class TestDecompose:
     def test_worked_example(self, capsys):
         code, out = run(capsys, "decompose", "abbabbabaa", "--json")
@@ -241,13 +250,13 @@ class TestAlg:
 
     def test_liw_walks_once(self, capsys, monkeypatch, upper_triangular_file):
         calls = []
-        real = algebra._levels
+        real = algebra.length_trace
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls.append(args)
-            return real(*args)
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(algebra, "_levels", counted)
+        monkeypatch.setattr(algebra, "length_trace", counted)
         code, out = run(capsys, "alg", "liw", upper_triangular_file, "--json")
         payload = json.loads(out)
         assert code == 0
@@ -398,7 +407,7 @@ class TestInternalError:
         self._assert_internal(capsys, code, "BoundInvariantError")
 
     def test_liw_internal_error(self, capsys, monkeypatch, unit_pair_file):
-        def broken(S, dim, words):
+        def broken(S, trace):
             raise RuntimeError("report invariant broken")
 
         monkeypatch.setattr(algebra, "_complexity_report", broken)

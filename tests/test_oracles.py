@@ -121,10 +121,11 @@ class TestBruteLength:
     def test_matrix_unit_pair(self):
         trace = brute_length(GeneratorSet(F5, 2, (E12, E21)), cap=4)
         assert trace.dims == (1, 3, 4) and trace.length == 2
+        assert trace.words == ((0,), (0, 1))
 
     def test_identity(self):
         trace = brute_length(GeneratorSet(F5, 2, (FMatrix.identity(F5, 2),)), cap=3)
-        assert trace.length == 0
+        assert trace.length == 0 and trace.words == ()
 
     def test_budget(self):
         with pytest.raises(BudgetExceeded):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 from collections import Counter
 
@@ -138,6 +139,24 @@ class TestCrossValidation:
     def test_length(self):
         report = cross_validate_length(50, seed=7)
         assert report.ok and report.words_checked == 50
+
+    def test_length_checks_words(self, monkeypatch):
+        # right dims with the minimal irreducible words out of order are a
+        # mismatch: the oracle's words are compared, not only its dims
+        real = verify.length_trace
+        reversed_sets = []
+
+        def reversed_words(S, max_len):
+            trace = real(S, max_len=max_len)
+            if len(trace.words) < 2:
+                return trace
+            reversed_sets.append(S)
+            return dataclasses.replace(trace, words=trace.words[::-1])
+
+        monkeypatch.setattr(verify, "length_trace", reversed_words)
+        report = cross_validate_length(40)
+        assert reversed_sets and not report.ok
+        assert len(report.counterexamples) == len(reversed_sets)
 
 
 class TestSampling:
