@@ -201,9 +201,7 @@ def check_irreducible_power_free(S: GeneratorSet, m: int) -> PowerFreeReport:
     return _power_free_report(S, m, length_trace(S, S.n * S.n))
 
 
-def estimate_m_star(
-    S: GeneratorSet, word_len_cap: int, budget: int = DEFAULT_SEARCH_BUDGET
-) -> int:
+def estimate_m_star(S: GeneratorSet, word_len_cap: int) -> int:
     """Max minimal-polynomial degree over products of length <= cap.
 
     A lower estimate of the true supremum over all products (there are
@@ -211,12 +209,14 @@ def estimate_m_star(
     n x n matrix has degree above n, so the scan stops at the first product
     of degree n: any non-derogatory product, such as one with n distinct
     eigenvalues, ends it.  Distinct product matrices are visited once, since
-    equal products have equal extensions.  The budget bounds the distinct
-    products kept, which is what the scan stores and multiplies out: a set
-    with few distinct products scans any cap, however many words it has.
+    equal products have equal extensions.  DEFAULT_SEARCH_BUDGET, read at
+    call time, bounds the distinct products kept, which is what the scan
+    stores and multiplies out: a set with few distinct products scans any
+    cap, however many words it has.
     """
     if word_len_cap < 1:
         raise ValueError("word_len_cap must be >= 1")
+    budget = DEFAULT_SEARCH_BUDGET
     ident = FMatrix.identity(S.field, S.n)
     seen = {ident.entries}
     frontier = [ident]

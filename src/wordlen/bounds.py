@@ -17,7 +17,8 @@ class InvalidInputs(ValueError):
 
 
 class BoundInvariantError(RuntimeError):
-    """Internal error: the evaluated bounds contradict each other."""
+    """Internal error: the max-form search returned a k that is not the
+    smallest minimizer."""
 
 
 def _ceil_sqrt(x: int) -> int:
@@ -53,6 +54,19 @@ class BestMain:
     integer_value: int
 
 
+def _search_k(d: int, m: int) -> int:
+    """Binary search for the first k whose forward difference f(k + 1) - f(k)
+    is >= 0, over k in [0, ceil(sqrt(d)) - 1]."""
+    lo, hi = 0, _ceil_sqrt(d) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if main_bound(d, m, mid + 1) >= main_bound(d, m, mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 def best_main_bound(d: int, m: int) -> BestMain:
     """Minimize f(k) = main_bound(d, m, k) over k >= 0 by binary search.
 
@@ -62,18 +76,24 @@ def best_main_bound(d: int, m: int) -> BestMain:
     on, (k + 1)(k + 2) >= d, so both branches are nondecreasing and the
     search range [0, ceil(sqrt(d)) - 1] holds that k.  Lengths are integers,
     hence the floor is reported alongside the exact value.
+
+    The search result is checked, not assumed: a strict descent into k, none
+    out of it and f(k) <= d - 1 (the trivial bound f(0)) make k the smallest
+    global minimizer, so any other k raises BoundInvariantError.  The check
+    is an explicit raise, so it survives python -O.
     """
     if m < 2 or d < m:
         raise InvalidInputs(f"need m >= 2, d >= m; got d={d}, m={m}")
-    lo, hi = 0, _ceil_sqrt(d) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if main_bound(d, m, mid + 1) >= main_bound(d, m, mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    value = main_bound(d, m, lo)
-    return BestMain(lo, value, value.numerator // value.denominator)
+    k = _search_k(d, m)
+    value = main_bound(d, m, k)
+    trivial = d - 1
+    if ((k > 0 and main_bound(d, m, k - 1) <= value)
+            or main_bound(d, m, k + 1) < value or value > trivial):
+        raise BoundInvariantError(
+            f"best main bound {value} at k={k} is not the smallest minimizer "
+            f"of the max-form bound below the trivial bound {trivial} (d={d}, m={m})"
+        )
+    return BestMain(k, value, value.numerator // value.denominator)
 
 
 @dataclass(frozen=True)
@@ -112,47 +132,3 @@ def pappacena_exceeds_main(d: int, m: int) -> bool:
     at k = floor(sqrt(d/m)) = isqrt(d // m)?  Compared exactly."""
     bound = PappacenaBound(d, m)  # validates d and m
     return bound.greater_than(main_bound(d, m, math.isqrt(d // m)))
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Every closed-form bound for one (d, m[, n]) instance."""
-
-    d: int
-    m: int
-    n: int | None
-    trivial: int
-    halfdim: Fraction
-    paz: int | None
-    pappacena: PappacenaBound
-    best_main: BestMain
-
-
-def bound_table(d: int, m: int, n: int | None = None) -> BoundReport:
-    """Evaluate every bound; internal consistency is checked, not assumed."""
-    if m < 2 or d < m:
-        raise InvalidInputs(f"need m >= 2, d >= m; got d={d}, m={m}")
-    if n is not None and n < 1:
-        raise InvalidInputs(f"matrix size must be >= 1, got {n}")
-    trivial = d - 1
-    best = best_main_bound(d, m)
-    k, value = best.k_star, best.value
-    # f is convex in k, so a strict descent into k and none out of it make k
-    # the smallest global minimizer; no other k needs evaluating.
-    if (k < 0 or value != main_bound(d, m, k)
-            or (k > 0 and main_bound(d, m, k - 1) <= value)
-            or main_bound(d, m, k + 1) < value or value > trivial):
-        raise BoundInvariantError(
-            f"best main bound {value} at k={k} is not the smallest minimizer "
-            f"of the max-form bound below the trivial bound {trivial} (d={d}, m={m})"
-        )
-    return BoundReport(
-        d=d,
-        m=m,
-        n=n,
-        trivial=trivial,
-        halfdim=halfdim_bound(d, m),
-        paz=paz_bound(n) if n is not None else None,
-        pappacena=PappacenaBound(d, m),
-        best_main=best,
-    )

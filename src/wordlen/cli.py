@@ -222,9 +222,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     if args.grid:
         for flag, value in (("--m-max", args.m_max), ("--d-max", args.d_max)):
             if value < 2:
-                print(f"error: {flag} must be >= 2 for a non-empty grid, got {value}",
-                      file=sys.stderr)
-                return EXIT_USAGE
+                raise ValueError(f"{flag} must be >= 2 for a non-empty grid, got {value}")
         bad = []
         cells = 0
         # d >= m, so no row past d_max has a cell
@@ -239,40 +237,44 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
                "d_max": args.d_max, "m_max": args.m_max})
         return EXIT_OK if not bad else EXIT_COUNTEREXAMPLE
 
-    if args.dim is None or args.m is None:
-        print("error: bounds requires --dim and --m (or --grid)", file=sys.stderr)
-        return EXIT_USAGE
-    report = bounds.bound_table(args.dim, args.m, args.n)
+    d, m, n = args.dim, args.m, args.n
+    if d is None or m is None:
+        raise ValueError("bounds requires --dim and --m (or --grid)")
+    # in this order a bad (d, m) is reported before a bad n, and both before
+    # the float overflow of the sqrt form
+    best = bounds.best_main_bound(d, m)
+    paz = bounds.paz_bound(n) if n is not None else None
+    halfdim = bounds.halfdim_bound(d, m)
     try:
-        approx = report.pappacena.approx()
+        approx = bounds.PappacenaBound(d, m).approx()
     except OverflowError:
-        raise ValueError(f"--dim {args.dim} is too large for the float sqrt-form bound") from None
+        raise ValueError(f"--dim {d} is too large for the float sqrt-form bound") from None
     payload = {
-        "d": report.d,
-        "m": report.m,
-        "n": report.n,
-        "trivial": report.trivial,
-        "halfdim": str(report.halfdim),
-        "paz": report.paz,
+        "d": d,
+        "m": m,
+        "n": n,
+        "trivial": d - 1,
+        "halfdim": str(halfdim),
+        "paz": paz,
         "pappacena_approx": round(approx, 6),
         "best_main": {
-            "k": report.best_main.k_star,
-            "value": str(report.best_main.value),
-            "integer_value": report.best_main.integer_value,
+            "k": best.k_star,
+            "value": str(best.value),
+            "integer_value": best.integer_value,
         },
-        "pappacena_exceeds_main": bounds.pappacena_exceeds_main(report.d, report.m),
+        "pappacena_exceeds_main": bounds.pappacena_exceeds_main(d, m),
     }
     if args.json:
         _emit(payload)
     else:
         print(f"{'bound':<22}{'value':>14}")
-        print(f"{'trivial (d-1)':<22}{report.trivial:>14}")
-        print(f"{'half-dimension':<22}{str(report.halfdim):>14}")
-        if report.paz is not None:
-            print(f"{'matrix ceil bound':<22}{report.paz:>14}")
+        print(f"{'trivial (d-1)':<22}{d - 1:>14}")
+        print(f"{'half-dimension':<22}{str(halfdim):>14}")
+        if paz is not None:
+            print(f"{'matrix ceil bound':<22}{paz:>14}")
         print(f"{'sqrt-form (approx)':<22}{payload['pappacena_approx']:>14}")
-        print(f"{'best max-form':<22}{str(report.best_main.value):>14}"
-              f"  (k={report.best_main.k_star}, floor={report.best_main.integer_value})")
+        print(f"{'best max-form':<22}{str(best.value):>14}"
+              f"  (k={best.k_star}, floor={best.integer_value})")
     return EXIT_OK
 
 
@@ -330,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="random words (shape only)")
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--jobs", type=positive_int, default=1,
-                   help="shards, run on at most one process per CPU")
+                   help="shards for mh, mhgen and tc, run on at most one process per CPU")
     v.add_argument("--budget", type=positive_int, default=oracles.DEFAULT_ENUMERATION_BUDGET,
                    help="enumeration budget (words)")
     v.set_defaults(func=_cmd_verify)
@@ -377,7 +379,7 @@ def main(argv: list[str] | None = None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:

@@ -23,6 +23,7 @@ DEFAULT_ENUMERATION_BUDGET = 100_000_000
 NAIVE_PROFILE_CAP = 1_000
 BRUTE_QPT_CAP = 30
 BRUTE_EXPONENT_CAP = 2_000
+BRUTE_LENGTH_BUDGET = 2_000_000
 
 
 class BudgetExceeded(RuntimeError):
@@ -184,9 +185,7 @@ def _schoolbook_product(
     ]
 
 
-def brute_length(
-    S: GeneratorSet, cap: int, budget: int = 2_000_000
-) -> LengthTrace:
+def brute_length(S: GeneratorSet, cap: int) -> LengthTrace:
     """Length of a generating set with every product recomputed from scratch.
 
     Each level multiplies out all |S|^i words fully with the schoolbook
@@ -200,8 +199,8 @@ def brute_length(
     k = len(S.gens)
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    if k**cap > budget:
-        raise BudgetExceeded(f"|S|^cap = {k**cap} exceeds budget {budget}")
+    if k**cap > BRUTE_LENGTH_BUDGET:
+        raise BudgetExceeded(f"|S|^cap = {k**cap} exceeds budget {BRUTE_LENGTH_BUDGET}")
     ambient = S.n * S.n
     p = S.field.p
     gens = [g.entries for g in S.gens]

@@ -408,7 +408,7 @@ class TestEstimateMStar:
             S = GeneratorSet(F5, n, tuple(random_matrix(F5, n, rng) for _ in range(2)))
             assert 1 <= estimate_m_star(S, 3) <= n
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
         # the products are diag(1, 1, 2^a 3^b) with 1 <= a + b <= 30: 495
         # distinct ones for 2^31 - 2 words, every one of degree 2 < n, so the
         # scan never stops early and keeps them all
@@ -417,10 +417,12 @@ class TestEstimateMStar:
             FMatrix.from_rows(field, [[1, 0, 0], [0, 1, 0], [0, 0, x]]) for x in (2, 3)
         ))
         for budget in (100, 494):
+            monkeypatch.setattr(algebra, "DEFAULT_SEARCH_BUDGET", budget)
             with pytest.raises(SearchBudgetExceeded):
-                estimate_m_star(S, 30, budget=budget)
+                estimate_m_star(S, 30)
         for budget in (495, 10_000):
-            assert estimate_m_star(S, 30, budget=budget) == 2
+            monkeypatch.setattr(algebra, "DEFAULT_SEARCH_BUDGET", budget)
+            assert estimate_m_star(S, 30) == 2
 
 
 class TestMainTheoremSampling:

@@ -13,7 +13,6 @@ from wordlen.bounds import (
     InvalidInputs,
     PappacenaBound,
     best_main_bound,
-    bound_table,
     halfdim_bound,
     main_bound,
     pappacena_exceeds_main,
@@ -92,7 +91,7 @@ class TestBestMain:
                 prev = v
 
     def test_minimum_over_evaluated_range(self):
-        best = bound_table(50, 4).best_main
+        best = best_main_bound(50, 4)
         assert all(best.value <= v for _, v in _main_at_k(50, 4))
 
     def test_matches_scan_on_grid(self):
@@ -141,44 +140,42 @@ class TestPappacena:
 
 
 class TestBoundTable:
+    """Every bound of one (d, m[, n]) instance, each called directly, as
+    `wordlen bounds` calls them; test_cli pins the printed table."""
+
     def test_with_matrix_size(self):
-        report = bound_table(4, 2, 2)
-        assert report.trivial == 3
-        assert report.halfdim == 2
-        assert report.paz == 2
-        assert report.best_main.integer_value == 2
+        assert main_bound(4, 2, 0) == 3  # the trivial bound d - 1
+        assert halfdim_bound(4, 2) == 2
+        assert paz_bound(2) == 2
+        assert best_main_bound(4, 2).integer_value == 2
 
     def test_n3(self):
-        report = bound_table(9, 3, 3)
-        assert report.paz == 4
-        assert report.best_main.integer_value == 4
+        assert paz_bound(3) == 4
+        assert best_main_bound(9, 3).integer_value == 4
 
     def test_n4(self):
-        report = bound_table(16, 4, 4)
-        assert report.paz == 6
-        assert report.best_main.integer_value <= 6
+        assert paz_bound(4) == 6
+        assert best_main_bound(16, 4).integer_value <= 6
 
     def test_without_matrix_size(self):
-        report = bound_table(10, 3)
-        assert report.paz is None
-        assert report.trivial == 9
+        assert main_bound(10, 3, 0) == 9
+        assert best_main_bound(10, 3).value <= 9
 
     def test_invalid(self):
         with pytest.raises(InvalidInputs):
-            bound_table(1, 2)
+            best_main_bound(1, 2)
 
     def test_inconsistent_best_bound_raises(self, monkeypatch):
         # The check must survive python -O, so it cannot be an assert.
-        worse = BestMain(1, Fraction(5), 5)  # true minimum for (9, 3) is 4 at k=2
-        monkeypatch.setattr(bounds, "best_main_bound", lambda d, m: worse)
-        with pytest.raises(BoundInvariantError):
-            bound_table(9, 3)
+        # The true minimum for (9, 3) is 4 at k = 2; f(1) = 9/2.
+        monkeypatch.setattr(bounds, "_search_k", lambda d, m: 1)
+        with pytest.raises(BoundInvariantError, match="k=1"):
+            best_main_bound(9, 3)
 
     def test_tied_later_minimizer_raises(self, monkeypatch):
         # f(1) = f(2) = 3 at (6, 2): k = 2 attains the minimum value but is
         # not the smallest minimizer.
-        tied = BestMain(2, Fraction(3), 3)
-        assert main_bound(6, 2, 1) == main_bound(6, 2, 2) == tied.value
-        monkeypatch.setattr(bounds, "best_main_bound", lambda d, m: tied)
-        with pytest.raises(BoundInvariantError):
-            bound_table(6, 2)
+        assert main_bound(6, 2, 1) == main_bound(6, 2, 2) == 3
+        monkeypatch.setattr(bounds, "_search_k", lambda d, m: 2)
+        with pytest.raises(BoundInvariantError, match="k=2"):
+            best_main_bound(6, 2)

@@ -4,7 +4,6 @@ import json
 import multiprocessing
 import os
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -401,10 +400,20 @@ class TestInternalError:
         assert len(err.strip().splitlines()) == 1
 
     def test_bound_invariant(self, capsys, monkeypatch):
-        worse = bounds.BestMain(1, Fraction(5), 5)  # true minimum for (9, 3) is 4
-        monkeypatch.setattr(bounds, "best_main_bound", lambda d, m: worse)
+        # the search, not the check, is substituted: the true minimum for
+        # (9, 3) is 4 at k = 2, not 9/2 at k = 1
+        monkeypatch.setattr(bounds, "_search_k", lambda d, m: 1)
         code = main(["bounds", "--dim", "9", "--m", "3", "--json"])
         self._assert_internal(capsys, code, "BoundInvariantError")
+
+    def test_key_error_is_internal(self, capsys, monkeypatch):
+        # no input path raises KeyError, so one is a bug, not a usage error
+        def broken(w):
+            raise KeyError("internal")
+
+        monkeypatch.setattr(words, "complexity_profile", broken)
+        code = main(["complexity", "abba"])
+        self._assert_internal(capsys, code, "KeyError")
 
     def test_liw_internal_error(self, capsys, monkeypatch, unit_pair_file):
         def broken(S, trace):
@@ -415,7 +424,54 @@ class TestInternalError:
         self._assert_internal(capsys, code, "RuntimeError")
 
 
+_BOUNDS_TEXT = {
+    ("--dim", "16", "--m", "4", "--n", "4"): (
+        "bound                          value\n"
+        "trivial (d-1)                     15\n"
+        "half-dimension                     8\n"
+        "matrix ceil bound                  6\n"
+        "sqrt-form (approx)         13.216152\n"
+        "best max-form                   19/3  (k=2, floor=6)\n"
+    ),
+    ("--dim", "9", "--m", "3"): (
+        "bound                          value\n"
+        "trivial (d-1)                      8\n"
+        "half-dimension                   9/2\n"
+        "sqrt-form (approx)          8.624144\n"
+        "best max-form                      4  (k=2, floor=4)\n"
+    ),
+    ("--dim", "10", "--m", "3"): (
+        "bound                          value\n"
+        "trivial (d-1)                      9\n"
+        "half-dimension                     5\n"
+        "sqrt-form (approx)          9.104686\n"
+        "best max-form                   13/3  (k=2, floor=4)\n"
+    ),
+}
+_BOUNDS_JSON = {
+    ("--dim", "16", "--m", "4", "--n", "4"):
+        '{"best_main": {"integer_value": 6, "k": 2, "value": "19/3"}, "d": 16, '
+        '"halfdim": "8", "m": 4, "n": 4, "pappacena_approx": 13.216152, '
+        '"pappacena_exceeds_main": true, "paz": 6, "trivial": 15}\n',
+    ("--dim", "9", "--m", "3"):
+        '{"best_main": {"integer_value": 4, "k": 2, "value": "4"}, "d": 9, '
+        '"halfdim": "9/2", "m": 3, "n": null, "pappacena_approx": 8.624144, '
+        '"pappacena_exceeds_main": true, "paz": null, "trivial": 8}\n',
+    ("--dim", "10", "--m", "3"):
+        '{"best_main": {"integer_value": 4, "k": 2, "value": "13/3"}, "d": 10, '
+        '"halfdim": "5", "m": 3, "n": null, "pappacena_approx": 9.104686, '
+        '"pappacena_exceeds_main": true, "paz": null, "trivial": 9}\n',
+}
+
+
 class TestBounds:
+    @pytest.mark.parametrize("argv", list(_BOUNDS_TEXT))
+    def test_full_output(self, capsys, argv):
+        code, out = run(capsys, "bounds", *argv)
+        assert code == 0 and out == _BOUNDS_TEXT[argv]
+        code, out = run(capsys, "bounds", *argv, "--json")
+        assert code == 0 and out == _BOUNDS_JSON[argv]
+
     def test_table(self, capsys):
         code, out = run(capsys, "bounds", "--dim", "4", "--m", "2", "--n", "2", "--json")
         payload = json.loads(out)

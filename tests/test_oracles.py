@@ -5,6 +5,7 @@ import random
 import pytest
 
 from conftest import random_word, wd
+from wordlen import oracles
 from wordlen.algebra import CapExceeded, GeneratorSet
 from wordlen.linalg import FMatrix, PrimeField
 from wordlen.powers import EmptyWord, Exponent
@@ -127,9 +128,10 @@ class TestBruteLength:
         trace = brute_length(GeneratorSet(F5, 2, (FMatrix.identity(F5, 2),)), cap=3)
         assert trace.length == 0 and trace.words == ()
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
+        monkeypatch.setattr(oracles, "BRUTE_LENGTH_BUDGET", 10)
         with pytest.raises(BudgetExceeded):
-            brute_length(GeneratorSet(F5, 2, (E12, E21)), cap=4, budget=10)
+            brute_length(GeneratorSet(F5, 2, (E12, E21)), cap=4)
 
     def test_cap_exceeded(self):
         with pytest.raises(CapExceeded):
