@@ -1,7 +1,8 @@
 """Command-line front door.
 
-One binary, subcommand style.  Human tables go to stdout; --json switches to
-machine-readable output with stable keys.  Exit codes: 0 success, 1 a
+One binary, subcommand style.  Human tables go to stdout; --json switches
+them to machine-readable output with stable keys, and `verify`, `powers` and
+`bounds --grid` always print JSON lines.  Exit codes: 0 success, 1 a
 verifier found a counterexample, 2 usage or input error, 3 budget exceeded,
 4 internal error (a bug, never a verdict).  An `alg liw` power row fails only
 under a certified m: n for a full span, else a product scan that reaches
@@ -16,7 +17,6 @@ import json
 import os
 import sys
 import traceback
-from fractions import Fraction
 from pathlib import Path
 
 from . import algebra, bounds, oracles, powers, structure, verify, words
@@ -120,7 +120,7 @@ def _cmd_powers(args: argparse.Namespace) -> int:
     _emit(
         {
             "max_exponent": str(exp),
-            "value": str(Fraction(exp.num, exp.den)),
+            "value": str(exp.value),
             "witness": [span[0], span[1]],
             "witness_factor": w.factor(span[0], span[1]).render(),
         }
@@ -219,22 +219,29 @@ def _cmd_alg(args: argparse.Namespace) -> int:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
+    point = {"--dim": args.dim, "--m": args.m, "--n": args.n}
+    grid = {"--m-max": args.m_max, "--d-max": args.d_max}
+    stray = [flag for flag, value in (point if args.grid else grid).items() if value is not None]
+    if stray:
+        rule = "cannot be combined with" if args.grid else "apply only with"
+        raise ValueError(f"{', '.join(stray)} {rule} --grid")
     if args.grid:
-        for flag, value in (("--m-max", args.m_max), ("--d-max", args.d_max)):
+        m_max = 20 if args.m_max is None else args.m_max
+        d_max = 400 if args.d_max is None else args.d_max
+        for flag, value in (("--m-max", m_max), ("--d-max", d_max)):
             if value < 2:
                 raise ValueError(f"{flag} must be >= 2 for a non-empty grid, got {value}")
         bad = []
         cells = 0
         # d >= m, so no row past d_max has a cell
-        for m in range(2, min(args.m_max, args.d_max) + 1):
-            for d in range(m, args.d_max + 1):
+        for m in range(2, min(m_max, d_max) + 1):
+            for d in range(m, d_max + 1):
                 cells += 1
                 if not bounds.pappacena_exceeds_main(d, m):
                     bad.append({"d": d, "m": m})
         for ce in bad:
             _emit(ce)
-        _emit({"cells": cells, "counterexamples": len(bad),
-               "d_max": args.d_max, "m_max": args.m_max})
+        _emit({"cells": cells, "counterexamples": len(bad), "d_max": d_max, "m_max": m_max})
         return EXIT_OK if not bad else EXIT_COUNTEREXAMPLE
 
     d, m, n = args.dim, args.m, args.n
@@ -324,17 +331,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alphabet")
     p.set_defaults(func=_cmd_powers)
 
-    v = sub.add_parser("verify", help="exhaustive theorem sweeps")
-    v.add_argument("theorem", choices=["mh", "mhgen", "tc", "shape"])
-    v.add_argument("--alphabet", type=int, default=2, help="alphabet size")
-    v.add_argument("--maxlen", type=positive_int, default=12)
-    v.add_argument("--count", type=positive_int, default=10_000,
-                   help="random words (shape only)")
-    v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--jobs", type=positive_int, default=1,
-                   help="shards for mh, mhgen and tc, run on at most one process per CPU")
-    v.add_argument("--budget", type=positive_int, default=oracles.DEFAULT_ENUMERATION_BUDGET,
-                   help="enumeration budget (words)")
+    v = sub.add_parser("verify", help="theorem sweeps (JSON lines)")
+    theorems = v.add_subparsers(dest="theorem", required=True)
+    for name in _SWEEPS:
+        t = theorems.add_parser(name, help="exhaustive sweep over every word")
+        t.add_argument("--alphabet", type=int, default=2, help="alphabet size")
+        t.add_argument("--maxlen", type=positive_int, default=12)
+        t.add_argument("--jobs", type=positive_int, default=1,
+                       help="shards, run on at most one process per CPU")
+        t.add_argument("--budget", type=positive_int, default=oracles.DEFAULT_ENUMERATION_BUDGET,
+                       help="enumeration budget (words)")
+    t = theorems.add_parser("shape", help="profile shape on seeded random words")
+    t.add_argument("--count", type=positive_int, default=10_000, help="random words")
+    t.add_argument("--maxlen", type=positive_int, default=12)
+    t.add_argument("--seed", type=int, default=0)
     v.set_defaults(func=_cmd_verify)
 
     a = sub.add_parser("alg", help="generating-set length and irreducible words")
@@ -348,10 +358,10 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--dim", type=int, help="algebra dimension d")
     b.add_argument("--m", type=int, help="max minimal-polynomial degree")
     b.add_argument("--n", type=int, help="matrix size (enables the ceil bound)")
-    b.add_argument("--grid", action="store_true", help="dominance sweep")
-    b.add_argument("--m-max", type=int, default=20)
-    b.add_argument("--d-max", type=int, default=400)
-    b.add_argument("--json", action="store_true")
+    b.add_argument("--grid", action="store_true", help="dominance sweep (JSON lines)")
+    b.add_argument("--m-max", type=int, help="largest m of the grid (default 20)")
+    b.add_argument("--d-max", type=int, help="largest d of the grid (default 400)")
+    b.add_argument("--json", action="store_true", help="table as JSON; --grid prints JSON anyway")
     b.set_defaults(func=_cmd_bounds)
 
     o = sub.add_parser("oracle", help="fast-path versus brute-force cross checks")

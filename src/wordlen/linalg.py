@@ -18,7 +18,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from operator import add, mul, neg
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
@@ -300,13 +300,6 @@ class MinPoly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def evaluate_scalar(self, x: int) -> int:
-        p = self.field.p
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * x + c) % p
-        return acc
-
 
 def _poly_at(coeffs: Sequence[int], a: FMatrix) -> FMatrix:
     ident = FMatrix.identity(a.field, a.n)
@@ -371,8 +364,11 @@ def shift_to_invertible(x: FMatrix) -> ShiftResult:
     """First lambda = 0, 1, 2, ... making x + lambda*I invertible.
 
     Requires p > deg(mu_x), which guarantees some lambda with mu(-lambda)
-    nonzero.  The inverse comes from dividing mu(t) - mu(-lambda) by
-    (t + lambda), so it is a polynomial in x of degree deg(mu) - 1.
+    nonzero.  One synthetic division of mu by (t - r), r = -lambda, gives
+    both parts of mu(t) = (t - r) g(t) + mu(r): the quotient g, of degree
+    deg(mu) - 1, and the remainder c = mu(r).  x + lambda*I is invertible
+    iff c != 0, and then mu(x) = 0 reads (x + lambda*I) g(x) = -c*I, so the
+    inverse is the polynomial -g(x)/c in x.
     """
     mu = min_poly(x)
     m = mu.degree
@@ -380,18 +376,14 @@ def shift_to_invertible(x: FMatrix) -> ShiftResult:
     if p <= m:
         raise ValueError(f"need field size > {m}, the minimal polynomial degree")
     for lam in range(p):
-        c = mu.evaluate_scalar((-lam) % p)
+        root = (-lam) % p
+        # Horner's partial sums are g's coefficients, top first; the last
+        # one is mu(root)
+        *g, c = accumulate(reversed(mu.coeffs), lambda acc, coef: (acc * root + coef) % p)
         if c == 0:
             continue
-        h = list(mu.coeffs)
-        h[0] = (h[0] - c) % p
-        root = (-lam) % p
-        g = [0] * m
-        g[m - 1] = h[m]
-        for j in range(m - 1, 0, -1):
-            g[j - 1] = (h[j] + root * g[j]) % p
         neg_c_inv = (-pow(c, p - 2, p)) % p
-        cert = tuple(coef * neg_c_inv % p for coef in g)
+        cert = tuple(coef * neg_c_inv % p for coef in reversed(g))
         inverse = _poly_at(cert, x)
         return ShiftResult(lam, inverse, cert, len(cert) - 1)
     raise NoShiftFound("scan exhausted GF(p); precondition p > deg(mu) violated?")

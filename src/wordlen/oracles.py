@@ -79,8 +79,6 @@ def naive_profile(w: Word) -> ComplexityProfile:
     l = len(w)
     if l > NAIVE_PROFILE_CAP:
         raise LengthTooLarge(f"naive_profile handles length <= {NAIVE_PROFILE_CAP}")
-    if l == 0:
-        return ComplexityProfile((1,), 1)
     seq: Sequence = bytes(w.letters) if w.alphabet.size <= 256 else w.letters
     counts = [1]
     for n in range(1, l + 1):

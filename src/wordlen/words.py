@@ -3,7 +3,9 @@
 Letters are integer ids into an ordered alphabet; the alphabet order fixes
 parsing, rendering, and the letter order used for shortlex enumeration
 elsewhere.  Factor counting deliberately has two implementations: the
-suffix-automaton fast path lives here, a substring-set oracle lives in
+suffix-automaton fast path, and substring sets.  ``factor_count`` here is
+the per-length substring-set count, the independent side of the mh sweep
+and of ``decompose --n``; the whole-profile oracle lives in
 ``wordlen.oracles``, and the test suite requires that they agree exactly.
 
 The fast path reads every count off one list.  Let L_e be the length of
@@ -42,8 +44,6 @@ class LengthOutOfRange(ValueError):
 def tokenize(text: str) -> list[str]:
     """Split word text: comma-separated tokens if a comma appears, else one
     token per character.  Empty text is the empty word."""
-    if not text:
-        return []
     if "," in text:
         return text.split(",")
     return list(text)
@@ -144,8 +144,6 @@ def factor_count(w: Word, n: int) -> int:
     l = len(w)
     if n < 0 or n > l:
         raise LengthOutOfRange(f"factor length {n} outside [0, {l}]")
-    if n == 0:
-        return 1
     letters = w.letters
     return len({letters[i : i + n] for i in range(l - n + 1)})
 
@@ -278,7 +276,7 @@ class SuffixAutomaton:
     both passes (1.03-1.40x).  The threshold 16 sits below both.
     """
 
-    def __init__(self, letters: Sequence[int] = ()) -> None:
+    def __init__(self, letters: Sequence[int]) -> None:
         ranks = {a: i for i, a in enumerate(dict.fromkeys(letters))}
         if len(ranks) <= ROW_LETTERS_MAX:
             built = _build_rows(letters, ranks)
@@ -309,13 +307,13 @@ class SuffixAutomaton:
         length-R target are not link targets themselves, so each is the
         prefix state of one end position, its maxlen - 1.  The target may
         also own the end R - 1: the first state with maxlen R is the prefix
-        state of the first R letters.  When no letter repeats, R = 0 and the
-        empty factor starts at 0 and at the word's length.
+        state of the first R letters.  That holds at R = 0 too (the word must
+        be non-empty): the root, the first state with maxlen 0, is the prefix
+        state of the empty prefix, and its end -1 joins the ends 0..l-1 of
+        every prefix state, so q = 0 and j = l.
         """
         maxlen, link = self._maxlen, self._link
-        r = max(self.repeats, default=0)
-        if r == 0:
-            return 0, 0, len(self.repeats)
+        r = max(self.repeats)
         ends: dict[int, list[int]] = {}
         for v in range(1, len(maxlen)):
             if maxlen[link[v]] == r:

@@ -138,6 +138,14 @@ class TestDecompose:
         code, _ = run(capsys, "decompose", "", "--alphabet", "ab", "--json")
         assert code == 2
 
+    def test_distinct_tokens(self, capsys):
+        # 300 letters build the automaton on per-state dicts, and with no
+        # repeated letter the split is the whole word
+        tokens = ",".join(f"t{i}" for i in range(300))
+        code, out = run(capsys, "decompose", tokens, "--json")
+        assert code == 0
+        assert '"q": 0' in out and '"p": 300' in out and '"t": 0' in out
+
 
 class TestPowers:
     def test_worked_example(self, capsys):
@@ -390,6 +398,32 @@ def test_non_positive_count_is_usage_error(capsys, unit_pair_file, argv):
         main(argv)
     assert exc.value.code == 2
     assert "must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "shape", "--alphabet", "7"],
+        ["verify", "shape", "--jobs", "2"],
+        ["verify", "shape", "--budget", "5"],
+        ["verify", "mh", "--count", "5"],
+        ["verify", "mh", "--seed", "3"],
+        ["bounds", "--grid", "--dim", "16", "--m", "4", "--n", "4",
+         "--m-max", "3", "--d-max", "5"],
+        ["bounds", "--dim", "16", "--m", "4", "--m-max", "1", "--d-max", "-3", "--json"],
+    ],
+)
+def test_flag_the_mode_does_not_read_is_usage_error(capsys, argv):
+    # argparse rejects a flag the theorem's sub-parser lacks; bounds checks
+    # its two modes' flags itself
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "Traceback" not in captured.err
+    assert sum("error:" in line for line in captured.err.splitlines()) == 1
 
 
 class TestInternalError:

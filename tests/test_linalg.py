@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 from operator import mul
 
 import pytest
@@ -419,6 +420,15 @@ class TestShiftToInvertible:
             assert shifted @ res.inverse == FMatrix.identity(field, n)
             assert _poly_at(res.cert_coeffs, x) == res.inverse
             assert res.cert_degree <= min_poly(x).degree - 1
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_first_invertible_shift_exhaustive(self, p):
+        # invertibility from the 2 x 2 determinant, independent of min_poly
+        field = PrimeField(p)
+        for a, b, c, d in product(range(p), repeat=4):
+            x = FMatrix.from_rows(field, [[a, b], [c, d]])
+            first = next(lam for lam in range(p) if ((a + lam) * (d + lam) - b * c) % p)
+            assert shift_to_invertible(x).lam == first, (a, b, c, d)
 
     def test_small_field_rejected(self):
         f2 = PrimeField(2)

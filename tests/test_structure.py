@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+from string import ascii_lowercase
 
 import pytest
 from hypothesis import given, settings
@@ -69,7 +70,11 @@ class TestMinimalQpt:
         assert minimal_qpt(wd("aaaa")) == QptDecomposition(0, 1, 0, 4)
 
     def test_all_distinct(self):
-        assert minimal_qpt(wd("abcd")) == QptDecomposition(0, 4, 0, 4)
+        # R = 0: the root is the only link target, so q = 0 and j = l; up to
+        # ROW_LETTERS_MAX letters on per-letter rows, above it on dicts
+        for l in range(1, 27):
+            w = wd(ascii_lowercase[:l])
+            assert minimal_qpt(w) == brute_min_qpt(w) == QptDecomposition(0, l, 0, l), l
 
     def test_tie_break_prefers_small_q(self):
         # cost 3 achievable as (0,1,2) and (2,1,0); smallest q wins
