@@ -28,11 +28,10 @@ class CapExceeded(RuntimeError):
 
     def __init__(self, max_len: int) -> None:
         super().__init__(f"still growing after {max_len} steps")
-        self.max_len = max_len
 
 
-class SearchBudgetExceeded(RuntimeError):
-    """The product scan would keep more distinct products than its budget."""
+class BudgetExceeded(RuntimeError):
+    """A search or enumeration would exceed its configured budget."""
 
 
 @dataclass(frozen=True)
@@ -100,7 +99,6 @@ class PowerFreeEntry:
     i: int
     word: tuple[int, ...]
     exponent: Exponent
-    limit: int
     ok: bool
 
 
@@ -180,7 +178,7 @@ def _power_free_report(S: GeneratorSet, m: int, trace: LengthTrace) -> PowerFree
     entries = []
     for i, word in enumerate(trace.words, start=1):
         exp, _ = max_factor_exponent(Word(word, alphabet))
-        entries.append(PowerFreeEntry(i, word, exp, limit, exp.value <= limit))
+        entries.append(PowerFreeEntry(i, word, exp, exp.value <= limit))
     return PowerFreeReport(trace.length, limit, tuple(entries))
 
 
@@ -229,7 +227,7 @@ def estimate_m_star(S: GeneratorSet, word_len_cap: int) -> int:
                 if prod.entries in seen:
                     continue
                 if len(seen) > budget:  # seen holds the identity and budget products
-                    raise SearchBudgetExceeded(
+                    raise BudgetExceeded(
                         f"{budget + 1} distinct products exceed budget {budget}"
                     )
                 seen.add(prod.entries)

@@ -2,7 +2,8 @@
 
 All values are exact: rationals are fractions.Fraction, and the one bound
 containing a square root is compared to rationals by isolating the radical
-and squaring, never through floats.
+and squaring, never through floats.  The half-dimension bound
+max(m - 1, d/2) is main_bound at k = 1.  Out-of-domain inputs raise ValueError.
 """
 
 from __future__ import annotations
@@ -10,10 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-
-class InvalidInputs(ValueError):
-    """Bound parameters outside their stated domain."""
 
 
 class BoundInvariantError(RuntimeError):
@@ -29,22 +26,15 @@ def _ceil_sqrt(x: int) -> int:
 def paz_bound(n: int) -> int:
     """ceil((n^2 + 2) / 3) for the n x n matrix algebra."""
     if n < 1:
-        raise InvalidInputs(f"matrix size must be >= 1, got {n}")
+        raise ValueError(f"matrix size must be >= 1, got {n}")
     return -(-(n * n + 2) // 3)
 
 
 def main_bound(d: int, m: int, k: int) -> Fraction:
     """max(k(m-1), d/(k+1) + k - 1) for dimension d and max min-poly degree m."""
     if m < 2 or d < m or k < 0:
-        raise InvalidInputs(f"need m >= 2, d >= m, k >= 0; got d={d}, m={m}, k={k}")
+        raise ValueError(f"need m >= 2, d >= m, k >= 0; got d={d}, m={m}, k={k}")
     return max(Fraction(k * (m - 1)), Fraction(d, k + 1) + k - 1)
-
-
-def halfdim_bound(d: int, m: int) -> Fraction:
-    """max(m - 1, d/2); coincides with main_bound at k = 1."""
-    if m < 2 or d < 1:
-        raise InvalidInputs(f"need m >= 2, d >= 1; got d={d}, m={m}")
-    return max(Fraction(m - 1), Fraction(d, 2))
 
 
 @dataclass(frozen=True)
@@ -83,7 +73,7 @@ def best_main_bound(d: int, m: int) -> BestMain:
     is an explicit raise, so it survives python -O.
     """
     if m < 2 or d < m:
-        raise InvalidInputs(f"need m >= 2, d >= m; got d={d}, m={m}")
+        raise ValueError(f"need m >= 2, d >= m; got d={d}, m={m}")
     k = _search_k(d, m)
     value = main_bound(d, m, k)
     trivial = d - 1
@@ -96,39 +86,31 @@ def best_main_bound(d: int, m: int) -> BestMain:
     return BestMain(k, value, value.numerator // value.denominator)
 
 
-@dataclass(frozen=True)
-class PappacenaBound:
-    """Handle on m*sqrt(2d/(m-1) + 1/4) + m/2 - 2 with exact comparisons."""
+def _pappacena_radicand(d: int, m: int) -> Fraction:
+    """2d/(m-1) + 1/4, the radicand of m*sqrt(2d/(m-1) + 1/4) + m/2 - 2."""
+    if m < 2 or d < m:
+        raise ValueError(f"need m >= 2, d >= m; got d={d}, m={m}")
+    return Fraction(2 * d, m - 1) + Fraction(1, 4)
 
-    d: int
-    m: int
 
-    def __post_init__(self) -> None:
-        if self.m < 2 or self.d < self.m:
-            raise InvalidInputs(f"need m >= 2, d >= m; got d={self.d}, m={self.m}")
+def pappacena_approx(d: int, m: int) -> float:
+    """Float value of the square-root bound m*sqrt(2d/(m-1) + 1/4) + m/2 - 2."""
+    return m * math.sqrt(float(_pappacena_radicand(d, m))) + m / 2 - 2
 
-    @property
-    def radicand(self) -> Fraction:
-        return Fraction(2 * self.d, self.m - 1) + Fraction(1, 4)
 
-    def approx(self) -> float:
-        return self.m * math.sqrt(float(self.radicand)) + self.m / 2 - 2
+def _pappacena_greater_than(d: int, m: int, r: Fraction | int) -> bool:
+    """Is the square-root bound strictly greater than the rational r?
 
-    def greater_than(self, r: Fraction | int) -> bool:
-        """Is the bound strictly greater than the rational r?
-
-        r < m*sqrt(R) + m/2 - 2 iff r - m/2 + 2 < m*sqrt(R); the left side
-        is rational, so one sign check plus one squaring decides it with
-        integer arithmetic only.
-        """
-        lhs = Fraction(r) - Fraction(self.m, 2) + 2
-        if lhs < 0:
-            return True
-        return lhs * lhs < self.m * self.m * self.radicand
+    r < m*sqrt(R) + m/2 - 2 iff r - m/2 + 2 < m*sqrt(R); the left side
+    is rational, so one sign check plus one squaring decides it with
+    integer arithmetic only.  The caller validates d and m.
+    """
+    lhs = Fraction(r) - Fraction(m, 2) + 2
+    return lhs < 0 or lhs * lhs < m * m * _pappacena_radicand(d, m)
 
 
 def pappacena_exceeds_main(d: int, m: int) -> bool:
     """Is the square-root bound strictly above the max-form bound evaluated
     at k = floor(sqrt(d/m)) = isqrt(d // m)?  Compared exactly."""
-    bound = PappacenaBound(d, m)  # validates d and m
-    return bound.greater_than(main_bound(d, m, math.isqrt(d // m)))
+    _pappacena_radicand(d, m)  # validates d and m before d // m is taken
+    return _pappacena_greater_than(d, m, main_bound(d, m, math.isqrt(d // m)))

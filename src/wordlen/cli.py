@@ -3,8 +3,9 @@
 One binary, subcommand style.  Human tables go to stdout; --json switches
 them to machine-readable output with stable keys, and `verify`, `powers` and
 `bounds --grid` always print JSON lines.  Exit codes: 0 success, 1 a
-verifier found a counterexample, 2 usage or input error, 3 budget exceeded,
-4 internal error (a bug, never a verdict).  An `alg liw` power row fails only
+verifier found a counterexample, 2 usage or input error (any ValueError or
+OSError), 3 budget exceeded (algebra.BudgetExceeded or CapExceeded), 4
+internal error (a bug, never a verdict).  An `alg liw` power row fails only
 under a certified m: n for a full span, else a product scan that reaches
 min(n, dim L(S)), the most any element of L(S) can have.  A scan below that
 is only a lower bound, reported as estimated.
@@ -251,9 +252,9 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     # the float overflow of the sqrt form
     best = bounds.best_main_bound(d, m)
     paz = bounds.paz_bound(n) if n is not None else None
-    halfdim = bounds.halfdim_bound(d, m)
+    halfdim = bounds.main_bound(d, m, 1)
     try:
-        approx = bounds.PappacenaBound(d, m).approx()
+        approx = bounds.pappacena_approx(d, m)
     except OverflowError:
         raise ValueError(f"--dim {d} is too large for the float sqrt-form bound") from None
     payload = {
@@ -382,11 +383,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        oracles.BudgetExceeded,
-        algebra.SearchBudgetExceeded,
-        algebra.CapExceeded,
-    ) as exc:
+    except (algebra.BudgetExceeded, algebra.CapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (ValueError, OSError) as exc:

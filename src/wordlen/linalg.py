@@ -24,10 +24,6 @@ from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
 
-class DimensionMismatch(ValueError):
-    """Operands have incompatible dimensions or fields."""
-
-
 class NoShiftFound(RuntimeError):
     """The shift scan exhausted the field; impossible when p > deg(mu)."""
 
@@ -101,7 +97,7 @@ class FMatrix:
         # through the generic rich compare (6.8 against 10.9 us at n = 12).
         n, p = self.n, self.field.p
         if len(self.entries) != n or any(len(row) != n for row in self.entries):
-            raise DimensionMismatch(f"entries are not {n}x{n}")
+            raise ValueError(f"entries are not {n}x{n}")
         for row in self.entries:
             for x in row:
                 if not 0 <= x < p:
@@ -115,7 +111,7 @@ class FMatrix:
     @classmethod
     def from_flat(cls, field: PrimeField, n: int, values: Sequence[int]) -> "FMatrix":
         if len(values) != n * n:
-            raise DimensionMismatch(f"expected {n * n} entries, got {len(values)}")
+            raise ValueError(f"expected {n * n} entries, got {len(values)}")
         p = field.p
         rows = tuple(
             tuple(values[i * n + j] % p for j in range(n)) for i in range(n)
@@ -139,7 +135,7 @@ class FMatrix:
 
     def _check_compatible(self, other: "FMatrix") -> None:
         if self.field != other.field or self.n != other.n:
-            raise DimensionMismatch("matrices from different spaces")
+            raise ValueError("matrices from different spaces")
 
     @cached_property
     def _packed_rows(self) -> tuple[int, tuple[int, ...]]:
@@ -245,9 +241,7 @@ class SpanBasis:
     def _residual(self, vec: Sequence[int]) -> Iterator[int]:
         """vec's residual against the rows, slot by slot, reduced mod p."""
         if len(vec) != self.ambient_dim:
-            raise DimensionMismatch(
-                f"vector length {len(vec)} != ambient {self.ambient_dim}"
-            )
+            raise ValueError(f"vector length {len(vec)} != ambient {self.ambient_dim}")
         p = self.field.p
         coeffs = list(map(vec.__getitem__, self._pivots))
         reduced = map(p.__rmod__, vec)
@@ -294,7 +288,6 @@ class MinPoly:
     """Monic minimal polynomial; coeffs[i] multiplies t^i."""
 
     coeffs: tuple[int, ...]
-    field: PrimeField
 
     @property
     def degree(self) -> int:
@@ -342,7 +335,7 @@ def min_poly(a: FMatrix) -> MinPoly:
                     combo[j] = (combo[j] - c * row_combo[j]) % p
         pivot = next((j for j, x in enumerate(v) if x), None)
         if pivot is None:
-            return MinPoly(tuple(combo), a.field)
+            return MinPoly(tuple(combo))
         inv = pow(v[pivot], p - 2, p)
         rows[pivot] = ([x * inv % p for x in v], [x * inv % p for x in combo])
         power = power @ a

@@ -14,8 +14,8 @@ from __future__ import annotations
 from itertools import islice, product
 from typing import Iterator, Sequence
 
-from .algebra import CapExceeded, GeneratorSet, LengthTrace
-from .powers import EmptyWord, Exponent
+from .algebra import BudgetExceeded, CapExceeded, GeneratorSet, LengthTrace
+from .powers import Exponent
 from .structure import QptDecomposition
 from .words import Alphabet, ComplexityProfile, Word, border_array
 
@@ -24,14 +24,6 @@ NAIVE_PROFILE_CAP = 1_000
 BRUTE_QPT_CAP = 30
 BRUTE_EXPONENT_CAP = 2_000
 BRUTE_LENGTH_BUDGET = 2_000_000
-
-
-class BudgetExceeded(RuntimeError):
-    """The enumeration would exceed the configured budget."""
-
-
-class LengthTooLarge(ValueError):
-    """Input is beyond the stated domain of this brute-force path."""
 
 
 def enumerate_words(
@@ -78,7 +70,7 @@ def naive_profile(w: Word) -> ComplexityProfile:
     """
     l = len(w)
     if l > NAIVE_PROFILE_CAP:
-        raise LengthTooLarge(f"naive_profile handles length <= {NAIVE_PROFILE_CAP}")
+        raise ValueError(f"naive_profile handles length <= {NAIVE_PROFILE_CAP}")
     seq: Sequence = bytes(w.letters) if w.alphabet.size <= 256 else w.letters
     counts = [1]
     for n in range(1, l + 1):
@@ -104,7 +96,7 @@ def brute_min_qpt(w: Word) -> QptDecomposition:
     if l == 0:
         raise ValueError("brute_min_qpt requires a non-empty word")
     if l > BRUTE_QPT_CAP:
-        raise LengthTooLarge(f"brute_min_qpt handles length <= {BRUTE_QPT_CAP}")
+        raise ValueError(f"brute_min_qpt handles length <= {BRUTE_QPT_CAP}")
     letters = w.letters
     best_cost = l + 1  # p = l is always valid, so (0, l, 0) beats this
     best = (0, l, 0)
@@ -129,9 +121,9 @@ def brute_max_exponent(w: Word) -> tuple[Exponent, tuple[int, int]]:
     ties to the leftmost witness, then the shortest."""
     l = len(w)
     if l == 0:
-        raise EmptyWord("brute_max_exponent of the empty word")
+        raise ValueError("brute_max_exponent of the empty word")
     if l > BRUTE_EXPONENT_CAP:
-        raise LengthTooLarge(f"brute_max_exponent handles length <= {BRUTE_EXPONENT_CAP}")
+        raise ValueError(f"brute_max_exponent handles length <= {BRUTE_EXPONENT_CAP}")
     letters = w.letters
     best_num, best_den = 1, 1
     best_span = (0, 1)

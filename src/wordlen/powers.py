@@ -21,22 +21,6 @@ from .words import Word, complexity_profile
 _NONZERO_TO_ONE = bytes([0]) + bytes([1]) * 255
 
 
-class EmptyWord(ValueError):
-    """Operation undefined for the empty word."""
-
-
-class InvalidExponent(ValueError):
-    """Avoidance exponents must be >= 1."""
-
-
-class HypothesisUnmet(ValueError):
-    """A stated hypothesis of the bound does not hold; .which names it."""
-
-    def __init__(self, which: str) -> None:
-        super().__init__(f"hypothesis not satisfied: {which}")
-        self.which = which
-
-
 @dataclass(frozen=True)
 class Exponent:
     """Exact factor exponent: length num over minimal period den."""
@@ -100,7 +84,7 @@ def max_factor_exponent(w: Word) -> tuple[Exponent, tuple[int, int]]:
     """
     l = len(w)
     if l == 0:
-        raise EmptyWord("max_factor_exponent of the empty word")
+        raise ValueError("max_factor_exponent of the empty word")
     s = (max(w.letters).bit_length() + 7) // 8 or 1
     packed = b"".join(map(int.to_bytes, w.letters, repeat(s), repeat("little")))
     big = int.from_bytes(packed, "little")
@@ -139,7 +123,7 @@ def avoids(w: Word, d: Fraction | int, strict_plus: bool) -> bool:
     """
     bound = Fraction(d)
     if bound < 1:
-        raise InvalidExponent(f"exponent must be >= 1, got {d}")
+        raise ValueError(f"exponent must be >= 1, got {d}")
     if len(w) == 0:
         return True
     exp, _ = max_factor_exponent(w)
@@ -168,12 +152,12 @@ def verify_tc(w: Word, k: int) -> TcReport:
     """
     l = len(w)
     if l == 0:
-        raise EmptyWord("verify_tc of the empty word")
+        raise ValueError("verify_tc of the empty word")
     if k < 1:
-        raise HypothesisUnmet("k >= 1")
+        raise ValueError("hypothesis not satisfied: k >= 1")
     if 2 * k > l:
-        raise HypothesisUnmet("k <= l/2")
+        raise ValueError("hypothesis not satisfied: k <= l/2")
     exp, _ = max_factor_exponent(w)
     if l * exp.den <= k * exp.num:
-        raise HypothesisUnmet("l > k*d")
+        raise ValueError("hypothesis not satisfied: l > k*d")
     return _tc_report(complexity_profile(w).counts, k, exp)

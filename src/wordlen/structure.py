@@ -14,10 +14,6 @@ from .powers import Exponent
 from .words import SuffixAutomaton, Word, complexity_profile
 
 
-class LengthMismatch(ValueError):
-    """Decomposition declared for a different word length."""
-
-
 class ShapeViolation(RuntimeError):
     """The three-phase profile shape failed at index n.
 
@@ -79,7 +75,7 @@ def decompose_check(w: Word, dec: QptDecomposition) -> bool:
     """
     l = len(w)
     if dec.l != l:
-        raise LengthMismatch(f"decomposition is for length {dec.l}, word has {l}")
+        raise ValueError(f"decomposition is for length {dec.l}, word has {l}")
     letters = w.letters
     p = dec.p
     for i in range(dec.q, l - dec.t - p):

@@ -28,19 +28,6 @@ from string import ascii_lowercase
 from typing import Sequence
 
 
-class UnknownToken(ValueError):
-    """A token of the input text is not a letter of the alphabet."""
-
-    def __init__(self, token: str, position: int) -> None:
-        super().__init__(f"unknown token {token!r} at position {position}")
-        self.token = token
-        self.position = position
-
-
-class LengthOutOfRange(ValueError):
-    """Requested factor length is outside [0, len(word)]."""
-
-
 def tokenize(text: str) -> list[str]:
     """Split word text: comma-separated tokens if a comma appears, else one
     token per character.  Empty text is the empty word."""
@@ -129,12 +116,12 @@ class ComplexityProfile:
 
 
 def parse_word(text: str, alphabet: Alphabet) -> Word:
-    """Parse token text into a word; raises UnknownToken on foreign tokens."""
+    """Parse token text into a word; raises ValueError on foreign tokens."""
     ids = []
     for pos, token in enumerate(tokenize(text)):
         idx = alphabet.id_of(token)
         if idx is None:
-            raise UnknownToken(token, pos)
+            raise ValueError(f"unknown token {token!r} at position {pos}")
         ids.append(idx)
     return Word(tuple(ids), alphabet)
 
@@ -143,7 +130,7 @@ def factor_count(w: Word, n: int) -> int:
     """Number of distinct factors of length n in w."""
     l = len(w)
     if n < 0 or n > l:
-        raise LengthOutOfRange(f"factor length {n} outside [0, {l}]")
+        raise ValueError(f"factor length {n} outside [0, {l}]")
     letters = w.letters
     return len({letters[i : i + n] for i in range(l - n + 1)})
 

@@ -8,12 +8,12 @@ from __future__ import annotations
 
 import json
 import time
+from fractions import Fraction
 
 from conftest import dump_matrix_set, sample_generating_sets, wd
 from wordlen.algebra import DEFAULT_SEARCH_BUDGET, check_irreducible_power_free, check_liw_complexity
 from wordlen.bounds import (
     best_main_bound,
-    halfdim_bound,
     main_bound,
     pappacena_exceeds_main,
     paz_bound,
@@ -202,7 +202,8 @@ def test_11_bound_algebra():
     identity_ok = True
     for m in range(2, 21):
         for d in range(m, 401):
-            if main_bound(d, m, 0) != d - 1 or main_bound(d, m, 1) != halfdim_bound(d, m):
+            halfdim = max(Fraction(m - 1), Fraction(d, 2))
+            if main_bound(d, m, 0) != d - 1 or main_bound(d, m, 1) != halfdim:
                 identity_ok = False
     paz_ok = all(
         main_bound(n * n, n, 2).numerator // main_bound(n * n, n, 2).denominator

@@ -8,9 +8,9 @@ import pytest
 from conftest import sample_generating_sets
 from wordlen import algebra
 from wordlen.algebra import (
+    BudgetExceeded,
     CapExceeded,
     GeneratorSet,
-    SearchBudgetExceeded,
     check_irreducible_power_free,
     check_liw_complexity,
     estimate_m_star,
@@ -418,7 +418,8 @@ class TestEstimateMStar:
         ))
         for budget in (100, 494):
             monkeypatch.setattr(algebra, "DEFAULT_SEARCH_BUDGET", budget)
-            with pytest.raises(SearchBudgetExceeded):
+            msg = rf"^{budget + 1} distinct products exceed budget {budget}$"
+            with pytest.raises(BudgetExceeded, match=msg):
                 estimate_m_star(S, 30)
         for budget in (495, 10_000):
             monkeypatch.setattr(algebra, "DEFAULT_SEARCH_BUDGET", budget)

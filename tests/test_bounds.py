@@ -10,10 +10,8 @@ from wordlen import bounds
 from wordlen.bounds import (
     BestMain,
     BoundInvariantError,
-    InvalidInputs,
-    PappacenaBound,
+    _pappacena_greater_than,
     best_main_bound,
-    halfdim_bound,
     main_bound,
     pappacena_exceeds_main,
     paz_bound,
@@ -43,7 +41,7 @@ class TestPazBound:
         assert paz_bound(10) == 34
 
     def test_invalid(self):
-        with pytest.raises(InvalidInputs):
+        with pytest.raises(ValueError, match=r"^matrix size must be >= 1, got 0$"):
             paz_bound(0)
 
 
@@ -57,7 +55,7 @@ class TestMainBound:
         for m in range(2, 21):
             for d in range(m, 101):
                 assert main_bound(d, m, 0) == d - 1
-                assert main_bound(d, m, 1) == halfdim_bound(d, m)
+                assert main_bound(d, m, 1) == max(Fraction(m - 1), Fraction(d, 2))
 
     def test_k2_reproduces_matrix_ceil_bound(self):
         for n in range(2, 51):
@@ -65,9 +63,10 @@ class TestMainBound:
             assert v.numerator // v.denominator == paz_bound(n)
 
     def test_invalid(self):
-        for bad in [(4, 1, 0), (1, 2, 0), (4, 2, -1)]:
-            with pytest.raises(InvalidInputs):
-                main_bound(*bad)
+        for d, m, k in [(4, 1, 0), (1, 2, 0), (4, 2, -1)]:
+            msg = rf"^need m >= 2, d >= m, k >= 0; got d={d}, m={m}, k={k}$"
+            with pytest.raises(ValueError, match=msg):
+                main_bound(d, m, k)
 
 
 class TestBestMain:
@@ -112,13 +111,15 @@ class TestBestMain:
 
 
 class TestHalfdim:
+    """The half-dimension bound max(m - 1, d/2) is the max-form bound at k = 1."""
+
     def test_examples(self):
-        assert halfdim_bound(4, 2) == 2
-        assert halfdim_bound(2, 2) == 1
+        assert main_bound(4, 2, 1) == 2
+        assert main_bound(2, 2, 1) == 1
 
     def test_invalid(self):
-        with pytest.raises(InvalidInputs):
-            halfdim_bound(4, 1)
+        with pytest.raises(ValueError, match=r"^need m >= 2, d >= m, k >= 0; got d=4, m=1, k=1$"):
+            main_bound(4, 1, 1)
 
 
 class TestPappacena:
@@ -127,11 +128,10 @@ class TestPappacena:
         assert pappacena_exceeds_main(4, 2)
 
     def test_exact_comparison_is_strict(self):
-        pb = PappacenaBound(4, 2)
-        # bound ~ 4.7445; compare against rationals on both sides
-        assert pb.greater_than(Fraction(47, 10))
-        assert not pb.greater_than(Fraction(48, 10))
-        assert pb.greater_than(-5)
+        # bound ~ 4.7445 at (d, m) = (4, 2); compare against rationals on both sides
+        assert _pappacena_greater_than(4, 2, Fraction(47, 10))
+        assert not _pappacena_greater_than(4, 2, Fraction(48, 10))
+        assert _pappacena_greater_than(4, 2, -5)
 
     def test_moderate_grid(self):
         for m in range(2, 9):
@@ -145,7 +145,7 @@ class TestBoundTable:
 
     def test_with_matrix_size(self):
         assert main_bound(4, 2, 0) == 3  # the trivial bound d - 1
-        assert halfdim_bound(4, 2) == 2
+        assert main_bound(4, 2, 1) == 2  # the half-dimension bound
         assert paz_bound(2) == 2
         assert best_main_bound(4, 2).integer_value == 2
 
@@ -162,7 +162,7 @@ class TestBoundTable:
         assert best_main_bound(10, 3).value <= 9
 
     def test_invalid(self):
-        with pytest.raises(InvalidInputs):
+        with pytest.raises(ValueError, match=r"^need m >= 2, d >= m; got d=1, m=2$"):
             best_main_bound(1, 2)
 
     def test_inconsistent_best_bound_raises(self, monkeypatch):

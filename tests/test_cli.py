@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import importlib
 import json
 import multiprocessing
 import os
+import pkgutil
 import random
 
 import pytest
 
+import wordlen
 from conftest import dump_matrix_set, fail_every_word
 from wordlen import algebra, bounds, structure, verify, words
 from wordlen.cli import EXIT_INTERNAL, main
@@ -456,6 +459,25 @@ class TestInternalError:
         monkeypatch.setattr(algebra, "_complexity_report", broken)
         code = main(["alg", "liw", unit_pair_file, "--json"])
         self._assert_internal(capsys, code, "RuntimeError")
+
+
+def test_error_types_are_the_ones_a_caller_tells_apart():
+    # main sends every ValueError to exit 2, so a ValueError subclass tells
+    # no caller anything; each class left is caught by name (the two budget
+    # types for exit 3, ShapeViolation by the shape sweep) or names the
+    # exit-4 line
+    found = {}
+    for info in pkgutil.iter_modules(wordlen.__path__):
+        if info.name.startswith("__"):
+            continue  # __main__ runs the CLI on import
+        module = importlib.import_module(f"wordlen.{info.name}")
+        for name, obj in vars(module).items():
+            if (isinstance(obj, type) and issubclass(obj, BaseException)
+                    and obj.__module__ == module.__name__):
+                found[name] = obj
+    assert sorted(found) == ["BoundInvariantError", "BudgetExceeded", "CapExceeded",
+                             "NoShiftFound", "ShapeViolation"]
+    assert not any(issubclass(cls, ValueError) for cls in found.values())
 
 
 _BOUNDS_TEXT = {

@@ -19,7 +19,6 @@ from wordlen.oracles import (
 )
 from wordlen.powers import Exponent
 from wordlen.structure import (
-    LengthMismatch,
     ProfileShape,
     QptDecomposition,
     decompose_check,
@@ -53,7 +52,7 @@ class TestDecomposeCheck:
         assert decompose_check(wd("abcd"), QptDecomposition(1, 3, 0, 4))
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(ValueError, match=r"^decomposition is for length 4, word has 3$"):
             decompose_check(wd("abc"), QptDecomposition(0, 1, 0, 4))
 
     def test_validation(self):
