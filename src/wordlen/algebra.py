@@ -135,6 +135,11 @@ def length_trace(S: GeneratorSet, max_len: int) -> LengthTrace:
     irreducible; were it off the frontier, u = sum c_j u_j + (shorter
     products) with frontier words u_j < u, so some u_j g < w would be
     irreducible.  Hence w is a candidate, and the first independent one.
+
+    A level ends at the insert that fills the span (dim = n^2).  The full
+    span already holds every later product, so none of them is independent,
+    and the level's first independent word is already recorded: dims,
+    words and the length come out as if the level had been finished.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
@@ -149,11 +154,13 @@ def length_trace(S: GeneratorSet, max_len: int) -> LengthTrace:
         if len(dims) > max_len:  # this level's products have length len(dims)
             raise CapExceeded(max_len)
         new_frontier = []
-        for word, mat in frontier:
-            for letter, g in enumerate(S.gens):
-                prod = mat @ g
-                if basis.insert(prod.vectorize()):
-                    new_frontier.append((word + (letter,), prod))
+        candidates = ((word + (letter,), mat @ g)
+                      for word, mat in frontier for letter, g in enumerate(S.gens))
+        for word, prod in candidates:
+            if basis.insert(prod.vectorize()):
+                new_frontier.append((word, prod))
+                if basis.dim == ambient:
+                    break
         if not new_frontier:
             break
         dims.append(basis.dim)

@@ -6,8 +6,9 @@ per kind of violation, by the nesting lemmas in sweep_tc.  One driver,
 _sweep, runs every sweep and every cross-check: it runs a check over a word
 space (optionally one deterministic shard of it), seeded random words, or
 seeded random generating sets; the report's summary carries the
-words_checked / max_length / alphabet_size record the CLI prints.  Zero
-counterexamples is expected everywhere.
+words_checked / max_length / alphabet_size record the CLI prints, and a
+cross-check's summary also a space record naming every part of the space it
+drew its cases from.  Zero counterexamples is expected everywhere.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .words import Alphabet, Word, complexity_profile, count_distinct_factors, f
 # The cross-checks' fixed spaces; the CLI varies only counts, lengths and seeds.
 RANDOM_ALPHABETS = (2, 3, 4)  # letters of the random words of shape and profiles
 QPT_ALPHABET, QPT_RANDOM_WORDS, QPT_RANDOM_MAX_LEN = 2, 200, 30
+QPT_RANDOM_ALPHABETS = (2, 3)
 LENGTH_N, LENGTH_P, LENGTH_GENS, LENGTH_CAP = 2, 5, 2, 8
 
 Case = TypeVar("Case")
@@ -45,6 +47,7 @@ class SweepReport:
     max_length: int
     words_checked: int
     counterexamples: list[dict] = field(default_factory=list)
+    space: dict | None = None
 
     def __post_init__(self) -> None:
         # one canonical order, so a report does not depend on the order in
@@ -56,13 +59,16 @@ class SweepReport:
         return not self.counterexamples
 
     def summary(self) -> dict:
-        return {
+        out = {
             "theorem": self.name,
             "words_checked": self.words_checked,
             "max_length": self.max_length,
             "alphabet_size": self.alphabet_size,
             "counterexamples": len(self.counterexamples),
         }
+        if self.space is not None:
+            out["space"] = self.space
+        return out
 
 
 def merge_reports(parts: list[SweepReport]) -> SweepReport:
@@ -77,18 +83,23 @@ def merge_reports(parts: list[SweepReport]) -> SweepReport:
         head.max_length,
         sum(p.words_checked for p in parts),
         [ce for part in parts for ce in part.counterexamples],
+        head.space,
     )
 
 
 def _sweep(name: str, alphabet_size: int, max_len: int, cases: Iterator[Case],
-           check: Callable[[Case], Iterator[dict]]) -> SweepReport:
+           check: Callable[[Case], Iterator[dict]], space: dict | None = None) -> SweepReport:
     """Count every case and collect the counterexamples check yields for it."""
     checked = 0
     bad: list[dict] = []
     for case in cases:
         checked += 1
         bad += check(case)
-    return SweepReport(name, alphabet_size, max_len, checked, bad)
+    return SweepReport(name, alphabet_size, max_len, checked, bad, space)
+
+
+def _random_space(count: int, max_len: int, sizes: tuple[int, ...]) -> dict:
+    return {"words": count, "max_length": max_len, "alphabet_sizes": list(sizes)}
 
 
 def _random_words(rng: random.Random, count: int, max_len: int,
@@ -212,7 +223,8 @@ def _check_profiles(w: Word) -> Iterator[dict]:
 def cross_validate_profiles(count: int, max_len: int, seed: int = 0) -> SweepReport:
     """Suffix-automaton profile versus substring-set profile, exact."""
     words = _random_words(random.Random(seed), count, max_len, RANDOM_ALPHABETS)
-    return _sweep("profiles", max(RANDOM_ALPHABETS), max_len, words, _check_profiles)
+    space = {"random": _random_space(count, max_len, RANDOM_ALPHABETS)}
+    return _sweep("profiles", max(RANDOM_ALPHABETS), max_len, words, _check_profiles, space)
 
 
 def _check_qpt(w: Word) -> Iterator[dict]:
@@ -228,9 +240,14 @@ def cross_validate_qpt(max_len: int, seed: int = 0) -> SweepReport:
     max_len, then QPT_RANDOM_WORDS random longer words over 2 or 3 letters."""
     words = chain(
         enumerate_words(QPT_ALPHABET, max_len),
-        _random_words(random.Random(seed), QPT_RANDOM_WORDS, QPT_RANDOM_MAX_LEN, (2, 3)),
+        _random_words(random.Random(seed), QPT_RANDOM_WORDS, QPT_RANDOM_MAX_LEN,
+                      QPT_RANDOM_ALPHABETS),
     )
-    return _sweep("qpt", QPT_ALPHABET, max_len, words, _check_qpt)
+    space = {
+        "exhaustive": {"alphabet_size": QPT_ALPHABET, "max_length": max_len},
+        "random": _random_space(QPT_RANDOM_WORDS, QPT_RANDOM_MAX_LEN, QPT_RANDOM_ALPHABETS),
+    }
+    return _sweep("qpt", QPT_ALPHABET, max_len, words, _check_qpt, space)
 
 
 def _check_length(S: GeneratorSet) -> Iterator[dict]:
@@ -255,4 +272,6 @@ def cross_validate_length(count: int = 50, seed: int = 0) -> SweepReport:
                      tuple(random_matrix(field_, LENGTH_N, rng) for _ in range(LENGTH_GENS)))
         for _ in range(count)
     )
-    return _sweep("length", LENGTH_N, LENGTH_CAP, sets, _check_length)
+    space = {"n": LENGTH_N, "p": LENGTH_P, "generators": LENGTH_GENS, "cap": LENGTH_CAP,
+             "sets": count}
+    return _sweep("length", LENGTH_N, LENGTH_CAP, sets, _check_length, space)

@@ -18,7 +18,7 @@ from wordlen.algebra import (
 )
 from wordlen.bounds import best_main_bound
 from wordlen.linalg import FMatrix, PrimeField, SpanBasis, min_poly, random_matrix
-from wordlen.oracles import _GaussRows
+from wordlen.oracles import _GaussRows, brute_length
 from wordlen.words import Word, count_distinct_factors
 
 F5 = PrimeField(5)
@@ -76,6 +76,27 @@ class TestLengthTrace:
             assert all(b > a for a, b in zip(trace.dims, trace.dims[1:]))
             assert trace.dims[0] == 1
             assert trace.length <= trace.generated_dim - 1
+
+    def test_no_insert_after_full_span(self, monkeypatch):
+        # PAIR's span is full after E12 E21 = E11 at level 2; the walk must
+        # not go on to multiply and insert E21 E12 and E21 E21.
+        sets = [PAIR] + [S for S, _ in sample_generating_sets(
+            20, dims=(2, 3, 4, 5, 6), primes=(5, 10007), seed=20)]
+        late: list = []
+
+        class CountingBasis(SpanBasis):
+            def insert(self, vec):
+                if self.dim == self.ambient_dim:
+                    late.append(vec)
+                return super().insert(vec)
+
+        monkeypatch.setattr(algebra, "SpanBasis", CountingBasis)
+        for S in sets:
+            trace = length_trace(S, S.n * S.n)
+            assert trace.generated_dim == S.n * S.n
+            assert late == []
+            if S.n <= 3:
+                assert trace == brute_length(S, cap=trace.length + 1)
 
 
 class TestReducibility:

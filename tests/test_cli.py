@@ -595,3 +595,26 @@ class TestOracle:
         )
         assert code == 0
         assert out.count("PASS") == 3
+
+    def test_json_summaries_name_the_space_checked(self, capsys):
+        # Each cross-check's record names every part of its case space; the
+        # old alphabet_size / max_length keys stay as they were.
+        code, out = run(capsys, "oracle", "--words", "50", "--qpt-maxlen", "6",
+                        "--sets", "5", "--json")
+        assert code == 0
+        assert [json.loads(line) for line in out.splitlines()] == [
+            {"theorem": "profiles", "words_checked": 50, "max_length": 300,
+             "alphabet_size": 4, "counterexamples": 0, "status": "PASS",
+             "space": {"random": {"words": 50, "max_length": 300,
+                                  "alphabet_sizes": [2, 3, 4]}}},
+            {"theorem": "qpt", "words_checked": 326, "max_length": 6,
+             "alphabet_size": 2, "counterexamples": 0, "status": "PASS",
+             "space": {"exhaustive": {"alphabet_size": 2, "max_length": 6},
+                       "random": {"words": 200, "max_length": 30,
+                                  "alphabet_sizes": [2, 3]}}},
+            {"theorem": "length", "words_checked": 5, "max_length": 8,
+             "alphabet_size": 2, "counterexamples": 0, "status": "PASS",
+             "space": {"n": 2, "p": 5, "generators": 2, "cap": 8, "sets": 5}},
+        ]
+        # under sort_keys, space sorts before theorem, as CI's grep needs
+        assert out.splitlines()[2].endswith('"theorem": "length", "words_checked": 5}')
