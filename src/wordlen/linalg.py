@@ -5,9 +5,9 @@ pack a vector of residues into one Python int of fixed-width slots, so a
 whole linear combination is one C-level sum(map(mul, ...)) whose slots are
 then reduced mod p; the slot codec (_slot_width, _pack, _residues) is shared.
 Matrix products pack each row of the right operand (see FMatrix.__matmul__).
-Matrices vectorize row-major; a span basis keeps one packed int per row, in
-reduced row-echelon form mod p with the pivot at the lowest nonzero column
-(see SpanBasis).
+Matrices vectorize row-major; a span basis keeps its reduced row-echelon
+rows mod p as packed ints without their all-pivot leading columns, which
+hold only the pivot's 1 and zeros (see SpanBasis).
 """
 
 from __future__ import annotations
@@ -188,14 +188,19 @@ class FMatrix:
 class SpanBasis:
     """Incrementally built reduced row-echelon basis of a vector span.
 
-    Row i, inserted i-th, is one packed int of ambient_dim slots (see
-    _pack); ``_pivots[i]`` is its pivot, the lowest column where it is
-    nonzero.  Mod p the rows are the reduced row-echelon rows: row i is 1 at
-    its own pivot and 0 at every other pivot.  That gives the coefficient
-    identity the reduction rests on: a vector v in the span equals
-    sum_i v[_pivots[i]] * row_i, so v's residual is the one multiply-sum
-    v + sum_i (-v[_pivots[i]] mod p) * row_i, and v is in the span iff every
-    residual slot is 0 mod p.
+    ``_pivots[i]`` is the pivot, the lowest nonzero column, of row i, the
+    i-th inserted.  Mod p the rows are the reduced row-echelon rows: row i
+    is 1 at its own pivot and 0 at every other pivot.  That gives the
+    coefficient identity the reduction rests on: a vector v in the span
+    equals sum_i v[_pivots[i]] * row_i, so v's residual is the one
+    multiply-sum v + sum_i (-v[_pivots[i]] mod p) * row_i, and v is in the
+    span iff every residual slot is 0 mod p.
+
+    On the pivot prefix [0, base), the leading columns that are all pivots,
+    rows and residuals hold only those 1s and 0s, so a row is one packed int
+    of the slots [base, d) (see _pack) and only v[base:] is packed.  A pivot
+    at base moves base past every column now a pivot (several, after pivots
+    out of order) and drops those slots: k dense rows keep d - k slots each.
 
     The slots are left unreduced, which keeps the rows exact: every slot is
     a nonnegative integer congruent mod p to the reduced entry, and no sum
@@ -206,7 +211,8 @@ class SpanBasis:
     below p times such rows to a residue, so its slots stay below
     (p-1) + d(p-1)((p-1) + d(p-1)^2); the slot width is the smallest of 1,
     2, 4, 8 and 16 bytes that holds that bound, and a larger bound raises
-    ValueError.
+    ValueError.  Every slot is nonnegative, so dropping low slots is an
+    exact shift that leaves the bound as it is.
 
     Single-writer: concurrent reads are fine between inserts.
     """
@@ -216,6 +222,7 @@ class SpanBasis:
         self.field = field
         q, d = field.p - 1, ambient_dim
         self._width = _slot_width(q + d * q * (q + d * q * q))
+        self._base = 0
         self._pivots: list[int] = []
         self._rows: list[int] = []
 
@@ -225,12 +232,13 @@ class SpanBasis:
 
     @property
     def rows(self) -> list[tuple[int, ...]]:
-        """The reduced row-echelon rows, sorted by pivot."""
-        width, p = self._width, self.field.p
-        size = self.ambient_dim * width
+        """The reduced row-echelon rows, sorted by pivot, prefix rebuilt."""
+        width, p, base = self._width, self.field.p, self._base
+        size = (self.ambient_dim - base) * width
         return [
-            tuple(_residues(row.to_bytes(size, "little"), width, p))
-            for _, row in sorted(zip(self._pivots, self._rows))
+            (*(int(c == pivot) for c in range(base)),
+             *_residues(row.to_bytes(size, "little"), width, p))
+            for pivot, row in sorted(zip(self._pivots, self._rows))
         ]
 
     def copy(self) -> "SpanBasis":
@@ -239,12 +247,12 @@ class SpanBasis:
         return dup
 
     def _residual(self, vec: Sequence[int]) -> Iterator[int]:
-        """vec's residual against the rows, slot by slot, reduced mod p."""
+        """vec's residual on columns [base, d), slot by slot, reduced mod p."""
         if len(vec) != self.ambient_dim:
             raise ValueError(f"vector length {len(vec)} != ambient {self.ambient_dim}")
-        p = self.field.p
+        p, base = self.field.p, self._base
         coeffs = list(map(vec.__getitem__, self._pivots))
-        reduced = map(p.__rmod__, vec)
+        reduced = map(p.__rmod__, vec[base:])
         if not any(coeffs):
             # Zero at every pivot: vec is its own residual.  Structured
             # products are sparse, so this skips many multiply-sums.
@@ -253,9 +261,8 @@ class SpanBasis:
             map(mul, map(p.__rmod__, map(neg, coeffs)), self._rows),
             _pack(list(reduced), self._width),
         )
-        return _residues(
-            residual.to_bytes(self.ambient_dim * self._width, "little"), self._width, p
-        )
+        size = (self.ambient_dim - base) * self._width
+        return _residues(residual.to_bytes(size, "little"), self._width, p)
 
     def insert(self, vec: Sequence[int]) -> bool:
         """Add vec to the span; True iff it was independent."""
@@ -263,20 +270,27 @@ class SpanBasis:
         lead = next(filter(None, res), 0)
         if not lead:
             return False
-        p, width = self.field.p, self._width
+        p, width, base, pivots = self.field.p, self._width, self._base, self._pivots
         # The new row w is res scaled to 1 at its pivot; every row r that is
-        # a != 0 there gains (p - a) * w, one big-int update per row.
-        pivot = res.index(lead)
+        # a != 0 there gains (p - a) * w, one big-int update per row, and
+        # the same pass drops the slots of columns that joined the prefix.
+        slot = res.index(lead)
+        pivots.append(base + slot)
+        while base in pivots:
+            base += 1
         inv = pow(lead, p - 2, p)
         new = _pack(list(map(p.__rmod__, map(mul, res, repeat(inv)))), width)
-        shift, mask = 8 * width * pivot, (1 << 8 * width) - 1
+        shift, mask = 8 * width * slot, (1 << 8 * width) - 1
+        drop = 8 * width * (base - self._base)
         rows = self._rows
         for i, row in enumerate(rows):
             a = (row >> shift & mask) % p
             if a:
-                rows[i] = row + (p - a) * new
-        rows.append(new)
-        self._pivots.append(pivot)
+                rows[i] = (row + (p - a) * new) >> drop
+            elif drop:
+                rows[i] = row >> drop
+        rows.append(new >> drop)
+        self._base = base
         return True
 
     def contains(self, vec: Sequence[int]) -> bool:

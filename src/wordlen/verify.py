@@ -210,7 +210,8 @@ def _check_shape(w: Word) -> Iterator[dict]:
 def sweep_profile_shape(count: int, max_len: int, seed: int = 0) -> SweepReport:
     """Random words must never violate the three-phase profile shape."""
     words = _random_words(random.Random(seed), count, max_len, RANDOM_ALPHABETS)
-    return _sweep("shape", max(RANDOM_ALPHABETS), max_len, words, _check_shape)
+    space = {"random": _random_space(count, max_len, RANDOM_ALPHABETS)}
+    return _sweep("shape", max(RANDOM_ALPHABETS), max_len, words, _check_shape, space)
 
 
 def _check_profiles(w: Word) -> Iterator[dict]:

@@ -182,7 +182,13 @@ class TestVerify:
 
     def test_shape(self, capsys):
         code, out = run(capsys, "verify", "shape", "--count", "200", "--maxlen", "50")
-        assert code == 0 and last_json(out)["counterexamples"] == 0
+        # The record names the random words' alphabets; the old keys stay.
+        assert code == 0 and last_json(out) == {
+            "theorem": "shape", "words_checked": 200, "max_length": 50,
+            "alphabet_size": 4, "counterexamples": 0,
+            "space": {"random": {"words": 200, "max_length": 50,
+                                 "alphabet_sizes": [2, 3, 4]}},
+        }
 
     def test_budget_flag(self, capsys):
         code, _ = run(capsys, "verify", "mh", "--maxlen", "8", "--budget", "5")

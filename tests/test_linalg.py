@@ -350,6 +350,67 @@ class TestSpanBasisAtScale:
             SpanBasis(200_000, PrimeField(2147483647))
 
 
+def _stored_slots(basis):
+    """The most slots any stored row spans."""
+    return max((-(-row.bit_length() // (8 * basis._width)) for row in basis._rows), default=0)
+
+
+class TestPivotPrefix:
+    """Rows are stored only from `_base`, the first non-pivot column, on."""
+
+    @pytest.mark.parametrize("p", [10007, 2147483647])
+    def test_dense_inserts_advance_the_prefix(self, p):
+        d = 144
+        rng = random.Random(p + d)
+        vecs = [[rng.randrange(p) for _ in range(d)] for _ in range(d)]
+        basis = SpanBasis(d, PrimeField(p))
+        for j, v in enumerate(vecs, start=1):
+            assert basis.insert(v)
+            # A dense vector pivots at the first free column, so the prefix
+            # is every column so far and each row keeps d - j slots.
+            assert basis._base == j and _stored_slots(basis) <= d - j
+            if j == 100:
+                assert basis.rows == _rref(p, vecs[:j])
+                coeffs = [rng.randrange(p) for _ in range(j)]
+                combo = [sum(map(mul, coeffs, col)) % p for col in zip(*vecs[:j])]
+                assert basis.contains(combo)
+                assert not basis.contains(vecs[j])
+        assert basis.rows == _rref(p, vecs)
+        assert basis._rows == [0] * d
+        assert basis.contains(vecs[0]) and not basis.insert(vecs[-1])
+
+    @pytest.mark.parametrize("p", [13, 10007, 2147483647])
+    def test_out_of_order_pivots_move_the_prefix_by_several(self, p):
+        d = 6
+        # Pivots at 2, then 1, then 0: the third insert fills columns 0..2.
+        vecs = [[0, 0, 1, 5, 0, 7], [0, 2, 3, 0, 4, 1], [3, 1, 0, 2, 0, 6]]
+        basis = SpanBasis(d, PrimeField(p))
+        bases = []
+        for v in vecs:
+            assert basis.insert(v)
+            bases.append(basis._base)
+        assert bases == [0, 0, 3]
+        assert basis.rows == _rref(p, vecs) and _stored_slots(basis) <= 3
+        combo = [(2 * a - b + 5 * c) % p for a, b, c in zip(*vecs)]
+        assert basis.contains(combo) and not basis.insert(combo)
+        unit3, left, right = [0, 0, 0, 1, 0, 0], [0, 0, 0, 1, 1, 1], [0, 0, 0, 0, 1, 2]
+        assert not basis.contains(unit3)
+
+        dup = basis.copy()
+        assert basis.insert(left) and basis._base == 4
+        assert dup._base == 3 and dup.rows == _rref(p, vecs)
+        assert dup.insert(right) and dup._base == 3  # pivot 4 is past the prefix
+        assert basis.rows == _rref(p, vecs + [left])
+        assert dup.rows == _rref(p, vecs + [right])
+        assert basis.contains(left) and not dup.contains(left)
+        assert dup.contains(right) and not basis.contains(right)
+        # Pivot 3 joins pivot 4, so the copy's prefix moves by two.
+        assert dup.insert(unit3) and dup._base == 5 and basis._base == 4
+        assert dup.rows == _rref(p, vecs + [right, unit3]) and _stored_slots(dup) <= 1
+        assert dup.contains([0, 0, 0, 1, 1, 2]) and not dup.contains(left)
+        assert basis.rows == _rref(p, vecs + [left])
+
+
 class TestMinPoly:
     def test_nilpotent(self):
         mu = min_poly(E(F5, 2, 0, 1))
