@@ -16,7 +16,15 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
-from .linalg import FMatrix, PrimeField, SpanBasis, load_matrix_set, min_poly
+from .linalg import (
+    FMatrix,
+    PrimeField,
+    SpanBasis,
+    load_matrix_set,
+    min_poly,
+    slot_residues,
+    stack_products,
+)
 from .powers import Exponent, max_factor_exponent
 from .words import Alphabet, Word, count_distinct_factors
 
@@ -140,32 +148,60 @@ def length_trace(S: GeneratorSet, max_len: int) -> LengthTrace:
     span already holds every later product, so none of them is independent,
     and the level's first independent word is already recorded: dims,
     words and the length come out as if the level had been finished.
+
+    The frontier is its words plus one flat stack of their matrices'
+    reduced entries.  A level multiplies the stack by every generator in
+    chunks of ceil((n^2 - dim) / |S|) frontier matrices (stack_products),
+    and the basis reduces each product from its packed slots, so no
+    FMatrix is built per candidate.  A chunk holds fewer than |S| products
+    more than the span still lacks, so the fill rule bounds the products
+    too: a level that fills leaves only the rest of its last chunk
+    unreduced.  Chunks change no candidate's order, so the proof above
+    holds as it stands.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     ambient = S.n * S.n
     basis = SpanBasis(ambient, S.field)
-    ident = FMatrix.identity(S.field, S.n)
-    basis.insert(ident.vectorize())
+    p, width = S.field.p, basis.width
+    ident = FMatrix.identity(S.field, S.n).vectorize()
+    basis.insert(ident)
     dims = [1]
     words: list[tuple[int, ...]] = []
-    frontier: list[tuple[tuple[int, ...], FMatrix]] = [((), ident)]
+    frontier: list[tuple[int, ...]] = [()]
+    stack = list(ident)
+
+    def candidates(frontier, stack):
+        """Each frontier word extended by each generator, in that order,
+        with its product's packed slots, multiplied a chunk at a time."""
+        start = 0
+        while start < len(frontier):
+            # at least one matrix, so the walk advances even past a fill
+            count = max(1, -(-(ambient - basis.dim) // len(S.gens)))
+            chunk_words = frontier[start:start + count]
+            chunk = stack_products(stack[start * ambient:(start + count) * ambient],
+                                   S.gens, width)
+            size = len(chunk[0]) // len(chunk_words)  # array items per product
+            for k, word in enumerate(chunk_words):
+                for letter, prods in enumerate(chunk):
+                    yield word + (letter,), prods[k * size:(k + 1) * size]
+            start += count
+
     while basis.dim < ambient:
         if len(dims) > max_len:  # this level's products have length len(dims)
             raise CapExceeded(max_len)
-        new_frontier = []
-        candidates = ((word + (letter,), mat @ g)
-                      for word, mat in frontier for letter, g in enumerate(S.gens))
-        for word, prod in candidates:
-            if basis.insert(prod.vectorize()):
-                new_frontier.append((word, prod))
+        new_frontier, new_stack = [], []
+        for word, slots in candidates(frontier, stack):
+            if basis.insert_slots(slots):
+                new_frontier.append(word)
+                new_stack += slot_residues(slots, width, p)
                 if basis.dim == ambient:
                     break
         if not new_frontier:
             break
         dims.append(basis.dim)
-        words.append(new_frontier[0][0])
-        frontier = new_frontier
+        words.append(new_frontier[0])
+        frontier, stack = new_frontier, new_stack
     return LengthTrace(tuple(dims), len(dims) - 1, dims[-1], tuple(words))
 
 

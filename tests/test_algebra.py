@@ -17,7 +17,14 @@ from wordlen.algebra import (
     length_trace,
 )
 from wordlen.bounds import best_main_bound
-from wordlen.linalg import FMatrix, PrimeField, SpanBasis, min_poly, random_matrix
+from wordlen.linalg import (
+    FMatrix,
+    PrimeField,
+    SpanBasis,
+    min_poly,
+    random_matrix,
+    shift_to_invertible,
+)
 from wordlen.oracles import _GaussRows, brute_length
 from wordlen.words import Word, count_distinct_factors
 
@@ -83,18 +90,24 @@ class TestLengthTrace:
         sets = [PAIR] + [S for S, _ in sample_generating_sets(
             20, dims=(2, 3, 4, 5, 6), primes=(5, 10007), seed=20)]
         late: list = []
+        calls: list = []
 
         class CountingBasis(SpanBasis):
-            def insert(self, vec):
+            # The walk inserts its products through insert_slots, and insert
+            # calls it too, so this sees every insert.
+            def insert_slots(self, slots):
+                calls.append(slots)
                 if self.dim == self.ambient_dim:
-                    late.append(vec)
-                return super().insert(vec)
+                    late.append(slots)
+                return super().insert_slots(slots)
 
         monkeypatch.setattr(algebra, "SpanBasis", CountingBasis)
         for S in sets:
             trace = length_trace(S, S.n * S.n)
             assert trace.generated_dim == S.n * S.n
+            assert len(calls) > S.n * S.n - 1  # the hook saw the walk
             assert late == []
+            calls.clear()
             if S.n <= 3:
                 assert trace == brute_length(S, cap=trace.length + 1)
 
@@ -278,6 +291,14 @@ def _dfs_liw_words(S):
     return found
 
 
+def _trace_or_cap(walk, S, cap):
+    """walk(S, cap), or "cap" when it raises CapExceeded."""
+    try:
+        return walk(S, cap)
+    except CapExceeded:
+        return "cap"
+
+
 def _oracle_sets():
     """Full sets with n in {2, 3}; Jordan-corner sets with n in {4, 5},
     whose l(S) = 2n - 2 gives long minimal words; then sets whose walk ends
@@ -323,6 +344,64 @@ class TestAgainstBruteForce:
         for S in sets:
             words = [e.word for e in check_liw_complexity(S).entries]
             assert words == _dfs_liw_words(S), S
+
+    def test_matches_brute_length_at_every_slot_width(self):
+        # Seeded sets over GF(2), GF(13), GF(10007) and GF(2^31 - 1) with
+        # n = 1-3 and 1-3 generators, dense or sparse, each at caps 1, 2 and
+        # n^2: the walk's span bases have 1-, 2-, 4-, 8- and 16-byte slots,
+        # and each case ends full, below full or at the cap on both sides.
+        rng = random.Random(22)
+        widths, outcomes = set(), set()
+        for p in (2, 13, 10007, 2147483647):
+            field = PrimeField(p)
+            for _ in range(16):
+                n, dense = rng.randint(1, 3), rng.random() < 0.5
+
+                def entry():
+                    return rng.randrange(p) if dense or rng.random() < 1 / 3 else 0
+
+                gens = tuple(
+                    FMatrix.from_rows(field, [[entry() for _ in range(n)] for _ in range(n)])
+                    for _ in range(rng.randint(1, 3))
+                )
+                S = GeneratorSet(field, n, gens)
+                widths.add(SpanBasis(n * n, field).width)
+                for cap in (1, 2, n * n):
+                    fast, slow = _trace_or_cap(length_trace, S, cap), _trace_or_cap(brute_length, S, cap)
+                    assert fast == slow, (S, cap)
+                    outcomes.add(fast if fast == "cap" else fast.generated_dim == n * n)
+        assert widths == {1, 2, 4, 8, 16}
+        assert outcomes == {"cap", True, False}
+
+    def test_matches_brute_length_on_wide_dependent_products(self):
+        # Over GF(2^31 - 1), dependent products whose 16-byte slots use
+        # their high halves, which must reduce to zero from those slots:
+        # - random upper-triangular pairs conjugated by a random invertible
+        #   q, n = 4-6: dense products in a span of n(n + 1)/2 < n^2
+        #   dimensions;
+        # - the all-(p - 1) matrix -J with the upper-triangular -(I + N + N^2
+        #   + ...), n = 5, 6: (-J)^2 = nJ is dependent, and its every slot
+        #   is n(p - 1)^2 > 2^64 before reduction.
+        p = 2147483647
+        field = PrimeField(p)
+        rng = random.Random(2231)
+        sets = []
+        for n in (4, 5, 6):
+            x = random_matrix(field, n, rng)
+            shift = shift_to_invertible(x)
+            q = x + FMatrix.identity(field, n).scale(shift.lam)
+            upper = [FMatrix.from_rows(field, [[rng.randrange(p) if j >= i else 0 for j in range(n)]
+                                               for i in range(n)]) for _ in range(2)]
+            sets.append(GeneratorSet(field, n, tuple(q @ u @ shift.inverse for u in upper)))
+        for n in (5, 6):
+            minus_j = FMatrix.from_rows(field, [[p - 1] * n] * n)
+            minus_upper = FMatrix.from_rows(field, [[p - 1 if j >= i else 0 for j in range(n)]
+                                                    for i in range(n)])
+            sets.append(GeneratorSet(field, n, (minus_j, minus_upper)))
+        for S in sets[:3]:
+            assert length_trace(S, 2 * S.n).generated_dim == S.n * (S.n + 1) // 2
+        for S in sets:
+            assert length_trace(S, 2 * S.n) == brute_length(S, 2 * S.n)
 
     def test_is_reducible(self):
         # the level bases decide reducibility for every word, also for words

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from array import array
 from itertools import product
 from operator import mul
 
@@ -14,11 +15,14 @@ from wordlen.linalg import (
     PrimeField,
     SpanBasis,
     _poly_at,
+    _slot_width,
     load_matrix_set,
     min_poly,
     shift_to_invertible,
+    slot_residues,
+    stack_products,
 )
-from wordlen.oracles import _GaussRows
+from wordlen.oracles import _GaussRows, _schoolbook_product
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
@@ -140,6 +144,70 @@ class TestProductAgainstSchoolbook:
         for a in mats:
             for b in mats:
                 assert (a @ b).entries == schoolbook(a.entries, b.entries, p)
+
+
+def _slot_values(slots, width):
+    """The exact integer in each slot; 16-byte slots are two 64-bit halves."""
+    if width == 16:
+        return [lo + (hi << 64) for lo, hi in zip(slots[::2], slots[1::2])]
+    return list(slots)
+
+
+def _native_slots(values, width):
+    """Native-order slots of width bytes holding values, any below 2^(8 width)."""
+    if width == 16:
+        return array("Q", [half for v in values for half in (v & (2**64 - 1), v >> 64)])
+    return array({1: "B", 2: "H", 4: "I", 8: "Q"}[width], values)
+
+
+class TestStackProducts:
+    """The stack kernel against the triple loop, over every slot width."""
+
+    @staticmethod
+    def _check(stack, gens, width):
+        p, n = gens[0].field.p, gens[0].n
+        flat = [x for a in stack for x in a.vectorize()]
+        out = stack_products(flat, gens, width)
+        assert len(out) == len(gens)
+        for prods, g in zip(out, gens):
+            # The slots hold the exact products: a modulus above every dot
+            # product makes the triple loop exact too.
+            exact = [_schoolbook_product(a.entries, g.entries, n * (p - 1) ** 2 + 1) for a in stack]
+            assert _slot_values(prods, width) == [x for mat in exact for row in mat for x in row]
+            reduced = [_schoolbook_product(a.entries, g.entries, p) for a in stack]
+            assert slot_residues(prods, width, p) == [x for mat in reduced for row in mat for x in row]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from((2, 3, 13, 10007, 2147483647)), st.integers(1, 12),
+           st.sampled_from((1, 2, 5)), st.integers(1, 3), st.data())
+    def test_matches_schoolbook(self, p, n, count, letters, data):
+        # The narrowest slots that hold n(p - 1)^2 (1 to 16 bytes over these
+        # primes) and the span basis's slots, which the walk uses.
+        field = PrimeField(p)
+        stack = [data.draw(square_matrix(field, n)) for _ in range(count)]
+        gens = [data.draw(square_matrix(field, n)) for _ in range(letters)]
+        for width in {_slot_width(n * (p - 1) ** 2), SpanBasis(n * n, field).width}:
+            self._check(stack, gens, width)
+
+    @pytest.mark.parametrize("p,n,width", [(2, 12, 1), (13, 2, 2), (10007, 12, 4),
+                                           (2147483647, 4, 8), (2147483647, 5, 16)])
+    def test_slot_width_boundary(self, p, n, width):
+        # Stacks of all-(p - 1) matrices reach n(p - 1)^2, the top of the
+        # narrowest width, in every slot.
+        field = PrimeField(p)
+        assert _slot_width(n * (p - 1) ** 2) == width
+        full = FMatrix.from_rows(field, [[p - 1] * n] * n)
+        rng = random.Random(p + n)
+        dense = FMatrix.from_rows(field, [[rng.randrange(p) for _ in range(n)] for _ in range(n)])
+        for count in (1, 2, 5):
+            self._check([full, dense, FMatrix.identity(field, n), FMatrix.zero(field, n), full][:count],
+                        [full, dense], width)
+
+    def test_too_narrow_slots_rejected(self):
+        field = PrimeField(13)
+        ident = FMatrix.identity(field, 2)
+        with pytest.raises(ValueError, match=r"^1-byte slots cannot hold 2 x 2 products mod 13$"):
+            stack_products(list(ident.vectorize()), [ident], 1)
 
 
 class TestSpanBasis:
@@ -293,7 +361,7 @@ class TestSpanBasisAtScale:
                     v[rng.randrange(d)] = rng.randrange(1, p)
                 vecs.append(v)
         basis = SpanBasis(d, PrimeField(p))
-        assert basis._width == width
+        assert basis.width == width
         oracle = _GaussRows(p)
         for v in vecs:
             in_span = basis.contains(v)
@@ -350,9 +418,50 @@ class TestSpanBasisAtScale:
             SpanBasis(200_000, PrimeField(2147483647))
 
 
+class TestInsertSlots:
+    """insert_slots takes unreduced slots up to d(p - 1)^2, the products the
+    walk feeds it, and agrees with insert on their residues."""
+
+    @pytest.mark.parametrize("p,d", [(2, 9), (3, 9), (13, 4), (13, 9), (10007, 36),
+                                     (10007, 144), (2147483647, 16), (2147483647, 64)])
+    def test_unreduced_slots_match_residues(self, p, d):
+        rng = random.Random(p + d)
+        field = PrimeField(p)
+        top = d * (p - 1) ** 2
+        hidden = [[rng.randrange(p) for _ in range(d)] for _ in range(d // 2)]
+        vecs = []
+        for _ in range(2 * d):
+            kind = rng.random()
+            if kind < 0.4:  # in a hidden subspace: dependent through combinations
+                coeffs = [rng.randrange(p) for _ in hidden]
+                vecs.append([sum(map(mul, coeffs, col)) % p for col in zip(*hidden)])
+            elif kind < 0.7:
+                vecs.append([rng.randrange(p) for _ in range(d)])
+            else:
+                vecs.append([rng.randrange(p) if rng.random() < 0.2 else 0 for _ in range(d)])
+        lifted, plain = SpanBasis(d, field), SpanBasis(d, field)
+        assert lifted.width == _slot_width(d * (p - 1) ** 2 + d * (p - 1) * ((p - 1) + top))
+        for v in vecs:
+            # Each slot is its residue plus a multiple of p, often the largest
+            # one that stays within d(p - 1)^2.
+            slots = [x + p * (rng.choice(((top - x) // p, rng.randrange((top - x) // p + 1))))
+                     for x in v]
+            assert max(slots) <= top
+            packed = _native_slots(slots, lifted.width)
+            assert lifted.contains(v) == plain.contains(v)
+            assert lifted.insert_slots(packed) == plain.insert(v)
+            assert lifted.dim == plain.dim and lifted._base == plain._base
+        assert lifted.rows == plain.rows == _rref(p, vecs)
+
+    def test_length_mismatch(self):
+        basis = SpanBasis(4, F5)
+        with pytest.raises(ValueError, match=r"^vector length 3 != ambient 4$"):
+            basis.insert_slots(_native_slots([1, 2, 3], basis.width))
+
+
 def _stored_slots(basis):
     """The most slots any stored row spans."""
-    return max((-(-row.bit_length() // (8 * basis._width)) for row in basis._rows), default=0)
+    return max((-(-row.bit_length() // (8 * basis.width)) for row in basis._rows), default=0)
 
 
 class TestPivotPrefix:
