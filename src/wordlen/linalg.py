@@ -9,9 +9,10 @@ multiply-sum core (_multiply_sums): a single product packs each row of the
 right operand (see FMatrix.__matmul__), and a stack of matrices times a
 generator packs each column of the stack (see stack_products).  Matrices
 vectorize row-major; a span basis keeps its reduced row-echelon rows mod p
-as packed ints without their all-pivot leading columns, which hold only the
-pivot's 1 and zeros, and reduces vectors given as packed slots, such as
-stack_products' unreduced products (see SpanBasis).
+as packed ints, shifts their all-pivot leading columns, which hold only the
+pivot's 1 and zeros, out once enough of them have piled up, and reduces
+vectors given as packed slots, such as stack_products' unreduced products
+(see SpanBasis).
 """
 
 from __future__ import annotations
@@ -263,10 +264,17 @@ class SpanBasis:
 
     On the pivot prefix [0, base), the leading columns that are all pivots,
     rows and residuals hold only those 1s and 0s, so a row is one packed int
-    of the slots [base, d) (see _pack) and only v's slots [base, d) are
-    packed.  A pivot at base moves base past every column now a pivot
-    (several, after pivots out of order) and drops those slots: k dense rows
-    keep d - k slots each.
+    of the slots [offset, d) (see _pack), where offset <= base is the first
+    stored column, and only v's slots [offset, d) are packed.  A pivot at
+    base moves base past every column now a pivot (several, after pivots out
+    of order).  The dead slots [offset, base) ride along in every later
+    multiply-add, while shifting them out costs one whole-row shift per row,
+    so an insert shifts every row right by base - offset slots only once
+    (base - offset)^2 >= d - base, the live slots: rows carry fewer than
+    sqrt(d - base) dead slots, the rule needs no constant, and at a full
+    span it always shifts, which leaves every row 0.  The back-substitution
+    reads a row's slot at the new pivot through a mask, which costs the
+    slots below the pivot, not a copy of the row.
 
     The slots are left unreduced, which keeps the rows exact: every slot is
     a nonnegative integer congruent mod p to the reduced entry, and no sum
@@ -280,7 +288,10 @@ class SpanBasis:
     the slot width is the smallest of 1, 2, 4, 8 and 16 bytes that holds
     that bound, and a larger bound raises ValueError.  Every slot is
     nonnegative, so dropping low slots is an exact shift that leaves the
-    bound as it is.
+    bound as it is.  A dead slot is a pivot column, and a new row, packed
+    from reduced residues, is exactly 0 at every pivot but its own, so no
+    insert adds to a dead slot after its column becomes a pivot: it keeps
+    the bound too.
 
     Single-writer: concurrent reads are fine between inserts.
     """
@@ -290,7 +301,8 @@ class SpanBasis:
         self.field = field
         q, d = field.p - 1, ambient_dim
         self.width = _slot_width(d * q * q + d * q * (q + d * q * q))
-        self._base = 0
+        self._base = 0  # the first non-pivot column
+        self._offset = 0  # the first stored column, at most _base
         self._pivots: list[int] = []
         self._rows: list[int] = []
 
@@ -301,10 +313,10 @@ class SpanBasis:
     @property
     def rows(self) -> list[tuple[int, ...]]:
         """The reduced row-echelon rows, sorted by pivot, prefix rebuilt."""
-        width, p, base = self.width, self.field.p, self._base
-        size = (self.ambient_dim - base) * width
+        width, p, offset = self.width, self.field.p, self._offset
+        size = (self.ambient_dim - offset) * width
         return [
-            (*(int(c == pivot) for c in range(base)),
+            (*(int(c == pivot) for c in range(offset)),
              *_residues(row.to_bytes(size, "little"), width, p))
             for pivot, row in sorted(zip(self._pivots, self._rows))
         ]
@@ -320,9 +332,9 @@ class SpanBasis:
         return _slot_array([x % p for x in vec], self.width)
 
     def _residual(self, slots: array) -> list[int]:
-        """The residual on columns [base, d) of the vector in slots, slot by
-        slot, reduced mod p."""
-        p, width, base, pivots = self.field.p, self.width, self._base, self._pivots
+        """The residual on columns [offset, d) of the vector in slots, slot
+        by slot, reduced mod p."""
+        p, width, offset, pivots = self.field.p, self.width, self._offset, self._pivots
         half = 2 if width == 16 else 1  # array items per slot
         if len(slots) != self.ambient_dim * half:
             raise ValueError(
@@ -336,12 +348,12 @@ class SpanBasis:
             # Zero at every pivot: the vector is its own residual.
             # Structured products are sparse, so this skips many
             # multiply-sums.
-            return slot_residues(slots[base * half:], width, p)
+            return slot_residues(slots[offset * half:], width, p)
         residual = sum(
             map(mul, coeffs, self._rows),
-            _pack(slots[base * half:]),
+            _pack(slots[offset * half:]),
         )
-        size = (self.ambient_dim - base) * width
+        size = (self.ambient_dim - offset) * width
         return _residues(residual.to_bytes(size, "little"), width, p)
 
     def insert_slots(self, slots: array) -> bool:
@@ -355,27 +367,31 @@ class SpanBasis:
         lead = next(filter(None, res), 0)
         if not lead:
             return False
-        p, width, base, pivots = self.field.p, self.width, self._base, self._pivots
+        p, width, offset, pivots = self.field.p, self.width, self._offset, self._pivots
         # The new row w is res scaled to 1 at its pivot; every row r that is
-        # a != 0 there gains (p - a) * w, one big-int update per row, and
-        # the same pass drops the slots of columns that joined the prefix.
+        # a != 0 there gains (p - a) * w, one big-int update per row.  The
+        # masked read of a costs the slots below the pivot, not a copy of r.
         slot = res.index(lead)
-        pivots.append(base + slot)
+        pivots.append(offset + slot)
+        base = self._base
         while base in pivots:
             base += 1
+        self._base = base
         inv = pow(lead, p - 2, p)
         new = _pack(_slot_array([x * inv % p for x in res], width))
-        shift, mask = 8 * width * slot, (1 << 8 * width) - 1
-        drop = 8 * width * (base - self._base)
+        shift = 8 * width * slot
+        mask = ((1 << 8 * width) - 1) << shift
         rows = self._rows
         for i, row in enumerate(rows):
-            a = (row >> shift & mask) % p
+            a = ((row & mask) >> shift) % p
             if a:
-                rows[i] = (row + (p - a) * new) >> drop
-            elif drop:
-                rows[i] = row >> drop
-        rows.append(new >> drop)
-        self._base = base
+                rows[i] = row + (p - a) * new
+        rows.append(new)
+        dead = base - offset
+        if dead * dead >= self.ambient_dim - base:
+            drop = 8 * width * dead
+            self._rows = [row >> drop for row in rows]
+            self._offset = base
         return True
 
     def insert(self, vec: Sequence[int]) -> bool:

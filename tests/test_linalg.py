@@ -465,7 +465,8 @@ def _stored_slots(basis):
 
 
 class TestPivotPrefix:
-    """Rows are stored only from `_base`, the first non-pivot column, on."""
+    """Rows are stored only from `_offset` on, at most `_base`, the first
+    non-pivot column."""
 
     @pytest.mark.parametrize("p", [10007, 2147483647])
     def test_dense_inserts_advance_the_prefix(self, p):
@@ -476,8 +477,12 @@ class TestPivotPrefix:
         for j, v in enumerate(vecs, start=1):
             assert basis.insert(v)
             # A dense vector pivots at the first free column, so the prefix
-            # is every column so far and each row keeps d - j slots.
-            assert basis._base == j and _stored_slots(basis) <= d - j
+            # is every column so far.  Each row keeps the d - offset stored
+            # slots, and the dead slots [offset, base) are shifted out once
+            # (base - offset)^2 >= d - base, which always holds at a full span.
+            offset = basis._offset
+            assert basis._base == j and _stored_slots(basis) <= d - offset
+            assert (j - offset) ** 2 < d - j or j == d
             if j == 100:
                 assert basis.rows == _rref(p, vecs[:j])
                 coeffs = [rng.randrange(p) for _ in range(j)]
@@ -518,6 +523,83 @@ class TestPivotPrefix:
         assert dup.rows == _rref(p, vecs + [right, unit3]) and _stored_slots(dup) <= 1
         assert dup.contains([0, 0, 0, 1, 1, 2]) and not dup.contains(left)
         assert basis.rows == _rref(p, vecs + [left])
+
+
+class TestPivotLag:
+    """While the dead slots [offset, base) are still stored: rows, contains
+    and unreduced insert_slots, a pivot past the prefix, and a copy that
+    diverges and shifts its own prefix."""
+
+    @pytest.mark.parametrize("p", [13, 10007, 2147483647])
+    def test_lagging_prefix(self, p):
+        d = 36
+        rng = random.Random(p + d)
+        top = d * (p - 1) ** 2
+        basis = SpanBasis(d, PrimeField(p))
+
+        def echelon(j):
+            """A vector that pivots at column j while every pivot is below j
+            or has a zero there."""
+            return [0] * j + [1] + [rng.randrange(p) for _ in range(d - j - 1)]
+
+        def lifted(v):
+            """v's slots, each its residue plus a multiple of p, at most top."""
+            return _native_slots([x + p * rng.randrange((top - x) // p + 1) for x in v],
+                                 basis.width)
+
+        def combo(vecs):
+            coeffs = [rng.randrange(p) for _ in vecs]
+            return [sum(map(mul, coeffs, col)) % p for col in zip(*vecs)]
+
+        def check(b, vecs, offset, base):
+            assert (b._offset, b._base) == (offset, base)
+            assert (base - offset) ** 2 < d - base or b.dim == d
+            assert _stored_slots(b) <= d - offset
+            assert b.rows == _rref(p, vecs) and b.dim == len(vecs)
+
+        vecs = []
+        for j in range(6):  # shifts at base 6: 6^2 >= 36 - 6
+            vecs.append(echelon(j))
+            assert basis.insert_slots(lifted(vecs[-1])) if j % 2 else basis.insert(vecs[-1])
+            check(basis, vecs, 0 if j < 5 else 6, j + 1)
+        # A pivot past the prefix, then two at its first free column: two
+        # dead slots, 2^2 < 36 - 8, stay stored.
+        for j in (20, 6, 7):
+            vecs.append(echelon(j))
+            assert basis.insert_slots(lifted(vecs[-1]))
+        check(basis, vecs, 6, 8)
+        assert basis.contains(combo(vecs)) and not basis.insert_slots(lifted(combo(vecs)))
+        fresh = [rng.randrange(p) for _ in range(d)]
+        assert not basis.contains(fresh)
+        # A pivot past the prefix while it lags: its slot is 25 - offset.
+        vecs.append(echelon(25))
+        assert basis.insert_slots(lifted(vecs[-1]))
+        check(basis, vecs, 6, 8)
+
+        dup = basis.copy()
+        check(dup, vecs, 6, 8)
+        mine, theirs = [echelon(8)], [echelon(8), echelon(9), echelon(10)]
+        assert basis.insert_slots(lifted(mine[0]))
+        check(basis, vecs + mine, 6, 9)
+        check(dup, vecs, 6, 8)
+        for v in theirs:  # base 11: 5^2 >= 36 - 11, so the copy shifts
+            assert dup.insert_slots(lifted(v))
+        check(dup, vecs + theirs, 11, 11)
+        check(basis, vecs + mine, 6, 9)
+        assert dup.contains(combo(vecs + theirs)) and not dup.contains(mine[0])
+        assert basis.contains(combo(vecs + mine)) and not basis.contains(theirs[1])
+
+        # Fill both: the insert that fills the span shifts every row to 0.
+        for b, kept in ((basis, vecs + mine), (dup, vecs + theirs)):
+            oracle = _GaussRows(p)
+            for v in kept:
+                oracle.insert(v)
+            while b.dim < d:
+                v = [rng.randrange(p) for _ in range(d)]
+                assert b.insert_slots(lifted(v)) == oracle.insert(v)
+                assert (b._base - b._offset) ** 2 < d - b._base or b.dim == d
+            assert b._offset == b._base == d and b._rows == [0] * d
+            assert b.rows == [tuple(int(i == j) for i in range(d)) for j in range(d)]
 
 
 class TestMinPoly:
