@@ -9,9 +9,11 @@ verify checks the theorems that tie the two together, word by word.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import indexOf, le
 
 from .powers import Exponent
-from .words import SuffixAutomaton, Word, complexity_profile
+from .words import SuffixAutomaton, Word
 
 
 class ShapeViolation(RuntimeError):
@@ -110,20 +112,32 @@ def profile_shape(w: Word) -> ProfileShape:
     m_star is the least n with f(n+1) <= f(n); the profile must then stay
     constant through l - f(m_star) + 1 and afterwards drop by exactly one
     per step.  A ShapeViolation names the first offending index.
+
+    The phases are read off the automaton's histogram h of the repeat
+    lengths, since f(n + 1) - f(n) = h[n] - 1 (see ``SuffixAutomaton``):
+    the rise is where h >= 2, the plateau where h = 1 and the fall where
+    h = 0.  So m_star is the first n with h[n] <= 1, and
+    peak = f(m_star) = 1 + h[0] + ... + h[m_star - 1] - m_star.  It always
+    exists: the h[n] sum to l and are >= 2 below m_star, so m_star <= l/2.
+    The plateau holds iff h[n] = 1 on [m_star, plateau_end), and the fall
+    iff h[n] = 0 on [plateau_end, R], R = max(L_e): h is 0 past R by
+    construction, so n > R needs no check.  The counts are built only to
+    report a violation.
     """
     l = len(w)
     if l == 0:
         raise ValueError("profile_shape requires a non-empty word")
-    counts = complexity_profile(w).counts
-    m_star = next((n for n in range(l) if counts[n + 1] <= counts[n]), None)
-    if m_star is None:
-        raise ShapeViolation(l, counts)
-    peak = counts[m_star]
+    sam = SuffixAutomaton(w.letters)
+    h = sam.histogram()
+    m_star = indexOf(map(le, h, repeat(1)), True)
+    peak = 1 + sum(h[:m_star]) - m_star
     plateau_end = l - peak + 1
-    for n in range(m_star, plateau_end + 1):
-        if counts[n] != peak:
-            raise ShapeViolation(n, counts)
-    for n in range(plateau_end, l):
-        if counts[n + 1] != counts[n] - 1:
-            raise ShapeViolation(n + 1, counts)
+    plateau = h[m_star:plateau_end]
+    if plateau.count(1) != len(plateau):
+        n = m_star + next(j for j, c in enumerate(plateau) if c != 1)
+        raise ShapeViolation(n + 1, (1, *sam.length_counts()))
+    fall = h[plateau_end : len(h) - 1]
+    if any(fall):
+        n = plateau_end + next(j for j, c in enumerate(fall) if c)
+        raise ShapeViolation(n + 1, (1, *sam.length_counts()))
     return ProfileShape(m_star, plateau_end, peak)

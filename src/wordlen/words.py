@@ -13,16 +13,18 @@ the longest suffix of the prefix w[:e+1] that also occurs ending earlier.
 The new factors of w[:e+1] are exactly its suffixes longer than L_e, so
 f(n) = #{e : L_e < n} - (n - 1) for 1 <= n <= l, the total is
 1 + l(l+1)/2 - sum(L_e), and the longest repeated factor has length
-max(L_e).  The automaton keeps its transitions in per-letter list rows for
-words of at most 16 distinct letters and in per-state dicts above that,
-where rows grow slower and larger (see ``SuffixAutomaton``).
+R = max(L_e).  With the dense histogram h[n] = #{e : L_e = n} for
+n = 0..R + 1, that is the increment identity f(n + 1) - f(n) = h[n] - 1
+for 0 <= n < l, and h[n] = 0 for every n > R.  The automaton keeps its
+transitions in per-letter list rows for words of at most 16 distinct
+letters and in per-state dicts above that, where rows grow slower and
+larger (see ``SuffixAutomaton``).
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate, repeat
+from itertools import accumulate
 from operator import sub
 from string import ascii_lowercase
 from typing import Sequence
@@ -174,7 +176,7 @@ def _build_rows(
         g = rows[a]
         cur = size
         size += 1
-        maxlen[cur] = maxlen[last] + 1
+        maxlen[cur] = e + 1  # the state of the prefix letters[:e+1]
         p = last
         while p != -1 and not g[p]:
             g[p] = cur
@@ -191,6 +193,8 @@ def _build_rows(
                 link[clone] = link[q]
                 for row in rows:
                     row[clone] = row[q]
+                g[p] = clone  # g[p] == q here
+                p = link[p]
                 while p != -1 and g[p] == q:
                     g[p] = clone
                     p = link[p]
@@ -210,7 +214,7 @@ def _build_dicts(letters: Sequence[int]) -> tuple[list[int], list[int], list[int
     last = 0
     for e, a in enumerate(letters):
         cur = len(maxlen)
-        maxlen.append(maxlen[last] + 1)
+        maxlen.append(e + 1)  # the state of the prefix letters[:e+1]
         link.append(0)
         nxt.append({})
         p = last
@@ -227,6 +231,8 @@ def _build_dicts(letters: Sequence[int]) -> tuple[list[int], list[int], list[int
                 maxlen.append(r)
                 link.append(link[q])
                 nxt.append(dict(nxt[q]))
+                nxt[p][a] = clone  # nxt[p][a] == q here
+                p = link[p]
                 while p != -1 and nxt[p].get(a) == q:
                     nxt[p][a] = clone
                     p = link[p]
@@ -246,7 +252,9 @@ class SuffixAutomaton:
     that first occur ending at e are exactly the longer suffixes, so
     f(n) = #{e : L_e < n} - (n - 1) for 1 <= n <= l, the number of distinct
     non-empty factors is l(l+1)/2 - sum(L_e), and the longest factor that
-    occurs twice has length max(L_e).
+    occurs twice has length R = max(L_e).  The profile is read off the dense
+    histogram h[n] = #{e : L_e = n}, n = 0..R + 1 (``histogram``), one plain
+    pass over the L_e, through f(n + 1) - f(n) = h[n] - 1 for 0 <= n < l.
 
     Transitions live only while the automaton is built.  A word with at
     most ROW_LETTERS_MAX = 16 distinct letters, ranked by first occurrence,
@@ -276,12 +284,21 @@ class SuffixAutomaton:
         l = len(self.repeats)
         return l * (l + 1) // 2 - sum(self.repeats)
 
+    def histogram(self) -> list[int]:
+        """h[n] = #{e : L_e = n} for n = 0..R + 1, where R = max(L_e), so
+        the last entry is 0."""
+        h = [0] * (max(self.repeats, default=0) + 2)
+        for n in self.repeats:
+            h[n] += 1
+        return h
+
     def length_counts(self) -> list[int]:
-        """f(1..l) = #{e : L_e < n} - (n - 1), from a histogram of the L_e;
-        every L_e is at most R = max(L_e), so f(n) = l - n + 1 for n > R."""
-        l, r = len(self.repeats), max(self.repeats, default=0)
-        below = accumulate(map(Counter(self.repeats).get, range(r), repeat(0)))
-        return list(map(sub, below, range(r))) + list(range(l - r, 0, -1))
+        """f(1..l).  Summing f(n + 1) - f(n) = h[n] - 1 from f(0) = 1 gives
+        f(n + 1) = h[0] + ... + h[n] - n, and every L_e is at most R, so
+        f(n) = l - n + 1 from n = R + 1 on."""
+        l, h = len(self.repeats), self.histogram()
+        r = len(h) - 2
+        return list(map(sub, accumulate(h[:r]), range(r))) + list(range(l - r, 0, -1))
 
     def longest_repeat(self) -> tuple[int, int, int]:
         """(R, q, j) for the longest factor that occurs at two positions.

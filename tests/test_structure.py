@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_word, wd, words_st
-from wordlen import verify
+from wordlen import verify, words
 from wordlen.cli import main
 from wordlen.oracles import (
     BRUTE_QPT_CAP,
@@ -21,12 +21,20 @@ from wordlen.powers import Exponent
 from wordlen.structure import (
     ProfileShape,
     QptDecomposition,
+    ShapeViolation,
     decompose_check,
     minimal_qpt,
     profile_shape,
 )
 from wordlen.verify import _check_mh, _check_mhgen, sweep_mh, sweep_mh_general
-from wordlen.words import ROW_LETTERS_MAX, Alphabet, Word, complexity_profile, factor_count
+from wordlen.words import (
+    ROW_LETTERS_MAX,
+    Alphabet,
+    SuffixAutomaton,
+    Word,
+    complexity_profile,
+    factor_count,
+)
 
 ternary_words = st.lists(st.integers(0, 2), min_size=1, max_size=30).map(
     lambda letters: Word(tuple(letters), Alphabet.letters(3))
@@ -255,3 +263,141 @@ class TestProfileShape:
         for w in enumerate_words(3, 9):
             shape = profile_shape(w)
             assert 0 <= shape.m_star <= shape.plateau_end <= len(w)
+
+
+def scan_shape(l: int, counts: tuple[int, ...]) -> ProfileShape:
+    """The reference for profile_shape: an O(l) scan of the count list
+    f(0..l), raising ShapeViolation at the first offending index."""
+    m_star = next(n for n in range(l) if counts[n + 1] <= counts[n])
+    peak = counts[m_star]
+    plateau_end = l - peak + 1
+    for n in range(m_star, plateau_end + 1):
+        if counts[n] != peak:
+            raise ShapeViolation(n, counts)
+    for n in range(plateau_end, l):
+        if counts[n + 1] != counts[n] - 1:
+            raise ShapeViolation(n + 1, counts)
+    return ProfileShape(m_star, plateau_end, peak)
+
+
+def counts_from_repeats(repeats: list[int]) -> tuple[int, ...]:
+    """f(0..len(repeats)) = 1, then #{e : L_e < n} - (n - 1), term by term."""
+    return (1, *(sum(r < n for r in repeats) - n + 1 for n in range(1, len(repeats) + 1)))
+
+
+def plant_repeats(monkeypatch, fault):
+    """Pass the repeat lengths of every automaton built on per-letter rows
+    through fault (a list -> list function) before any count is read."""
+    build = words._build_rows
+
+    def planted(letters, ranks):
+        maxlen, link, repeats = build(letters, ranks)
+        return maxlen, link, fault(list(repeats))
+
+    monkeypatch.setattr(words, "_build_rows", planted)
+
+
+def move_repeat(src: int, dst: int):
+    """A fault that turns the first repeat length src into dst."""
+    def fault(repeats):
+        repeats[repeats.index(src)] = dst
+        return repeats
+
+    return fault
+
+
+def fibonacci_word(length: int, offset: int) -> Word:
+    a, b = (0,), (0, 1)
+    while len(b) < offset + length:
+        a, b = b, b + a
+    return Word(b[offset : offset + length], Alphabet.letters(2))
+
+
+def near_periodic_word(rng: random.Random, length: int, k: int, period: int) -> Word:
+    """A random block repeated, between random edges of 2 % of the length each."""
+    edge = length // 50
+    block = [rng.randrange(k) for _ in range(period)]
+    core = [block[i % period] for i in range(length - 2 * edge)]
+    edges = [[rng.randrange(k) for _ in range(edge)] for _ in range(2)]
+    return Word(tuple(edges[0] + core + edges[1]), Alphabet.letters(k))
+
+
+class TestShapeFromHistogram:
+    """profile_shape reads the phases off the repeat-length histogram; the
+    count scan above is its reference, on real words and planted faults."""
+
+    def test_matches_scan_exhaustive(self):
+        for k, max_len in ((2, 14), (3, 9)):
+            for w in enumerate_words(k, max_len):
+                counts = naive_profile(w).counts
+                assert profile_shape(w) == scan_shape(len(w), counts), w.render()
+
+    def test_matches_scan_on_long_words(self):
+        rng = random.Random(2404)
+        cases = []
+        for length in (1_000, 3_000, 10_000):
+            cases.append(fibonacci_word(length, rng.randrange(1000)))
+            cases.append(near_periodic_word(rng, length, 3, 11))
+            for k in (2, 4):
+                cases.append(Word(tuple(rng.randrange(k) for _ in range(length)),
+                                  Alphabet.letters(k)))
+        for w in cases:
+            counts = complexity_profile(w).counts
+            assert profile_shape(w) == scan_shape(len(w), counts)
+
+    # "abbabbabbb": f = 1, 2, 3, 4, 4, 4, 4, 4, 3, 2, 1, repeat lengths
+    # 0, 0, 1, 1, 2, 3, 4, 5, 6, 2, so h = 2, 2, 2, 1, 1, 1, 1, 0 and the
+    # shape is (3, 7, 4).  Each fault breaks one phase:
+    # - rise: one L_e from 2 to 3, so f stalls at n = 3 and rises again;
+    # - plateau: one L_e from 4 to 5, so f dips at n = 5;
+    # - fall: one more repeat length, 8.  With l repeat lengths h sums to
+    #   l, which an intact rise and plateau already use up, so only a
+    #   surplus length can break the fall.
+    @pytest.mark.parametrize("phase, fault, n", [
+        ("rise", move_repeat(2, 3), 4),
+        ("plateau", move_repeat(4, 5), 5),
+        ("fall", lambda repeats: repeats + [8], 9),
+    ])
+    def test_planted_fault_matches_scan(self, monkeypatch, phase, fault, n):
+        w = wd("abbabbabbb")
+        counts = counts_from_repeats(fault(SuffixAutomaton(w.letters).repeats))
+        with pytest.raises(ShapeViolation) as ref:
+            scan_shape(len(w), counts)
+        plant_repeats(monkeypatch, fault)
+        with pytest.raises(ShapeViolation) as exc:
+            profile_shape(w)
+        assert (exc.value.n, exc.value.counts) == (ref.value.n, ref.value.counts)
+        assert exc.value.n == n, phase
+
+    def test_random_faults_match_scan(self, monkeypatch):
+        # any repeat lengths in [0, l): l of them, or l + 1 to reach the fall
+        rng = random.Random(2405)
+        for _ in range(500):
+            w = random_word(rng, 40)
+            l = len(w)
+            planted = [rng.randrange(l) for _ in range(l + rng.randint(0, 1) * (l > 1))]
+            plant_repeats(monkeypatch, lambda repeats, planted=planted: planted)
+            try:
+                expected = scan_shape(l, counts_from_repeats(planted))
+            except ShapeViolation as ref:
+                with pytest.raises(ShapeViolation) as exc:
+                    profile_shape(w)
+                assert (exc.value.n, exc.value.counts) == (ref.n, ref.counts), planted
+            else:
+                assert profile_shape(w) == expected, planted
+
+    def test_cli_reports_planted_fault(self, capsys, monkeypatch):
+        fault = move_repeat(0, 1)  # one more 1 and one fewer 0: f(1) falls short
+        plant_repeats(monkeypatch, fault)
+        code = main(["verify", "shape", "--count", "20", "--maxlen", "12", "--seed", "3"])
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert code == 1
+        records = [json.loads(line) for line in lines[:-1]]
+        assert records and json.loads(lines[-1])["counterexamples"] == len(records)
+        monkeypatch.undo()
+        for record in records:
+            w = wd(record["word"])
+            counts = counts_from_repeats(fault(SuffixAutomaton(w.letters).repeats))
+            with pytest.raises(ShapeViolation) as ref:
+                scan_shape(len(w), counts)
+            assert (record["n"], record["counts"]) == (ref.value.n, list(ref.value.counts))

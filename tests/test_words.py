@@ -141,6 +141,26 @@ class TestComplexityProfile:
             assert 1 <= counts[n] <= min(k**n, l - n + 1)
         assert sum(counts) >= l + 1
 
+    @pytest.mark.parametrize("letters, alphabet", [
+        ((), Alphabet.letters(2)),
+        ((0,), Alphabet.letters(2)),
+        ((0,) * 1_000, Alphabet.letters(1)),  # R = l - 1: the range tail is f(l) alone
+        (tuple(range(300)), Alphabet(tuple(f"t{i}" for i in range(300)))),  # dicts
+    ])
+    def test_edge_cases_match_naive(self, letters, alphabet):
+        w = Word(letters, alphabet)
+        assert complexity_profile(w) == naive_profile(w)
+
+    def test_histogram(self):
+        # repeat lengths 0, 0, 1, 1, 2, 3, 4, 5, 6, 2: R = 6, and h[R + 1] = 0
+        sam = SuffixAutomaton(wd("abbabbabbb").letters)
+        assert sam.histogram() == [2, 2, 2, 1, 1, 1, 1, 0]
+        assert SuffixAutomaton(()).histogram() == [0, 0]
+        for w in enumerate_words(3, 7):
+            sam = SuffixAutomaton(w.letters)
+            expected = [sam.repeats.count(n) for n in range(max(sam.repeats) + 2)]
+            assert sam.histogram() == expected, w.render()
+
     def test_large_word_fast_path(self):
         rng = random.Random(9)
         w = Word(tuple(rng.randrange(2) for _ in range(50_000)), Alphabet.letters(2))
