@@ -7,7 +7,9 @@ lies in the span of strictly shorter products.  `length_trace` grows the
 span breadth-first, extending its frontier in lexicographic order, so the
 first product it inserts at each length is the minimal irreducible word of
 that length: the one walk yields the dimensions and the words, and no
-search is needed.
+search is needed.  The walk keeps only words and dimensions: it hands each
+level's frontier matrices to the span basis, which multiplies and inserts
+them, and only linalg knows the packed-slot format they travel in.
 """
 
 from __future__ import annotations
@@ -16,15 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
-from .linalg import (
-    FMatrix,
-    PrimeField,
-    SpanBasis,
-    load_matrix_set,
-    min_poly,
-    slot_residues,
-    stack_products,
-)
+from .linalg import FMatrix, PrimeField, SpanBasis, load_matrix_set, min_poly
 from .powers import Exponent, max_factor_exponent
 from .words import Alphabet, Word, count_distinct_factors
 
@@ -149,59 +143,27 @@ def length_trace(S: GeneratorSet, max_len: int) -> LengthTrace:
     and the level's first independent word is already recorded: dims,
     words and the length come out as if the level had been finished.
 
-    The frontier is its words plus one flat stack of their matrices'
-    reduced entries.  A level multiplies the stack by every generator in
-    chunks of ceil((n^2 - dim) / |S|) frontier matrices (stack_products),
-    and the basis reduces each product from its packed slots, so no
-    FMatrix is built per candidate.  A chunk holds fewer than |S| products
-    more than the span still lacks, so the fill rule bounds the products
-    too: a level that fills leaves only the rest of its last chunk
-    unreduced.  Chunks change no candidate's order, so the proof above
-    holds as it stands.
+    The basis multiplies and inserts each level from the frontier's stacked
+    matrices (SpanBasis.insert_products), in candidate order.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     ambient = S.n * S.n
     basis = SpanBasis(ambient, S.field)
-    p, width = S.field.p, basis.width
-    ident = FMatrix.identity(S.field, S.n).vectorize()
-    basis.insert(ident)
+    stack = FMatrix.identity(S.field, S.n).vectorize()
+    basis.insert(stack)
     dims = [1]
     words: list[tuple[int, ...]] = []
     frontier: list[tuple[int, ...]] = [()]
-    stack = list(ident)
-
-    def candidates(frontier, stack):
-        """Each frontier word extended by each generator, in that order,
-        with its product's packed slots, multiplied a chunk at a time."""
-        start = 0
-        while start < len(frontier):
-            # at least one matrix, so the walk advances even past a fill
-            count = max(1, -(-(ambient - basis.dim) // len(S.gens)))
-            chunk_words = frontier[start:start + count]
-            chunk = stack_products(stack[start * ambient:(start + count) * ambient],
-                                   S.gens, width)
-            size = len(chunk[0]) // len(chunk_words)  # array items per product
-            for k, word in enumerate(chunk_words):
-                for letter, prods in enumerate(chunk):
-                    yield word + (letter,), prods[k * size:(k + 1) * size]
-            start += count
-
     while basis.dim < ambient:
         if len(dims) > max_len:  # this level's products have length len(dims)
             raise CapExceeded(max_len)
-        new_frontier, new_stack = [], []
-        for word, slots in candidates(frontier, stack):
-            if basis.insert_slots(slots):
-                new_frontier.append(word)
-                new_stack += slot_residues(slots, width, p)
-                if basis.dim == ambient:
-                    break
-        if not new_frontier:
+        found, stack = basis.insert_products(stack, S.gens)
+        if not found:
             break
+        frontier = [frontier[k] + (i,) for k, i in found]
         dims.append(basis.dim)
-        words.append(new_frontier[0])
-        frontier, stack = new_frontier, new_stack
+        words.append(frontier[0])
     return LengthTrace(tuple(dims), len(dims) - 1, dims[-1], tuple(words))
 
 

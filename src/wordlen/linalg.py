@@ -12,7 +12,8 @@ vectorize row-major; a span basis keeps its reduced row-echelon rows mod p
 as packed ints, shifts their all-pivot leading columns, which hold only the
 pivot's 1 and zeros, out once enough of them have piled up, and reduces
 vectors given as packed slots, such as stack_products' unreduced products
-(see SpanBasis).
+(see SpanBasis).  The span walk hands each level's frontier to one
+SpanBasis.insert_products call, so the slot format stays in this module.
 """
 
 from __future__ import annotations
@@ -259,7 +260,7 @@ class SpanBasis:
     span iff every residual slot is 0 mod p.
 
     One core reduces a vector given as packed slots (see insert_slots):
-    the span walk feeds it products straight from stack_products, and
+    insert_products feeds it products straight from stack_products, and
     insert and contains pack their vector's residues and call it.
 
     On the pivot prefix [0, base), the leading columns that are all pivots,
@@ -393,6 +394,41 @@ class SpanBasis:
             self._rows = [row >> drop for row in rows]
             self._offset = base
         return True
+
+    def insert_products(self, stack: Sequence[int],
+                        gens: Sequence[FMatrix]) -> tuple[list[tuple[int, int]], list[int]]:
+        """Insert every matrix of a stack times each generator, in (matrix,
+        generator) order, up to the insert that fills the span.
+
+        stack holds n x n matrices, each as its d = n^2 reduced entries
+        row-major.  Returns the (matrix index, generator index) of each
+        independent product, in insert order, and those products' reduced
+        entries stacked the same way.
+
+        The stack is multiplied ceil((d - dim) / |gens|) matrices at a time
+        (stack_products), and each product is reduced from its packed slots,
+        so no FMatrix is built per product.  A chunk holds fewer than |gens|
+        products more than the span still lacks, so a call that fills the
+        span leaves only the rest of its last chunk multiplied and not
+        reduced.
+        """
+        d, p, width = self.ambient_dim, self.field.p, self.width
+        size = d * (2 if width == 16 else 1)  # array items per product
+        found, out = [], []
+        start, total = 0, len(stack) // d
+        while start < total and self.dim < d:
+            count = -(-(d - self.dim) // len(gens))
+            chunk = stack_products(stack[start * d:(start + count) * d], gens, width)
+            for k in range(min(count, total - start)):
+                for i, prods in enumerate(chunk):
+                    slots = prods[k * size:(k + 1) * size]
+                    if self.insert_slots(slots):
+                        found.append((start + k, i))
+                        out += slot_residues(slots, width, p)
+                        if self.dim == d:
+                            return found, out
+            start += count
+        return found, out
 
     def insert(self, vec: Sequence[int]) -> bool:
         """Add vec to the span; True iff it was independent."""

@@ -59,6 +59,12 @@ def enumerate_words(
         idx += k**length
 
 
+def check_naive_length(length: int) -> None:
+    """Raise ValueError when naive_profile cannot take a word this long."""
+    if length > NAIVE_PROFILE_CAP:
+        raise ValueError(f"naive_profile handles length <= {NAIVE_PROFILE_CAP}")
+
+
 def naive_profile(w: Word) -> ComplexityProfile:
     """Factor counts by literally collecting the substring set per length.
 
@@ -69,8 +75,7 @@ def naive_profile(w: Word) -> ComplexityProfile:
     m >= n, and those counts are filled in without collecting.
     """
     l = len(w)
-    if l > NAIVE_PROFILE_CAP:
-        raise ValueError(f"naive_profile handles length <= {NAIVE_PROFILE_CAP}")
+    check_naive_length(l)
     seq: Sequence = bytes(w.letters) if w.alphabet.size <= 256 else w.letters
     counts = [1]
     for n in range(1, l + 1):

@@ -24,6 +24,7 @@ from .oracles import (
     DEFAULT_ENUMERATION_BUDGET,
     brute_length,
     brute_min_qpt,
+    check_naive_length,
     enumerate_words,
     naive_profile,
 )
@@ -155,6 +156,7 @@ def sweep_mh_general(
 ) -> SweepReport:
     """Check f(n) <= m iff cost <= m over every window m <= n <= l - m, and
     that f(n) <= m forces max_i f(i) <= m."""
+    check_naive_length(max_len)
     words = enumerate_words(alphabet_size, max_len, shard, budget)
     return _sweep("mhgen", alphabet_size, max_len, words, _check_mhgen)
 
@@ -196,6 +198,7 @@ def sweep_tc(
     the bound is symmetric about l/2, so some (k, d) fails exactly when c is
     below it at k* = min(l // 2, (l - 1) // ceil(e)).
     """
+    check_naive_length(max_len)
     words = enumerate_words(alphabet_size, max_len, shard, budget)
     return _sweep("tc", alphabet_size, max_len, words, _check_tc)
 
@@ -223,6 +226,7 @@ def _check_profiles(w: Word) -> Iterator[dict]:
 
 def cross_validate_profiles(count: int, max_len: int, seed: int = 0) -> SweepReport:
     """Suffix-automaton profile versus substring-set profile, exact."""
+    check_naive_length(max_len)
     words = _random_words(random.Random(seed), count, max_len, RANDOM_ALPHABETS)
     space = {"random": _random_space(count, max_len, RANDOM_ALPHABETS)}
     return _sweep("profiles", max(RANDOM_ALPHABETS), max_len, words, _check_profiles, space)

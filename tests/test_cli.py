@@ -412,6 +412,37 @@ def test_non_positive_count_is_usage_error(capsys, unit_pair_file, argv):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["verify", "tc", "--alphabet", "1", "--maxlen", "1001"],
+        ["verify", "tc", "--alphabet", "1", "--maxlen", "1001", "--jobs", "2"],
+        ["verify", "mhgen", "--alphabet", "1", "--maxlen", "1001"],
+        ["verify", "mhgen", "--alphabet", "1", "--maxlen", "1001", "--jobs", "2"],
+        # past the enumeration budget too: the length is checked first
+        ["verify", "tc", "--alphabet", "2", "--maxlen", "1001"],
+        ["oracle", "--maxlen", "1001", "--words", "3", "--sets", "1", "--qpt-maxlen", "3"],
+    ],
+)
+def test_maxlen_past_naive_profile_cap_is_usage_error(capsys, monkeypatch, argv):
+    # The sweeps that call naive_profile reject the length before any word:
+    # a check run on a word would end in exit 4, not 2.
+    def no_word(w):
+        raise RuntimeError(f"checked {w.render()}")
+
+    for check in ("_check_tc", "_check_mhgen", "_check_profiles"):
+        monkeypatch.setattr(verify, check, no_word)
+    code, out = run(capsys, *argv)
+    assert code == 2 and out == ""
+
+
+def test_maxlen_at_naive_profile_cap_is_accepted(capsys):
+    code, out = run(capsys, "oracle", "--maxlen", "1000", "--words", "3", "--sets", "1",
+                    "--qpt-maxlen", "3", "--json")
+    assert code == 0
+    assert json.loads(out.splitlines()[0])["max_length"] == 1000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["verify", "shape", "--alphabet", "7"],
         ["verify", "shape", "--jobs", "2"],
         ["verify", "shape", "--budget", "5"],

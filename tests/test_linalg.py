@@ -459,6 +459,82 @@ class TestInsertSlots:
             basis.insert_slots(_native_slots([1, 2, 3], basis.width))
 
 
+class _CountingBasis(SpanBasis):
+    """A span basis that counts the vectors it reduces."""
+
+    reduced = 0
+
+    def insert_slots(self, slots):
+        self.reduced += 1
+        return super().insert_slots(slots)
+
+
+class TestInsertProducts:
+    """insert_products against one insert per schoolbook product, in (matrix,
+    generator) order up to the fill, and against the oracle's elimination."""
+
+    @staticmethod
+    def _check(basis, stack, gens, vecs=()):
+        """Insert vecs, then the products of stack by gens, into basis, a
+        plain basis and the oracle; return what insert_products returned."""
+        p, d = basis.field.p, basis.ambient_dim
+        plain, oracle = SpanBasis(d, basis.field), _GaussRows(p)
+        for v in vecs:
+            assert basis.insert(v) == plain.insert(v) == oracle.insert(v)
+        basis.reduced = 0
+        found, out = basis.insert_products([x for a in stack for x in a.vectorize()], gens)
+        want, want_out, reduced = [], [], 0
+        for k, a in enumerate(stack):
+            for i, g in enumerate(gens):
+                if plain.dim == d:
+                    break
+                prod = [x for row in _schoolbook_product(a.entries, g.entries, p) for x in row]
+                reduced += 1
+                independent = plain.insert(prod)
+                assert oracle.insert(prod) == independent
+                if independent:
+                    want.append((k, i))
+                    want_out += prod
+        assert (found, out) == (want, want_out)
+        assert basis.reduced == reduced  # none after the fill
+        assert basis.rows == plain.rows and basis.dim == len(oracle.rows)
+        return found, out
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from((2, 13, 10007, 2147483647)), st.integers(1, 4),
+           st.sampled_from((1, 2, 5)), st.integers(1, 3), st.data())
+    def test_matches_one_insert_per_product(self, p, n, count, letters, data):
+        field = PrimeField(p)
+        stack = [data.draw(square_matrix(field, n)) for _ in range(count)]
+        gens = [data.draw(square_matrix(field, n)) for _ in range(letters)]
+        vec = st.lists(st.integers(0, p - 1), min_size=n * n, max_size=n * n)
+        vecs = data.draw(st.lists(vec, max_size=n * n))
+        self._check(_CountingBasis(n * n, field), stack, gens, vecs)
+
+    @pytest.mark.parametrize("p", [2, 13, 10007, 2147483647])
+    def test_fill_inside_a_chunk(self, p):
+        # Span I, E12, E21 lacks one dimension, so the stack goes one matrix
+        # at a time: E12 E21 = E11 fills it, and E12 E12, E12 E11 and the
+        # second matrix's products are never reduced.
+        field = PrimeField(p)
+        e12, e21, e11 = (E(field, 2, i, j) for i, j in ((0, 1), (1, 0), (0, 0)))
+        basis = _CountingBasis(4, field)
+        vecs = [m.vectorize() for m in (FMatrix.identity(field, 2), e12, e21)]
+        found, out = self._check(basis, [e12, e21], [e21, e12, e11], vecs)
+        assert found == [(0, 0)] and out == [1, 0, 0, 0] and basis.reduced == 1
+
+    @pytest.mark.parametrize("p", [2, 13, 10007, 2147483647])
+    def test_level_that_adds_nothing(self, p):
+        # Diagonal matrices times diagonal matrices stay in the diagonal span.
+        field = PrimeField(p)
+        diag = [FMatrix.from_rows(field, [[int(i == j) * (i + c) for j in range(3)]
+                                          for i in range(3)]) for c in (1, 2, 3)]
+        basis = _CountingBasis(9, field)
+        vecs = [E(field, 3, i, i).vectorize() for i in range(3)]
+        assert self._check(basis, diag, diag[:2], vecs) == ([], [])
+        assert basis.reduced == 6 and basis.dim == 3
+
+
 def _stored_slots(basis):
     """The most slots any stored row spans."""
     return max((-(-row.bit_length() // (8 * basis.width)) for row in basis._rows), default=0)
