@@ -287,10 +287,16 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    # No case may run before every limit is tested.  Each cross-check tests
+    # its own when called, so --maxlen is tested here and the qpt check runs
+    # first; the reports print in the order below.
+    oracles.check_naive_length(args.maxlen)
+    qpt = verify.cross_validate_qpt(args.qpt_maxlen, seed=args.seed)
     checks = [
         verify.cross_validate_profiles(args.words, args.maxlen, seed=args.seed),
-        verify.cross_validate_qpt(args.qpt_maxlen, seed=args.seed),
+        qpt,
         verify.cross_validate_length(args.sets, seed=args.seed),
+        verify.cross_validate_exponent(seed=args.seed),
     ]
     failed = False
     for report in checks:

@@ -2,11 +2,12 @@
 
 These exist to be obviously correct, not fast: substring sets instead of
 automata, exhaustive (q, p, t) scans instead of the longest-repeat identity,
-one border array per start position instead of per-period mismatch masks,
-per-level from-scratch products instead of frontier caching, a local
-schoolbook product instead of the packed-row FMatrix kernel, and a local
-Gaussian elimination that shares no code with the fast span basis.  Every
-fast path is required to agree with its oracle on the stated overlap domain.
+one border array per start position instead of per-period mismatch masks
+and sampled windows, per-level from-scratch products instead of frontier
+caching, a local schoolbook product instead of the packed-row FMatrix
+kernel, and a local Gaussian elimination that shares no code with the fast
+span basis.  Every fast path is required to agree with its oracle on the
+stated overlap domain.
 """
 
 from __future__ import annotations
@@ -37,8 +38,9 @@ def enumerate_words(
 
     shard=(which, of) keeps only words whose running index is congruent to
     which mod of, giving a deterministic partition for parallel sweeps.
-    BudgetExceeded is raised before the first word when the whole space,
-    not just the shard, holds more than budget words.
+    The arguments are checked when it is called, not at the first word:
+    BudgetExceeded is raised when the whole space, not just the shard,
+    holds more than budget words.
     """
     if alphabet_size < 1 or max_len < 1 or budget < 1:
         raise ValueError("alphabet size, max length, and budget must be >= 1")
@@ -49,6 +51,10 @@ def enumerate_words(
     which, of = shard or (0, 1)
     if not 0 <= which < of:
         raise ValueError(f"invalid shard {shard}")
+    return _words(k, max_len, which, of)
+
+
+def _words(k: int, max_len: int, which: int, of: int) -> Iterator[Word]:
     alphabet = Alphabet.letters(k)
     idx = 0  # running index of the first word of the current length
     for length in range(1, max_len + 1):
@@ -63,6 +69,12 @@ def check_naive_length(length: int) -> None:
     """Raise ValueError when naive_profile cannot take a word this long."""
     if length > NAIVE_PROFILE_CAP:
         raise ValueError(f"naive_profile handles length <= {NAIVE_PROFILE_CAP}")
+
+
+def check_qpt_length(length: int) -> None:
+    """Raise ValueError when brute_min_qpt cannot take a word this long."""
+    if length > BRUTE_QPT_CAP:
+        raise ValueError(f"brute_min_qpt handles length <= {BRUTE_QPT_CAP}")
 
 
 def naive_profile(w: Word) -> ComplexityProfile:
@@ -100,8 +112,7 @@ def brute_min_qpt(w: Word) -> QptDecomposition:
     l = len(w)
     if l == 0:
         raise ValueError("brute_min_qpt requires a non-empty word")
-    if l > BRUTE_QPT_CAP:
-        raise ValueError(f"brute_min_qpt handles length <= {BRUTE_QPT_CAP}")
+    check_qpt_length(l)
     letters = w.letters
     best_cost = l + 1  # p = l is always valid, so (0, l, 0) beats this
     best = (0, l, 0)

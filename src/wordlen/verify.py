@@ -23,8 +23,10 @@ from .linalg import PrimeField, random_matrix
 from .oracles import (
     DEFAULT_ENUMERATION_BUDGET,
     brute_length,
+    brute_max_exponent,
     brute_min_qpt,
     check_naive_length,
+    check_qpt_length,
     enumerate_words,
     naive_profile,
 )
@@ -37,6 +39,11 @@ RANDOM_ALPHABETS = (2, 3, 4)  # letters of the random words of shape and profile
 QPT_ALPHABET, QPT_RANDOM_WORDS, QPT_RANDOM_MAX_LEN = 2, 200, 30
 QPT_RANDOM_ALPHABETS = (2, 3)
 LENGTH_N, LENGTH_P, LENGTH_GENS, LENGTH_CAP = 2, 5, 2, 8
+# Random short words, then per class this many long words: Fibonacci factors,
+# near-periodic words and random 4-letter words, long enough for the
+# exponent scan's sampled windows.
+EXPONENT_RANDOM_WORDS, EXPONENT_RANDOM_MAX_LEN = 300, 60
+EXPONENT_LONG_WORDS, EXPONENT_LONG_LENGTHS = 4, (600, 1_000)
 
 Case = TypeVar("Case")
 
@@ -242,7 +249,9 @@ def _check_qpt(w: Word) -> Iterator[dict]:
 def cross_validate_qpt(max_len: int, seed: int = 0) -> SweepReport:
     """Longest-repeat decomposition (min cost = l - R, R read off the suffix
     automaton) versus the exhaustive (q, p, t) scan: every binary word up to
-    max_len, then QPT_RANDOM_WORDS random longer words over 2 or 3 letters."""
+    max_len, then QPT_RANDOM_WORDS random longer words over 2 or 3 letters.
+    The length and the enumeration budget are checked when it is called."""
+    check_qpt_length(max_len)
     words = chain(
         enumerate_words(QPT_ALPHABET, max_len),
         _random_words(random.Random(seed), QPT_RANDOM_WORDS, QPT_RANDOM_MAX_LEN,
@@ -280,3 +289,52 @@ def cross_validate_length(count: int = 50, seed: int = 0) -> SweepReport:
     space = {"n": LENGTH_N, "p": LENGTH_P, "generators": LENGTH_GENS, "cap": LENGTH_CAP,
              "sets": count}
     return _sweep("length", LENGTH_N, LENGTH_CAP, sets, _check_length, space)
+
+
+def _check_exponent(w: Word) -> Iterator[dict]:
+    fast = max_factor_exponent(w)
+    slow = brute_max_exponent(w)
+    if fast != slow:
+        yield {"word": w.render(), "fast": [str(fast[0]), list(fast[1])],
+               "brute": [str(slow[0]), list(slow[1])]}
+
+
+def _long_words(rng: random.Random, count: int, lengths: tuple[int, int]) -> Iterator[Word]:
+    """count rounds of three words of seeded lengths in [lo, hi]: a factor of
+    the Fibonacci word at an offset below 1000; a block of 2-15 letters over
+    2 or 3 letters, repeated, with 1-3 letters changed; a random word over 4
+    letters."""
+    for _ in range(count):
+        length, offset = rng.randint(*lengths), rng.randrange(1000)
+        a, b = (0,), (0, 1)
+        while len(b) < offset + length:
+            a, b = b, b + a
+        yield Word(b[offset : offset + length], Alphabet.letters(2))
+        k, length = rng.choice((2, 3)), rng.randint(*lengths)
+        block = [rng.randrange(k) for _ in range(rng.randint(2, 15))]
+        letters = [block[i % len(block)] for i in range(length)]
+        for _ in range(rng.randint(1, 3)):
+            letters[rng.randrange(length)] = rng.randrange(k)
+        yield Word(tuple(letters), Alphabet.letters(k))
+        length = rng.randint(*lengths)
+        yield Word(tuple(rng.randrange(4) for _ in range(length)), Alphabet.letters(4))
+
+
+def cross_validate_exponent(seed: int = 0) -> SweepReport:
+    """Mask-and-window exponent scan versus the border-array oracle, exact
+    value, unreduced num/den and witness: EXPONENT_RANDOM_WORDS random words
+    over 2-4 letters, then EXPONENT_LONG_WORDS words of each long class."""
+    rng = random.Random(seed)
+    words = chain(
+        _random_words(rng, EXPONENT_RANDOM_WORDS, EXPONENT_RANDOM_MAX_LEN, RANDOM_ALPHABETS),
+        _long_words(rng, EXPONENT_LONG_WORDS, EXPONENT_LONG_LENGTHS),
+    )
+    lo, hi = EXPONENT_LONG_LENGTHS
+    space = {
+        "random": _random_space(EXPONENT_RANDOM_WORDS, EXPONENT_RANDOM_MAX_LEN, RANDOM_ALPHABETS),
+        "long": {"fibonacci_factors": EXPONENT_LONG_WORDS,
+                 "near_periodic": EXPONENT_LONG_WORDS,
+                 "random_4_letters": EXPONENT_LONG_WORDS,
+                 "min_length": lo, "max_length": hi},
+    }
+    return _sweep("exponent", max(RANDOM_ALPHABETS), hi, words, _check_exponent, space)

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import strategies as st
 
+from wordlen import powers
 from wordlen.algebra import GeneratorSet, LengthTrace, length_trace
 from wordlen.linalg import FMatrix, PrimeField, random_matrix
 from wordlen.words import Alphabet, Word, parse_word
@@ -29,6 +31,21 @@ def words_st(draw, min_size: int = 0, max_size: int = 40, max_alphabet: int = 4)
     k = draw(st.integers(1, max_alphabet))
     letters = draw(st.lists(st.integers(0, k - 1), min_size=min_size, max_size=max_size))
     return Word(tuple(letters), Alphabet.letters(k))
+
+
+@pytest.fixture
+def window_periods(monkeypatch) -> list[tuple]:
+    """The arguments of every call the test makes to powers._window_runs,
+    the sampled-window scan of one period."""
+    calls = []
+    real = powers._window_runs
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(powers, "_window_runs", counted)
+    return calls
 
 
 def fail_every_word(w: Word):

@@ -433,6 +433,27 @@ def test_maxlen_past_naive_profile_cap_is_usage_error(capsys, monkeypatch, argv)
     assert code == 2 and out == ""
 
 
+@pytest.mark.parametrize(
+    "qpt_maxlen, code, err",
+    [
+        # brute_min_qpt takes at most BRUTE_QPT_CAP = 30 letters
+        ("31", 2, "error: brute_min_qpt handles length <= 30\n"),
+        ("26", 3, "error: 134217726 words exceed budget 100000000\n"),
+    ],
+)
+def test_qpt_maxlen_limits_are_checked_before_any_case(capsys, monkeypatch, qpt_maxlen,
+                                                       code, err):
+    def no_case(case):
+        raise RuntimeError("checked a case")
+
+    for check in ("_check_profiles", "_check_qpt", "_check_length", "_check_exponent"):
+        monkeypatch.setattr(verify, check, no_case)
+    assert main(["oracle", "--words", "3", "--sets", "1", "--maxlen", "10",
+                 "--qpt-maxlen", qpt_maxlen]) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == err
+
+
 def test_maxlen_at_naive_profile_cap_is_accepted(capsys):
     code, out = run(capsys, "oracle", "--maxlen", "1000", "--words", "3", "--sets", "1",
                     "--qpt-maxlen", "3", "--json")
@@ -631,7 +652,7 @@ class TestOracle:
             "--sets", "5",
         )
         assert code == 0
-        assert out.count("PASS") == 3
+        assert out.count("PASS") == 4
 
     def test_json_summaries_name_the_space_checked(self, capsys):
         # Each cross-check's record names every part of its case space; the
@@ -652,6 +673,13 @@ class TestOracle:
             {"theorem": "length", "words_checked": 5, "max_length": 8,
              "alphabet_size": 2, "counterexamples": 0, "status": "PASS",
              "space": {"n": 2, "p": 5, "generators": 2, "cap": 8, "sets": 5}},
+            {"theorem": "exponent", "words_checked": 312, "max_length": 1000,
+             "alphabet_size": 4, "counterexamples": 0, "status": "PASS",
+             "space": {"random": {"words": 300, "max_length": 60,
+                                  "alphabet_sizes": [2, 3, 4]},
+                       "long": {"fibonacci_factors": 4, "near_periodic": 4,
+                                "random_4_letters": 4, "min_length": 600,
+                                "max_length": 1000}}},
         ]
         # under sort_keys, space sorts before theorem, as CI's grep needs
         assert out.splitlines()[2].endswith('"theorem": "length", "words_checked": 5}')

@@ -61,6 +61,15 @@ class TestEnumerateWords:
         with pytest.raises(ValueError):
             list(enumerate_words(2, 2, shard=(3, 3)))
 
+    def test_checked_when_called(self):
+        # not at the first word: a sweep rejects its space before running
+        with pytest.raises(BudgetExceeded):
+            enumerate_words(2, 10, budget=100)
+        with pytest.raises(ValueError):
+            enumerate_words(2, 2, shard=(3, 3))
+        with pytest.raises(ValueError):
+            enumerate_words(0, 2)
+
 
 class TestNaiveProfile:
     def test_worked_example(self):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_word, wd, words_st
+from wordlen import powers
 from wordlen.oracles import brute_max_exponent, enumerate_words
 from wordlen.powers import Exponent, avoids, max_factor_exponent, verify_tc
 from wordlen.verify import _check_tc
@@ -207,6 +208,60 @@ class TestWideSlots:
                 pool = rng.sample(range(k), min(used, k))
                 w = Word(tuple(rng.choice(pool) for _ in range(length)), alphabet)
                 assert max_factor_exponent(w) == brute_max_exponent(w), (k, length, used)
+
+
+def errata_letters(rng: random.Random, length: int, pool: list[int]) -> tuple[int, ...]:
+    """A random block over pool repeated to length, with 0-3 letters changed."""
+    block = [rng.choice(pool) for _ in range(rng.randint(1, 12))]
+    letters = [block[i % len(block)] for i in range(length)]
+    for _ in range(rng.randint(0, 3)):
+        letters[rng.randrange(length)] = rng.choice(pool)
+    return tuple(letters)
+
+
+class TestSampledWindows:
+    """Periods whose run threshold gives windows of at least
+    WINDOW_LETTERS_MIN letters are scanned by sampled windows; both modes
+    must give the oracle's exponent, num/den and witness exactly."""
+
+    @pytest.mark.parametrize("window_min", [1, 2, 3])
+    def test_small_windows_against_brute_oracle(self, monkeypatch, window_periods,
+                                                window_min):
+        monkeypatch.setattr(powers, "WINDOW_LETTERS_MIN", window_min)
+        for w in enumerate_words(2, 12):
+            assert max_factor_exponent(w) == brute_max_exponent(w), w.render()
+        rng = random.Random(window_min)
+        for _ in range(300):
+            k = rng.choice((2, 3, 4))
+            w = Word(errata_letters(rng, rng.randint(1, 80), list(range(k))),
+                     Alphabet.letters(k))
+            assert max_factor_exponent(w) == brute_max_exponent(w), w.letters
+        # letters equal in one byte of their two-byte slots
+        pool = [1, 257, 513, 769]
+        for _ in range(100):
+            w = Word(errata_letters(rng, rng.randint(1, 80), pool), Alphabet.indices(1000))
+            assert max_factor_exponent(w) == brute_max_exponent(w), w.letters
+        assert window_periods
+
+    def test_long_words_against_brute_oracle(self, window_periods):
+        rng = random.Random(2026)
+        cases = [
+            Word(tuple(rng.randrange(k) for _ in range(length)), Alphabet.letters(k))
+            for k, length in ((2, 1000), (4, 2000))
+        ]
+        cases += [Word(fibonacci_letters(n)[n // 3 :], Alphabet.letters(2)) for n in (1500, 2600)]
+        cases += [Word(near_periodic_letters(rng, n), Alphabet.letters(3)) for n in (1200, 2000)]
+        for w in cases:
+            assert max_factor_exponent(w) == brute_max_exponent(w), len(w)
+        assert {args[2] for args in window_periods} == {len(w) for w in cases}
+
+    def test_short_words_keep_the_mask(self, window_periods):
+        # need <= l - p, so a word of at most 2 * WINDOW_LETTERS_MIN letters
+        # never reaches the windows
+        l = 2 * powers.WINDOW_LETTERS_MIN
+        for letters in ((0,) * l, fibonacci_letters(l), thue_morse_letters(l)):
+            max_factor_exponent(Word(letters, Alphabet.letters(2)))
+        assert not window_periods
 
 
 class TestAvoids:

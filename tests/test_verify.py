@@ -7,11 +7,12 @@ from collections import Counter
 import pytest
 
 from conftest import fail_every_word, sample_generating_sets
-from wordlen import verify
+from wordlen import powers, verify
 from wordlen.oracles import enumerate_words, naive_profile
 from wordlen.powers import max_factor_exponent
 from wordlen.verify import (
     SweepReport,
+    cross_validate_exponent,
     cross_validate_length,
     cross_validate_profiles,
     cross_validate_qpt,
@@ -157,6 +158,19 @@ class TestCrossValidation:
         report = cross_validate_length(40)
         assert reversed_sets and not report.ok
         assert len(report.counterexamples) == len(reversed_sets)
+
+
+class TestExponentCrossValidation:
+    def test_long_words_reach_the_windows(self, window_periods):
+        report = cross_validate_exponent(seed=6)
+        assert report.ok and report.words_checked == 312
+        assert window_periods
+
+    def test_dropped_window_runs_are_mismatches(self, monkeypatch):
+        monkeypatch.setattr(powers, "_window_runs", lambda *args: [])
+        report = cross_validate_exponent(seed=6)
+        assert not report.ok
+        assert all(len(ce["word"]) >= 600 for ce in report.counterexamples)
 
 
 class TestSampling:
