@@ -185,19 +185,19 @@ def _cmd_alg(args: argparse.Namespace) -> int:
     comp = algebra._complexity_report(S, trace)
     power_report = algebra._power_free_report(S, m, trace) if S.field.p > m else None
     alphabet = S.word_alphabet
-    rows = []
-    for idx, entry in enumerate(comp.entries):
-        row = {
+    rows = [
+        {
             "i": entry.i,
             "word": words.Word(entry.word, alphabet).render(),
             "c": entry.complexity_total,
             "c_ok": entry.ok,
         }
-        if power_report is not None:
-            pentry = power_report.entries[idx]
+        for entry in comp.entries
+    ]
+    if power_report is not None:
+        for row, pentry in zip(rows, power_report.entries):
             row["max_exponent"] = str(pentry.exponent)
             row["power_ok"] = pentry.ok
-        rows.append(row)
     payload = {
         "length": trace.length,
         "generated_dim": trace.generated_dim,

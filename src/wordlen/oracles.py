@@ -38,12 +38,15 @@ def enumerate_words(
 
     shard=(which, of) keeps only words whose running index is congruent to
     which mod of, giving a deterministic partition for parallel sweeps.
-    The arguments are checked when it is called, not at the first word:
+    The arguments are checked when it is called, not at the first word,
+    and the alphabet size (at most 26, the letters a..z) before the budget:
     BudgetExceeded is raised when the whole space, not just the shard,
     holds more than budget words.
     """
     if alphabet_size < 1 or max_len < 1 or budget < 1:
         raise ValueError("alphabet size, max length, and budget must be >= 1")
+    if alphabet_size > 26:
+        raise ValueError(f"alphabet size must be <= 26 (letters a..z), got {alphabet_size}")
     k = alphabet_size
     total = sum(k**j for j in range(1, max_len + 1))
     if total > budget:

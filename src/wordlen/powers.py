@@ -91,11 +91,14 @@ def max_factor_exponent(w: Word) -> tuple[Exponent, tuple[int, int]]:
       is O(l) byte work per period.
     - Windows, once g = need // 2 >= WINDOW_LETTERS_MIN: compare only the
       windows w[j:j+g] and w[j+p:j+p+g] at j = 0, g, 2g, ... (one ``bytes``
-      slice comparison each) and widen each equal pair to its maximal run,
-      by bisection to the left and galloping to the right.  A run [i, e)
-      with e - i >= need >= 2g holds the whole window at the first multiple
-      of g at or after i, which ends before i + 2g, so no run is missed.
-      This is O(l / g) comparisons per period.
+      slice comparison each) and widen each equal pair to its maximal run
+      by bit scans.  The run starts one letter after the highest set bit
+      of the XOR of the <= g letters before the window with the letters p
+      later (at their start if it is 0), and ends at the lowest set bit of
+      the first nonzero XOR of doubling blocks after the window.  A run
+      [i, e) with e - i >= need >= 2g holds the whole window at the first
+      multiple of g at or after i, which ends before i + 2g, so no run is
+      missed.  This is O(l / g) comparisons per period.
 
     WINDOW_LETTERS_MIN is read at call time.  A word of at most twice its
     value never reaches the windows, since need <= l - p.  Per period, a
@@ -167,45 +170,29 @@ def _window_runs(packed: bytes, s: int, l: int, p: int, need: int) -> list[tuple
         if packed[a : a + sg] != packed[a + sp : a + sp + sg]:
             j += g
             continue
-        # m has a one in [j - g, j): in the window before, or at the end of
-        # the run before, which moved j to the first multiple of g past it
-        i, e = _widen(packed, s, sp, j, g, span)
+        # m has a one in [j - g, j) when j >= g: in the window before, or at
+        # the end of the run before, which moved j to the first multiple of g
+        # past it.  The XOR of two letter ranges, each read as one int, has
+        # its highest set bit at their last mismatch and its lowest at their
+        # first, and byte offset // s is that mismatch's letter; an XOR of 0
+        # (j = 0) gives bit_length() - 1 = -1, so the run starts at lo.
+        lo = s * max(0, j - g)
+        x = (int.from_bytes(packed[lo:a], "little")
+             ^ int.from_bytes(packed[lo + sp : a + sp], "little"))
+        i = (lo + (x.bit_length() - 1) // 8) // s + 1
+        e, step = j + g, g
+        while e < span:
+            top = min(e + step, span)
+            x = (int.from_bytes(packed[s * e : s * top], "little")
+                 ^ int.from_bytes(packed[s * e + sp : s * top + sp], "little"))
+            if x:
+                e += ((x & -x).bit_length() - 1) // 8 // s
+                break
+            e, step = top, 2 * step
         if e - i >= need:
             runs.append((i, e))
         j = (e // g + 1) * g
     return runs
-
-
-def _widen(packed: bytes, s: int, sp: int, j: int, g: int, span: int) -> tuple[int, int]:
-    """The maximal zero run [i, e) of m that holds [j, j + g), given that m
-    has a one in [j - g, j) when j >= g: bisection to the left, galloping
-    then bisection to the right."""
-
-    def same(a: int, b: int) -> bool:  # m is zero on [a, b)
-        return packed[s * a : s * b] == packed[s * a + sp : s * b + sp]
-
-    lo, hi = max(0, j - g + 1), j
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if same(mid, j):
-            hi = mid
-        else:
-            lo = mid + 1
-    i, e, step = lo, j + g, g
-    while e < span:
-        top = min(e + step, span)
-        if same(e, top):
-            e, step = top, 2 * step
-            continue
-        lo, hi = e, top - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if same(e, mid):
-                lo = mid
-            else:
-                hi = mid - 1
-        return i, lo
-    return i, e
 
 
 def avoids(w: Word, d: Fraction | int, strict_plus: bool) -> bool:

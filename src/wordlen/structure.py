@@ -78,12 +78,9 @@ def decompose_check(w: Word, dec: QptDecomposition) -> bool:
     l = len(w)
     if dec.l != l:
         raise ValueError(f"decomposition is for length {dec.l}, word has {l}")
-    letters = w.letters
-    p = dec.p
-    for i in range(dec.q, l - dec.t - p):
-        if letters[i] != letters[i + p]:
-            return False
-    return True
+    q, p, end = dec.q, dec.p, l - dec.t
+    # max keeps an end of l - t - p below 0 from counting from the right
+    return w.letters[q : max(q, end - p)] == w.letters[q + p : end]
 
 
 def minimal_qpt(w: Word) -> QptDecomposition:

@@ -194,6 +194,19 @@ class TestVerify:
         code, _ = run(capsys, "verify", "mh", "--maxlen", "8", "--budget", "5")
         assert code == 3
 
+    @pytest.mark.parametrize("argv", [
+        ("mh", "--alphabet", "27", "--maxlen", "6"),
+        ("mh", "--alphabet", "27", "--maxlen", "5"),
+        ("tc", "--alphabet", "30", "--maxlen", "6", "--jobs", "2"),
+    ])
+    def test_alphabet_above_26_is_usage_error(self, capsys, argv):
+        # checked before the budget, so --maxlen 6 (over budget) and 5 (not)
+        # fail alike, and at the call, so before any output, under --jobs too
+        code = main(["verify", *argv])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "alphabet size must be <= 26" in captured.err
+
     def test_unknown_theorem_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "nope"])

@@ -69,6 +69,9 @@ class TestEnumerateWords:
             enumerate_words(2, 2, shard=(3, 3))
         with pytest.raises(ValueError):
             enumerate_words(0, 2)
+        # the alphabet before the budget: 27^6 + ... words exceed it
+        with pytest.raises(ValueError, match=r"^alphabet size must be <= 26 \(letters a\.\.z\), got 27$"):
+            enumerate_words(27, 6)
 
 
 class TestNaiveProfile:

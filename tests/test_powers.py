@@ -236,11 +236,12 @@ class TestSampledWindows:
             w = Word(errata_letters(rng, rng.randint(1, 80), list(range(k))),
                      Alphabet.letters(k))
             assert max_factor_exponent(w) == brute_max_exponent(w), w.letters
-        # letters equal in one byte of their two-byte slots
-        pool = [1, 257, 513, 769]
-        for _ in range(100):
-            w = Word(errata_letters(rng, rng.randint(1, 80), pool), Alphabet.indices(1000))
-            assert max_factor_exponent(w) == brute_max_exponent(w), w.letters
+        # letters equal in one byte of their two-byte slots: the low byte,
+        # then the high byte, so a bit is mapped to its letter, not its byte
+        for pool in ([1, 257, 513, 769], [256, 257, 258, 259]):
+            for _ in range(100):
+                w = Word(errata_letters(rng, rng.randint(1, 80), pool), Alphabet.indices(1000))
+                assert max_factor_exponent(w) == brute_max_exponent(w), w.letters
         assert window_periods
 
     def test_long_words_against_brute_oracle(self, window_periods):

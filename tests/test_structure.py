@@ -58,6 +58,8 @@ class TestDecomposeCheck:
     def test_vacuous_when_core_shorter_than_period(self):
         # middle segment 'bcd' with p=3: empty comparison range, passes
         assert decompose_check(wd("abcd"), QptDecomposition(1, 3, 0, 4))
+        # p past the word's end: l - t - p < 0 is an empty range too
+        assert decompose_check(wd("abcd"), QptDecomposition(1, 5, 0, 4))
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match=r"^decomposition is for length 4, word has 3$"):
