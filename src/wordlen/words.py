@@ -11,8 +11,8 @@ and of ``decompose --n``; the whole-profile oracle lives in
 The fast path reads every count off one list.  Let L_e be the length of
 the longest suffix of the prefix w[:e+1] that also occurs ending earlier.
 The new factors of w[:e+1] are exactly its suffixes longer than L_e, so
-f(n) = #{e : L_e < n} - (n - 1) for 1 <= n <= l, the total is
-1 + l(l+1)/2 - sum(L_e), and the longest repeated factor has length
+f(n) = #{e : L_e < n} - (n - 1) for 1 <= n <= l, the total complexity is
+the sum of the counts, and the longest repeated factor has length
 R = max(L_e).  With the dense histogram h[n] = #{e : L_e = n} for
 n = 0..R + 1, that is the increment identity f(n + 1) - f(n) = h[n] - 1
 for 0 <= n < l, and h[n] = 0 for every n > R.  The automaton keeps its
@@ -250,11 +250,11 @@ class SuffixAutomaton:
     state's link has maxlen L_e = ``repeats[e]``: the length of the longest
     suffix of letters[:e+1] that also occurs ending earlier.  The factors
     that first occur ending at e are exactly the longer suffixes, so
-    f(n) = #{e : L_e < n} - (n - 1) for 1 <= n <= l, the number of distinct
-    non-empty factors is l(l+1)/2 - sum(L_e), and the longest factor that
-    occurs twice has length R = max(L_e).  The profile is read off the dense
-    histogram h[n] = #{e : L_e = n}, n = 0..R + 1 (``histogram``), one plain
-    pass over the L_e, through f(n + 1) - f(n) = h[n] - 1 for 0 <= n < l.
+    f(n) = #{e : L_e < n} - (n - 1) for 1 <= n <= l, and the longest
+    factor that occurs twice has length R = max(L_e).  The profile is read
+    off the dense histogram h[n] = #{e : L_e = n}, n = 0..R + 1
+    (``histogram``), one plain pass over the L_e, through
+    f(n + 1) - f(n) = h[n] - 1 for 0 <= n < l.
 
     Transitions live only while the automaton is built.  A word with at
     most ROW_LETTERS_MAX = 16 distinct letters, ranked by first occurrence,
@@ -278,11 +278,6 @@ class SuffixAutomaton:
         else:
             built = _build_dicts(letters)
         self._maxlen, self._link, self.repeats = built
-
-    def distinct_factor_count(self) -> int:
-        """Number of distinct non-empty factors: l(l+1)/2 - sum(L_e)."""
-        l = len(self.repeats)
-        return l * (l + 1) // 2 - sum(self.repeats)
 
     def histogram(self) -> list[int]:
         """h[n] = #{e : L_e = n} for n = 0..R + 1, where R = max(L_e), so
@@ -337,5 +332,5 @@ def complexity_profile(w: Word) -> ComplexityProfile:
 
 def count_distinct_factors(w: Word) -> int:
     """Total complexity: distinct factors of every length, empty included."""
-    return SuffixAutomaton(w.letters).distinct_factor_count() + 1
+    return complexity_profile(w).total
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import json
 import multiprocessing
@@ -11,7 +12,7 @@ import pytest
 
 import wordlen
 from conftest import dump_matrix_set, fail_every_word
-from wordlen import algebra, bounds, structure, verify, words
+from wordlen import algebra, bounds, cli, structure, verify, words
 from wordlen.cli import EXIT_INTERNAL, main
 from wordlen.linalg import FMatrix, PrimeField
 from wordlen.powers import Exponent
@@ -102,6 +103,22 @@ class TestDecompose:
         payload = json.loads(out)
         assert code == 0 and payload["agree"] is True
         assert payload["lhs"] is True and payload["rhs"] is True
+
+    def test_text_output(self, capsys):
+        line = "q=0 p=3 t=1 cost=4 exponent=9/3 max_f=4\n"
+        assert run(capsys, "decompose", "abbabbabbb") == (0, line)
+        assert run(capsys, "decompose", "abbabbabbb", "--n", "4") == (
+            0, line + "n=4: f(n)<=n is True, cost<=n is True\n")
+
+    def test_disagreement_at_n_is_counterexample(self, capsys, monkeypatch):
+        # a substring-set count one too high makes f(4) <= 4 false while
+        # cost 4 <= 4 holds
+        monkeypatch.setattr(words, "factor_count", lambda w, n: n + 1)
+        code, out = run(capsys, "decompose", "abbabbabbb", "--n", "4", "--json")
+        payload = json.loads(out)
+        assert code == 1
+        assert (payload["n"], payload["lhs"], payload["rhs"], payload["agree"]) == (
+            4, False, True, False)
 
     def test_bad_n_is_usage_error(self, capsys):
         code, _ = run(capsys, "decompose", "abab", "--n", "3", "--json")
@@ -213,13 +230,33 @@ class TestVerify:
         assert exc.value.code == 2
 
     def test_pool_capped_at_cpu_count(self, capsys, monkeypatch):
-        made = _fake_pool(monkeypatch)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        code1, out1 = run(capsys, "verify", "mh", "--maxlen", "8", "--jobs", "5")
-        code2, out2 = run(capsys, "verify", "mh", "--maxlen", "8")
-        assert made == [(2, 5)]  # two processes, five shards
-        assert code1 == code2 == 0
-        assert out1 == out2
+        for jobs in ("5", "100000"):
+            made = _fake_pool(monkeypatch)
+            code1, out1 = run(capsys, "verify", "mh", "--maxlen", "8", "--jobs", jobs)
+            code2, out2 = run(capsys, "verify", "mh", "--maxlen", "8")
+            assert made == [(2, 2)]  # two processes, one shard each
+            assert code1 == code2 == 0
+            assert out1 == out2
+
+    def test_corollary_counterexample(self, capsys, monkeypatch):
+        # f(0) raised to l + 1 changes only the peak, so every window with
+        # f(n) <= m reports the corollary, never the equivalence
+        real = verify.naive_profile
+
+        def raised(w):
+            counts = (len(w) + 1,) + real(w).counts[1:]
+            return words.ComplexityProfile(counts, sum(counts))
+
+        monkeypatch.setattr(verify, "naive_profile", raised)
+        code, out = run(capsys, "verify", "mhgen", "--maxlen", "4")
+        records = [json.loads(line) for line in out.splitlines()[:-1]]
+        assert code == 1
+        assert records and len(records) == last_json(out)["counterexamples"]
+        assert {"kind": "corollary", "word": "aa", "n": 1, "m": 1, "peak": 3} in records
+        for ce in records:
+            assert set(ce) == {"kind", "word", "n", "m", "peak"}
+            assert ce["kind"] == "corollary" and ce["peak"] == len(ce["word"]) + 1
 
     def test_sharded_counterexamples(self, capsys, monkeypatch):
         _fake_pool(monkeypatch)
@@ -235,7 +272,7 @@ class TestVerify:
 
 
 def _fake_pool(monkeypatch) -> list:
-    """Run the pool's shards in this process; return the (processes, jobs)
+    """Run the pool's shards in this process; return the (processes, shards)
     record of each map."""
     made = []
 
@@ -249,9 +286,9 @@ def _fake_pool(monkeypatch) -> list:
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, jobs):
-            made.append((self.processes, len(jobs)))
-            return [fn(job) for job in jobs]
+        def map(self, fn, shards):
+            made.append((self.processes, len(shards)))
+            return [fn(shard) for shard in shards]
 
     monkeypatch.setattr(multiprocessing, "Pool", FakePool)
     return made
@@ -276,6 +313,31 @@ class TestAlg:
         assert [r["word"] for r in rows] == ["0", "01"]
         assert [r["c"] for r in rows] == [2, 4]
         assert all(r["c_ok"] and r["power_ok"] for r in rows)
+
+    def test_text_output(self, capsys, unit_pair_file):
+        assert run(capsys, "alg", "length", unit_pair_file) == (
+            0, "dims: [1, 3, 4]\nl(S) = 2, dim L(S) = 4\n")
+        assert run(capsys, "alg", "liw", unit_pair_file) == (0, (
+            "l(S) = 2, dim = 4, m = 2\n"
+            "  i=1 word=0 c=2 ok=True exp=1/1 power_ok=True\n"
+            "  i=2 word=01 c=4 ok=True exp=1/1 power_ok=True\n"))
+
+    @pytest.mark.parametrize("p, n, matrices, text", [
+        # E11, E22, E33 over GF(7): no product has degree 3, but diag(1, 2, 3)
+        # in their span does, so m = 2 is only an estimate
+        (7, 3, [[int(i == j == k) for i in range(3) for j in range(3)] for k in range(3)],
+         "l(S) = 1, dim = 3, m = 2 (estimated)\n"
+         "  i=1 word=0 c=2 ok=True exp=1/1 power_ok=True\n"),
+        # the unit pair over GF(2): p <= m, so no power row is checked
+        (2, 2, [[0, 1, 0, 0], [0, 0, 1, 0]],
+         "l(S) = 2, dim = 4, m = 2\n"
+         "  i=1 word=0 c=2 ok=True\n"
+         "  i=2 word=01 c=4 ok=True\n"),
+    ])
+    def test_liw_text_rows(self, capsys, tmp_path, p, n, matrices, text):
+        path = tmp_path / "set.json"
+        path.write_text(json.dumps({"p": p, "n": n, "matrices": matrices}))
+        assert run(capsys, "alg", "liw", str(path)) == (0, text)
 
     def test_liw_walks_once(self, capsys, monkeypatch, upper_triangular_file):
         calls = []
@@ -627,6 +689,36 @@ class TestBounds:
         assert summary.pop("m_max") == 10**12
         assert summary == {k: v for k, v in last_json(small).items() if k != "m_max"}
 
+    def test_grid_counterexample(self, capsys, monkeypatch):
+        real = bounds.pappacena_exceeds_main
+        monkeypatch.setattr(bounds, "pappacena_exceeds_main",
+                            lambda d, m: (d, m) != (7, 3) and real(d, m))
+        code, out = run(capsys, "bounds", "--grid", "--m-max", "10", "--d-max", "10")
+        lines = [json.loads(line) for line in out.splitlines()]
+        assert code == 1
+        assert lines == [{"d": 7, "m": 3}, {"cells": 45, "counterexamples": 1,
+                                            "d_max": 10, "m_max": 10}]
+
+    def test_grid_cell_budget(self, capsys, monkeypatch):
+        # the cell count is checked in closed form, before the first cell
+        checked = []
+        real = bounds.pappacena_exceeds_main
+        monkeypatch.setattr(bounds, "pappacena_exceeds_main",
+                            lambda d, m: checked.append((d, m)) or real(d, m))
+        monkeypatch.setattr(cli, "GRID_CELL_BUDGET", 45)
+        code, out = run(capsys, "bounds", "--grid", "--m-max", "10", "--d-max", "10")
+        assert code == 0 and last_json(out)["cells"] == len(checked) == 45
+        checked.clear()
+        code = main(["bounds", "--grid", "--m-max", "10", "--d-max", "11"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == "" and checked == []
+        assert captured.err == "error: 54 grid cells exceed budget 45\n"
+        monkeypatch.undo()
+        code = main(["bounds", "--grid", "--m-max", "2", "--d-max", str(10**12)])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == f"error: {10**12 - 1} grid cells exceed budget 1000000\n"
+
     def test_missing_args(self, capsys):
         code, _ = run(capsys, "bounds")
         assert code == 2
@@ -666,6 +758,45 @@ class TestOracle:
         )
         assert code == 0
         assert out.count("PASS") == 4
+
+    def test_profile_mismatch(self, capsys, monkeypatch):
+        # the automaton profile one too high at n = 1
+        real = verify.complexity_profile
+
+        def off_by_one(w):
+            counts = list(real(w).counts)
+            counts[1] += 1
+            return words.ComplexityProfile(tuple(counts), sum(counts))
+
+        monkeypatch.setattr(verify, "complexity_profile", off_by_one)
+        code, out = run(capsys, "oracle", "--words", "5", "--maxlen", "20",
+                        "--qpt-maxlen", "4", "--sets", "2")
+        lines = out.splitlines()
+        assert code == 1
+        assert lines[0] == "FAIL profiles: 5 cases, 5 mismatches"
+        records = [json.loads(line) for line in lines[1:6]]
+        for ce in records:
+            assert set(ce) == {"word", "fast", "naive"}
+            assert ce["fast"][1] == ce["naive"][1] + 1
+            assert ce["fast"][:1] + ce["fast"][2:] == ce["naive"][:1] + ce["naive"][2:]
+        assert [line.split(":")[0] for line in lines[6:]] == [
+            "PASS qpt", "PASS length", "PASS exponent"]
+
+    def test_qpt_mismatch(self, capsys, monkeypatch):
+        # the longest-repeat decomposition one letter too long in its period
+        real = verify.minimal_qpt
+        monkeypatch.setattr(verify, "minimal_qpt",
+                            lambda w: dataclasses.replace(real(w), p=real(w).p + 1))
+        code, out = run(capsys, "oracle", "--words", "5", "--maxlen", "20",
+                        "--qpt-maxlen", "2", "--sets", "2", "--json")
+        summaries = [json.loads(line) for line in out.splitlines() if "theorem" in line]
+        records = [json.loads(line) for line in out.splitlines() if "theorem" not in line]
+        assert code == 1
+        assert [(r["theorem"], r["status"]) for r in summaries] == [
+            ("profiles", "PASS"), ("qpt", "FAIL"), ("length", "PASS"), ("exponent", "PASS")]
+        assert len(records) == summaries[1]["counterexamples"] == 206
+        assert {"word": "a", "fast": "QptDecomposition(q=0, p=2, t=0, l=1)",
+                "brute": "QptDecomposition(q=0, p=1, t=0, l=1)"} in records
 
     def test_json_summaries_name_the_space_checked(self, capsys):
         # Each cross-check's record names every part of its case space; the
