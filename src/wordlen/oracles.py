@@ -3,11 +3,11 @@
 These exist to be obviously correct, not fast: substring sets instead of
 automata, exhaustive (q, p, t) scans instead of the longest-repeat identity,
 one border array per start position instead of per-period mismatch masks
-and sampled windows, per-level from-scratch products instead of frontier
-caching, a local schoolbook product instead of the packed-row FMatrix
-kernel, and a local Gaussian elimination that shares no code with the fast
-span basis.  Every fast path is required to agree with its oracle on the
-stated overlap domain.
+and block searches over bands of periods, per-level from-scratch products
+instead of frontier caching, a local schoolbook product instead of the
+packed-row FMatrix kernel, and a local Gaussian elimination that shares no
+code with the fast span basis.  Every fast path is required to agree with
+its oracle on the stated overlap domain.
 """
 
 from __future__ import annotations

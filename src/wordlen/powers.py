@@ -18,9 +18,9 @@ from itertools import repeat
 from .words import Word, complexity_profile
 
 
-# The smallest window, in letters, at which a period is scanned by sampled
-# windows rather than by the mismatch mask (see max_factor_exponent).
-WINDOW_LETTERS_MIN = 96
+# The smallest block, in letters, from which periods are scanned by the band
+# search rather than by the mismatch mask (see max_factor_exponent).
+WINDOW_LETTERS_MIN = 32
 
 _NONZERO_TO_ONE = bytes([0]) + bytes([1]) * 255
 
@@ -80,46 +80,65 @@ def max_factor_exponent(w: Word) -> tuple[Exponent, tuple[int, int]]:
     period (a longer run would beat it, a smaller period would give a
     larger exponent), so taking a strictly larger value, or an equal value
     with a smaller (start, length), gives the same witness as a scan of all
-    factors.  The runs of one period are found in one of two ways, which
-    yield the same runs:
+    factors.  The word is packed into bytes, s per letter (s the byte width
+    of its largest letter id; ``bytes(letters)`` when s = 1), and the runs
+    are found in one of two ways:
 
-    - Mask: the word is packed into one big int, s bytes per letter (s the
-      byte width of its largest letter id), so m comes from one XOR with
-      the int shifted by p slots: OR-folding each slot's bytes into its low
-      byte and mapping nonzero bytes to 1 leaves one mask byte per
-      position, and ``bytes.find`` skips the runs shorter than need.  This
-      is O(l) byte work per period.
-    - Windows, once g = need // 2 >= WINDOW_LETTERS_MIN: compare only the
-      windows w[j:j+g] and w[j+p:j+p+g] at j = 0, g, 2g, ... (one ``bytes``
-      slice comparison each) and widen each equal pair to its maximal run
-      by bit scans.  The run starts one letter after the highest set bit
-      of the XOR of the <= g letters before the window with the letters p
-      later (at their start if it is 0), and ends at the lowest set bit of
-      the first nonzero XOR of doubling blocks after the window.  A run
-      [i, e) with e - i >= need >= 2g holds the whole window at the first
-      multiple of g at or after i, which ends before i + 2g, so no run is
-      missed.  This is O(l / g) comparisons per period.
+    - Mask, one period at a time: the packed word read as one big int gives
+      m from one XOR with the int shifted by p slots: OR-folding each slot's
+      bytes into its low byte and mapping nonzero bytes to 1 leaves one mask
+      byte per position, and ``bytes.find`` skips the runs shorter than
+      need.  This is O(l) byte work per period.
+    - Bands, once g = need // 2 >= WINDOW_LETTERS_MIN: the periods are
+      scanned in doubling bands [P, 2P), cut at l * den / num and at
+      l - 2g, each with g fixed from need at P and the best at the band's
+      start.  need grows with both p and the
+      best, so a run [i, e) of the band that can still match the best has
+      e - i >= need >= 2g and holds the whole block w[j:j+g] at the first
+      multiple j of g at or after i, which ends before i + 2g.  For each
+      block, repeated ``bytes.find`` calls on the packed word return every
+      distance p in the band at which its bytes recur.  A hit at a byte
+      offset that is not a multiple of s straddles letter slots, and a hit
+      inside the run last widened at its period adds nothing; both are
+      skipped.  Every other hit is widened to its maximal run by bit scans.
+      The run starts one letter after the highest set bit of the XOR of the
+      <= g letters before the block with the letters p later (at their
+      start if it is 0): block j - g was searched at p in the same band and
+      did not recur there, or else block j would lie inside its run, so m
+      has a one among those letters.  The run ends at the lowest set bit of
+      the first nonzero XOR of doubling blocks after the block.  This is
+      O(l / g) searches per band, each over about P + g letters, in C.
+
+    A band returns every maximal run of its periods that reaches need for
+    the best at its start, so every run that can still match the best.
+    The runs are compared in a strict total order (value, then smaller
+    start, then smaller length), so the order in which they come does not
+    change the result: the unreduced num/den and the witness are those of
+    the mask alone.
 
     WINDOW_LETTERS_MIN is read at call time.  A word of at most twice its
-    value never reaches the windows, since need <= l - p.  Per period, a
-    window costs about 0.4 us and the mask about 4 ns per letter, so the
-    windows win from g of about 100.  Whole scans with the constant at 32,
-    64, 96, 128, 192 and 256 (best of 3 at 10^5 letters and of 30 at
-    1,000-2,000; CPython 3.11, 2-core Xeon, shared host): the Fibonacci,
-    square-free ternary and random binary words of 10^5 letters took
-    345/326/315/415/333/328 ms, 639/596/552/557/565/569 ms and
-    87/84/83/83/84/86 ms, against 8.2, 12.2 and 2.1 s for the mask alone;
-    the benchmark's random word of 2,000 letters over 4 letters and
-    Fibonacci factor of 1,500 took 1.39/1.34/1.31/1.31/1.40/1.47 ms and
-    1.83/1.72/1.63/1.63/1.74/1.93 ms, against 2.9 and 2.8 ms.  96 was
-    fastest or level with the fastest on every word but one.
+    value never reaches the bands, since need <= l - p.  Whole scans with
+    the constant at 16/24/32/48/64/96 (best of 10 at 10^5 letters and of
+    40 at 1,000-2,000; CPython 3.11, 2-core Xeon, shared host): the
+    Fibonacci, square-free ternary, random binary, two-byte and Thue-Morse
+    words of 10^5 letters that CI pins took 65/61/59/56/59/61 ms,
+    72/67/66/69/77/88 ms, 18/18/17/17/17/18 ms, 40/39/41/40/42/47 ms and
+    90/77/79/76/89/98 ms, against 315, 569, 84, 164 and 574 ms for the
+    per-period window scan that the bands replaced; the benchmark's random
+    word of 2,000 letters over 4 letters and Fibonacci factor of 1,500 took
+    0.36/0.35/0.35/0.38/0.42/0.50 ms and 0.91/0.89/0.85/0.83/0.87/0.96 ms,
+    against 1.34 and 1.72 ms.  32 was within 6 % of the fastest on every
+    word.
     """
     l = len(w)
     if l == 0:
         raise ValueError("max_factor_exponent of the empty word")
     window_min = WINDOW_LETTERS_MIN
     s = (max(w.letters).bit_length() + 7) // 8 or 1
-    packed = b"".join(map(int.to_bytes, w.letters, repeat(s), repeat("little")))
+    if s == 1:
+        packed = bytes(w.letters)
+    else:
+        packed = b"".join(map(int.to_bytes, w.letters, repeat(s), repeat("little")))
     big = int.from_bytes(packed, "little")
     folds = range(8, 8 * s, 8)
     best_num, best_den = 1, 1
@@ -127,14 +146,19 @@ def max_factor_exponent(w: Word) -> tuple[Exponent, tuple[int, int]]:
     p = 1
     while p < l and l * best_den >= best_num * p:
         need = max(1, -(-(best_num - best_den) * p // best_den))
-        if need // 2 >= window_min:
-            for i, e in _window_runs(packed, s, l, p, need):
-                length = e - i + p
-                gain = length * best_den - best_num * p
+        g = need // 2
+        if g >= window_min:
+            # a run of period q >= p reaches need >= 2g only if q <= l - 2g
+            hi = min(2 * p, l * best_den // best_num + 1, l - 2 * g + 1)
+            if hi <= p:
+                break
+            for i, e, q in _band_runs(packed, s, l, p, hi, g, best_num, best_den):
+                length = e - i + q
+                gain = length * best_den - best_num * q
                 if gain > 0 or (gain == 0 and (i, length) < (best_start, best_len)):
-                    best_num, best_den = length, p
+                    best_num, best_den = length, q
                     best_start, best_len = i, length
-            p += 1
+            p = hi
             continue
         # the mask's runs are taken inline, with no list or call per period:
         # a short word's whole scan is a few periods of such overhead
@@ -158,40 +182,49 @@ def max_factor_exponent(w: Word) -> tuple[Exponent, tuple[int, int]]:
     return Exponent(best_num, best_den), (best_start, best_start + best_len)
 
 
-def _window_runs(packed: bytes, s: int, l: int, p: int, need: int) -> list[tuple[int, int]]:
-    """The same runs as the mask, found from windows of g = need // 2
-    letters every g positions."""
-    span, g = l - p, need // 2
-    sp, sg = s * p, s * g
+def _band_runs(packed: bytes, s: int, l: int, lo: int, hi: int, g: int, num: int,
+               den: int) -> list[tuple[int, int, int]]:
+    """Every maximal run [i, e) of the mask of a period lo <= p < hi with
+    e - i >= need for num/den at p, as (i, e, p), found from the blocks of
+    g <= need // 2 letters every g positions."""
+    sg, reach = s * g, s * (hi - 1 + g)
     runs = []
-    j = 0
-    while j + g <= span:
-        a = s * j
-        if packed[a : a + sg] != packed[a + sp : a + sp + sg]:
-            j += g
-            continue
-        # m has a one in [j - g, j) when j >= g: in the window before, or at
-        # the end of the run before, which moved j to the first multiple of g
-        # past it.  The XOR of two letter ranges, each read as one int, has
-        # its highest set bit at their last mismatch and its lowest at their
-        # first, and byte offset // s is that mismatch's letter; an XOR of 0
-        # (j = 0) gives bit_length() - 1 = -1, so the run starts at lo.
-        lo = s * max(0, j - g)
-        x = (int.from_bytes(packed[lo:a], "little")
-             ^ int.from_bytes(packed[lo + sp : a + sp], "little"))
-        i = (lo + (x.bit_length() - 1) // 8) // s + 1
-        e, step = j + g, g
-        while e < span:
-            top = min(e + step, span)
-            x = (int.from_bytes(packed[s * e : s * top], "little")
-                 ^ int.from_bytes(packed[s * e + sp : s * top + sp], "little"))
-            if x:
-                e += ((x & -x).bit_length() - 1) // 8 // s
-                break
-            e, step = top, 2 * step
-        if e - i >= need:
-            runs.append((i, e))
-        j = (e // g + 1) * g
+    ends: dict[int, int] = {}  # period -> end of the run last widened at it
+    for a in range(0, s * (l - lo - g + 1), sg):
+        j = a // s
+        block = packed[a : a + sg]
+        k = packed.find(block, a + s * lo, a + reach)
+        while k >= 0:
+            sp = k - a
+            p = sp // s
+            # a hit between letter slots, or inside the run last widened at
+            # p, gives no new run
+            if sp % s == 0 and j >= ends.get(p, 0):
+                # m has a one in [j - g, j) when j >= g: block j - g was
+                # searched at p in this band and did not recur there, or else
+                # this block would lie inside its run.  The XOR of two letter
+                # ranges, each read as one int, has its highest set bit at
+                # their last mismatch and its lowest at their first, and byte
+                # offset // s is that mismatch's letter; an XOR of 0 (j = 0)
+                # gives bit_length() - 1 = -1, so the run starts at 0.
+                left = s * max(0, j - g)
+                x = (int.from_bytes(packed[left:a], "little")
+                     ^ int.from_bytes(packed[left + sp : k], "little"))
+                i = (left + (x.bit_length() - 1) // 8) // s + 1
+                span = l - p
+                e, step = j + g, g
+                while e < span:
+                    top = min(e + step, span)
+                    x = (int.from_bytes(packed[s * e : s * top], "little")
+                         ^ int.from_bytes(packed[s * e + sp : s * top + sp], "little"))
+                    if x:
+                        e += ((x & -x).bit_length() - 1) // 8 // s
+                        break
+                    e, step = top, 2 * step
+                ends[p] = e
+                if (e - i) * den >= (num - den) * p:
+                    runs.append((i, e, p))
+            k = packed.find(block, k + 1, a + reach)
     return runs
 
 

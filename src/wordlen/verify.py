@@ -41,7 +41,7 @@ QPT_RANDOM_ALPHABETS = (2, 3)
 LENGTH_N, LENGTH_P, LENGTH_GENS, LENGTH_CAP = 2, 5, 2, 8
 # Random short words, then per class this many long words: Fibonacci factors,
 # near-periodic words and random 4-letter words, long enough for the
-# exponent scan's sampled windows.
+# exponent scan's band search.
 EXPONENT_RANDOM_WORDS, EXPONENT_RANDOM_MAX_LEN = 300, 60
 EXPONENT_LONG_WORDS, EXPONENT_LONG_LENGTHS = 4, (600, 1_000)
 
@@ -321,9 +321,10 @@ def _long_words(rng: random.Random, count: int, lengths: tuple[int, int]) -> Ite
 
 
 def cross_validate_exponent(seed: int = 0) -> SweepReport:
-    """Mask-and-window exponent scan versus the border-array oracle, exact
+    """Mask-and-band exponent scan versus the border-array oracle, exact
     value, unreduced num/den and witness: EXPONENT_RANDOM_WORDS random words
-    over 2-4 letters, then EXPONENT_LONG_WORDS words of each long class."""
+    over 2-4 letters, which the mask scans alone, then EXPONENT_LONG_WORDS
+    words of each long class, whose long periods the band search scans."""
     rng = random.Random(seed)
     words = chain(
         _random_words(rng, EXPONENT_RANDOM_WORDS, EXPONENT_RANDOM_MAX_LEN, RANDOM_ALPHABETS),

@@ -35,16 +35,16 @@ def words_st(draw, min_size: int = 0, max_size: int = 40, max_alphabet: int = 4)
 
 @pytest.fixture
 def window_periods(monkeypatch) -> list[tuple]:
-    """The arguments of every call the test makes to powers._window_runs,
-    the sampled-window scan of one period."""
+    """The arguments of every call the test makes to powers._band_runs,
+    the block search of one band of periods."""
     calls = []
-    real = powers._window_runs
+    real = powers._band_runs
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(powers, "_window_runs", counted)
+    monkeypatch.setattr(powers, "_band_runs", counted)
     return calls
 
 

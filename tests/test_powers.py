@@ -219,10 +219,49 @@ def errata_letters(rng: random.Random, length: int, pool: list[int]) -> tuple[in
     return tuple(letters)
 
 
+def band_hits(args: tuple) -> list[tuple[int, int, int]]:
+    """The (j, g, byte distance) of every hit of the block search of one
+    `powers._band_runs` call, misaligned ones and ones inside known runs
+    included."""
+    packed, s, l, lo, hi, g = args[:6]
+    hits = []
+    for a in range(0, s * (l - lo - g + 1), s * g):
+        block, stop = packed[a : a + s * g], a + s * (hi - 1 + g)
+        k = packed.find(block, a + s * lo, stop)
+        while k >= 0:
+            hits.append((a // s, g, k - a))
+            k = packed.find(block, k + 1, stop)
+    return hits
+
+
+def byte_periodic_letters(rng: random.Random, length: int, q: int) -> tuple[int, ...]:
+    """Two-byte letters whose bytes repeat a random block of q bytes, odd q,
+    with 2 letters changed: a block of letters recurs q bytes later, half a
+    letter slot off."""
+    raw = bytes(rng.choice(b"\x01\x02\x03") for _ in range(q)) * (2 * length // q + 1)
+    letters = [raw[2 * i] + 256 * raw[2 * i + 1] for i in range(length)]
+    for _ in range(2):
+        letters[rng.randrange(length)] = rng.choice(letters)
+    return tuple(letters)
+
+
+def sparse_errata_letters(rng: random.Random, length: int, q: int, gap: int) -> tuple[int, ...]:
+    """A random binary block of q letters repeated to length, with one letter
+    flipped every gap // 2 to gap letters."""
+    base = [rng.randrange(2) for _ in range(q)]
+    letters = [base[i % q] for i in range(length)]
+    x = rng.randrange(gap // 2, gap)
+    while x < length:
+        letters[x] ^= 1
+        x += rng.randrange(gap // 2, gap)
+    return tuple(letters)
+
+
 class TestSampledWindows:
-    """Periods whose run threshold gives windows of at least
-    WINDOW_LETTERS_MIN letters are scanned by sampled windows; both modes
-    must give the oracle's exponent, num/den and witness exactly."""
+    """Periods whose run threshold gives blocks of at least
+    WINDOW_LETTERS_MIN letters are scanned by a block search over doubling
+    bands of periods; both modes must give the oracle's exponent, num/den
+    and witness exactly."""
 
     @pytest.mark.parametrize("window_min", [1, 2, 3])
     def test_small_windows_against_brute_oracle(self, monkeypatch, window_periods,
@@ -255,6 +294,52 @@ class TestSampledWindows:
         for w in cases:
             assert max_factor_exponent(w) == brute_max_exponent(w), len(w)
         assert {args[2] for args in window_periods} == {len(w) for w in cases}
+
+    @pytest.mark.parametrize("window_min", [None, 1, 2, 3])
+    def test_misaligned_hits_are_skipped(self, monkeypatch, window_periods, window_min):
+        if window_min:
+            monkeypatch.setattr(powers, "WINDOW_LETTERS_MIN", window_min)
+        for seed in range(2):
+            w = Word(byte_periodic_letters(random.Random(seed), 1200, 101),
+                     Alphabet.indices(1024))
+            assert max_factor_exponent(w) == brute_max_exponent(w), seed
+        assert window_periods and all(args[1] == 2 for args in window_periods)
+        assert any(d % 2 for args in window_periods for _, _, d in band_hits(args))
+
+    @pytest.mark.parametrize("window_min", [None, 1, 2, 3])
+    def test_scans_cross_bands(self, monkeypatch, window_periods, window_min):
+        if window_min:
+            monkeypatch.setattr(powers, "WINDOW_LETTERS_MIN", window_min)
+        rng = random.Random(29)
+        cases = [Word(fibonacci_letters(1500 + 321)[321:], Alphabet.letters(2)),
+                 Word(tuple(rng.randrange(4) for _ in range(1500)), Alphabet.letters(4)),
+                 Word(thue_morse_letters(1500), Alphabet.letters(2))]
+        for w in cases:
+            window_periods.clear()
+            assert max_factor_exponent(w) == brute_max_exponent(w), len(w)
+            # each band starts where the one before ended, at twice its start
+            # unless the end was capped
+            bands = [args[3:5] for args in window_periods]
+            assert len(bands) >= 2, bands
+            assert all(hi == lo2 for (_, hi), (lo2, _) in zip(bands, bands[1:])), bands
+            assert all(hi <= 2 * lo for lo, hi in bands), bands
+
+    @pytest.mark.parametrize("window_min", [None, 1, 2, 3])
+    def test_hits_inside_known_runs_are_skipped(self, monkeypatch, window_periods, window_min):
+        if window_min:
+            monkeypatch.setattr(powers, "WINDOW_LETTERS_MIN", window_min)
+        for seed in range(2):
+            w = Word(sparse_errata_letters(random.Random(seed), 2000, 40, 300),
+                     Alphabet.letters(2))
+            assert max_factor_exponent(w) == brute_max_exponent(w), seed
+        # a block that recurs at the same distance as the block g before it
+        # lies inside the run widened from that one
+        inside = 0
+        for args in window_periods:
+            hits = band_hits(args)
+            found = {(j, d) for j, _, d in hits}
+            inside += sum((j - g, d) in found for j, g, d in hits)
+        assert inside >= 3
 
     def test_short_words_keep_the_mask(self, window_periods):
         # need <= l - p, so a word of at most 2 * WINDOW_LETTERS_MIN letters

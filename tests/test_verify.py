@@ -167,7 +167,7 @@ class TestExponentCrossValidation:
         assert window_periods
 
     def test_dropped_window_runs_are_mismatches(self, monkeypatch):
-        monkeypatch.setattr(powers, "_window_runs", lambda *args: [])
+        monkeypatch.setattr(powers, "_band_runs", lambda *args: [])
         report = cross_validate_exponent(seed=6)
         assert not report.ok
         assert all(len(ce["word"]) >= 600 for ce in report.counterexamples)
