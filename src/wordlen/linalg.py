@@ -141,16 +141,6 @@ class FMatrix:
         return cls(field, len(rows), tuple(tuple(x % p for x in row) for row in rows))
 
     @classmethod
-    def from_flat(cls, field: PrimeField, n: int, values: Sequence[int]) -> "FMatrix":
-        if len(values) != n * n:
-            raise ValueError(f"expected {n * n} entries, got {len(values)}")
-        p = field.p
-        rows = tuple(
-            tuple(values[i * n + j] % p for j in range(n)) for i in range(n)
-        )
-        return cls(field, n, rows)
-
-    @classmethod
     def _trusted(cls, field: PrimeField, n: int, entries: tuple[tuple[int, ...], ...]) -> "FMatrix":
         """Entries a kernel has already reduced mod p: skips the range check."""
         mat = object.__new__(cls)
@@ -574,6 +564,8 @@ def load_matrix_set(source: str | Path | Mapping) -> tuple[PrimeField, int, list
         if not isinstance(flat, list):
             raise ValueError(f'"matrices"[{i}] must be a flat integer list')
         values = [_require_int(x, f'"matrices"[{i}] entry') for x in flat]
-        mats.append(FMatrix.from_flat(field, n, values))
+        if len(values) != n * n:
+            raise ValueError(f"expected {n * n} entries, got {len(values)}")
+        mats.append(FMatrix.from_rows(field, [values[r : r + n] for r in range(0, n * n, n)]))
     return field, n, mats
 

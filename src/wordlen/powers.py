@@ -11,6 +11,7 @@ swept word by word in ``verify.sweep_tc``, by its Lemma B.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
@@ -74,61 +75,57 @@ def max_factor_exponent(w: Word) -> tuple[Exponent, tuple[int, int]]:
     Periods p = 1, 2, ... are scanned while a factor of period p can still
     reach the best exponent num/den (l * den >= num * p).  Let
     m[i] = (w[i] != w[i+p]) for 0 <= i < l - p.  A maximal zero run [i, e)
-    of m is the factor [i, e + p) of exponent (e - i + p) / p, and only
-    runs of at least need = ceil((num - den) * p / den) zeros can match or
-    beat the best.  Every best witness is a maximal run of its minimal
-    period (a longer run would beat it, a smaller period would give a
-    larger exponent), so taking a strictly larger value, or an equal value
-    with a smaller (start, length), gives the same witness as a scan of all
-    factors.  The word is packed into bytes, s per letter (s the byte width
-    of its largest letter id; ``bytes(letters)`` when s = 1), and the runs
-    are found in one of two ways:
+    of m is the factor [i, e + p) of exponent (e - i + p) / p, which matches
+    or beats the best iff e - i >= need = ceil((num - den) * p / den).  Every
+    best witness is a maximal run of its minimal period (a longer run would
+    beat it, a smaller period would give a larger exponent), so taking a
+    strictly larger value, or an equal value with a smaller (start,
+    length), gives the same witness as a scan of all factors.  That
+    comparison with the current best is the one filter on runs; need only
+    says where to look.  The word is packed into bytes, s per letter (s the
+    byte width of its largest letter id; ``bytes(letters)`` when s = 1), and
+    the runs are found in one of two ways:
 
     - Mask, one period at a time: the packed word read as one big int gives
       m from one XOR with the int shifted by p slots: OR-folding each slot's
       bytes into its low byte and mapping nonzero bytes to 1 leaves one mask
       byte per position, and ``bytes.find`` skips the runs shorter than
-      need.  This is O(l) byte work per period.
+      need.  When a run [i, e) becomes the best, every later run of p
+      starts further right, so only a strictly longer one can win, and need
+      becomes e - i + 1 for the rest of the period.  This is O(l) byte work
+      per period.
     - Bands, once g = need // 2 >= WINDOW_LETTERS_MIN: the periods are
-      scanned in doubling bands [P, 2P), cut at l * den / num and at
-      l - 2g, each with g fixed from need at P and the best at the band's
-      start.  need grows with both p and the
-      best, so a run [i, e) of the band that can still match the best has
-      e - i >= need >= 2g and holds the whole block w[j:j+g] at the first
-      multiple j of g at or after i, which ends before i + 2g.  For each
-      block, repeated ``bytes.find`` calls on the packed word return every
-      distance p in the band at which its bytes recur.  A hit at a byte
-      offset that is not a multiple of s straddles letter slots, and a hit
-      inside the run last widened at its period adds nothing; both are
-      skipped.  Every other hit is widened to its maximal run by bit scans.
-      The run starts one letter after the highest set bit of the XOR of the
-      <= g letters before the block with the letters p later (at their
-      start if it is 0): block j - g was searched at p in the same band and
-      did not recur there, or else block j would lie inside its run, so m
-      has a one among those letters.  The run ends at the lowest set bit of
-      the first nonzero XOR of doubling blocks after the block.  This is
-      O(l / g) searches per band, each over about P + g letters, in C.
+      scanned in doubling bands [P, hi), hi = min(2P, l * den // num + 1),
+      each with g fixed from need at P and the best at the band's start.
+      need grows with both p and the best, so a run [i, e) of the band that
+      can still match the best has e - i >= need >= 2g and holds the whole
+      block w[j:j+g] at the first multiple j of g at or after i, which ends
+      before i + 2g.  For each block, repeated ``bytes.find`` calls on the
+      packed word return every distance p in the band at which its bytes
+      recur, and each hit is widened to its maximal run (see _band_runs).
+      This is O(l / g) searches per band, each over about P + g letters,
+      in C.  The loop runs only while p <= l * den // num, so hi > p and
+      the next band starts further on.  No band needs a cut at l - 2g:
+      need <= ceil((num - den) * l / num) = l - l * den // num, so every
+      period below hi is at most l - need <= l - 2g.
 
-    A band returns every maximal run of its periods that reaches need for
-    the best at its start, so every run that can still match the best.
-    The runs are compared in a strict total order (value, then smaller
-    start, then smaller length), so the order in which they come does not
-    change the result: the unreduced num/den and the witness are those of
-    the mask alone.
+    A band yields every maximal run that holds one of its blocks, so every
+    run that can still match the best.  The runs are compared in a strict
+    total order (value, then smaller start, then smaller length), so the
+    order in which they come does not change the result: the unreduced
+    num/den and the witness are those of the mask alone.
 
     WINDOW_LETTERS_MIN is read at call time.  A word of at most twice its
     value never reaches the bands, since need <= l - p.  Whole scans with
-    the constant at 16/24/32/48/64/96 (best of 10 at 10^5 letters and of
-    40 at 1,000-2,000; CPython 3.11, 2-core Xeon, shared host): the
+    the constant at 16/24/32/48/64/96 (best of 10 on CI's long words and of
+    40 at 1,500-2,000 letters; CPython 3.11, 2-core Xeon, shared host): the
     Fibonacci, square-free ternary, random binary, two-byte and Thue-Morse
-    words of 10^5 letters that CI pins took 65/61/59/56/59/61 ms,
-    72/67/66/69/77/88 ms, 18/18/17/17/17/18 ms, 40/39/41/40/42/47 ms and
-    90/77/79/76/89/98 ms, against 315, 569, 84, 164 and 574 ms for the
-    per-period window scan that the bands replaced; the benchmark's random
-    word of 2,000 letters over 4 letters and Fibonacci factor of 1,500 took
-    0.36/0.35/0.35/0.38/0.42/0.50 ms and 0.91/0.89/0.85/0.83/0.87/0.96 ms,
-    against 1.34 and 1.72 ms.  32 was within 6 % of the fastest on every
-    word.
+    words that CI pins took 32/29/26/23/25/28 ms, 37/33/32/34/38/48 ms,
+    8.0/7.4/7.4/7.0/7.2/7.6 ms, 23/22/21/22/24/28 ms and 70/59/62/60/68/73
+    ms; the benchmark's random word of 2,000 letters over 4 letters and
+    Fibonacci factor of 1,500 took 0.17/0.16/0.17/0.19/0.20/0.26 ms and
+    0.43/0.40/0.34/0.32/0.38/0.44 ms.  32 was within 11 % of the fastest
+    on every word.
     """
     l = len(w)
     if l == 0:
@@ -148,11 +145,8 @@ def max_factor_exponent(w: Word) -> tuple[Exponent, tuple[int, int]]:
         need = max(1, -(-(best_num - best_den) * p // best_den))
         g = need // 2
         if g >= window_min:
-            # a run of period q >= p reaches need >= 2g only if q <= l - 2g
-            hi = min(2 * p, l * best_den // best_num + 1, l - 2 * g + 1)
-            if hi <= p:
-                break
-            for i, e, q in _band_runs(packed, s, l, p, hi, g, best_num, best_den):
+            hi = min(2 * p, l * best_den // best_num + 1)
+            for i, e, q in _band_runs(packed, s, l, p, hi, g):
                 length = e - i + q
                 gain = length * best_den - best_num * q
                 if gain > 0 or (gain == 0 and (i, length) < (best_start, best_len)):
@@ -177,18 +171,23 @@ def max_factor_exponent(w: Word) -> tuple[Exponent, tuple[int, int]]:
             if gain > 0 or (gain == 0 and (i, length) < (best_start, best_len)):
                 best_num, best_den = length, p
                 best_start, best_len = i, length
+                # later runs of p start further right: only a longer one wins
+                need = e - i + 1
+                zeros = bytes(need)
             i = mask.find(zeros, e + 1)
         p += 1
     return Exponent(best_num, best_den), (best_start, best_start + best_len)
 
 
-def _band_runs(packed: bytes, s: int, l: int, lo: int, hi: int, g: int, num: int,
-               den: int) -> list[tuple[int, int, int]]:
-    """Every maximal run [i, e) of the mask of a period lo <= p < hi with
-    e - i >= need for num/den at p, as (i, e, p), found from the blocks of
-    g <= need // 2 letters every g positions."""
+def _band_runs(packed: bytes, s: int, l: int, lo: int, hi: int,
+               g: int) -> Iterator[tuple[int, int, int]]:
+    """Every maximal run [i, e) of the mask of a period lo <= p < hi that
+    holds a block of g letters at a multiple of g, as (i, e, p).  It applies
+    no threshold: the caller's comparison with its best is the one filter.
+    Hits between letter slots and hits inside the run last widened at their
+    period are skipped; every other hit is widened by bit scans, over the
+    <= g letters before the block and over doubling blocks after it."""
     sg, reach = s * g, s * (hi - 1 + g)
-    runs = []
     ends: dict[int, int] = {}  # period -> end of the run last widened at it
     for a in range(0, s * (l - lo - g + 1), sg):
         j = a // s
@@ -222,10 +221,8 @@ def _band_runs(packed: bytes, s: int, l: int, lo: int, hi: int, g: int, num: int
                         break
                     e, step = top, 2 * step
                 ends[p] = e
-                if (e - i) * den >= (num - den) * p:
-                    runs.append((i, e, p))
+                yield i, e, p
             k = packed.find(block, k + 1, a + reach)
-    return runs
 
 
 def avoids(w: Word, d: Fraction | int, strict_plus: bool) -> bool:

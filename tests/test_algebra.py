@@ -75,6 +75,10 @@ class TestLengthTrace:
         with pytest.raises(CapExceeded):
             length_trace(PAIR, 1)
 
+    def test_non_positive_max_len(self):
+        with pytest.raises(ValueError, match=r"^max_len must be >= 1$"):
+            length_trace(PAIR, 0)
+
     def test_dims_strictly_increase(self):
         rng = random.Random(2)
         for _ in range(30):
@@ -500,6 +504,10 @@ class TestEstimateMStar:
 
     def test_identity(self):
         assert estimate_m_star(GeneratorSet(F5, 2, (FMatrix.identity(F5, 2),)), 3) == 1
+
+    def test_non_positive_cap(self):
+        with pytest.raises(ValueError, match=r"^word_len_cap must be >= 1$"):
+            estimate_m_star(PAIR, 0)
 
     def test_bounded_by_matrix_size(self):
         rng = random.Random(13)

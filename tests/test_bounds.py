@@ -13,6 +13,7 @@ from wordlen.bounds import (
     _pappacena_greater_than,
     best_main_bound,
     main_bound,
+    pappacena_approx,
     pappacena_exceeds_main,
     paz_bound,
 )
@@ -137,6 +138,10 @@ class TestPappacena:
         for m in range(2, 9):
             for d in range(m, 121):
                 assert pappacena_exceeds_main(d, m)
+
+    def test_invalid(self):
+        with pytest.raises(ValueError, match=r"^need m >= 2, d >= m; got d=3, m=4$"):
+            pappacena_approx(3, 4)
 
 
 class TestBoundTable:

@@ -460,6 +460,13 @@ class TestAlg:
         assert err.startswith("error: matrix set must be an object")
         assert "Traceback" not in err
 
+    def test_short_matrix_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps({"p": 5, "n": 2, "matrices": [[0, 1, 0]]}))
+        code = main(["alg", "length", str(path)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: expected 4 entries, got 3\n"
+
 
 @pytest.mark.parametrize(
     "argv",

@@ -101,6 +101,10 @@ class TestBruteMinQpt:
         with pytest.raises(ValueError, match=r"^brute_min_qpt handles length <= 30$"):
             brute_min_qpt(Word((0,) * 31, Alphabet.letters(2)))
 
+    def test_empty(self):
+        with pytest.raises(ValueError, match=r"^brute_min_qpt requires a non-empty word$"):
+            brute_min_qpt(parse_word("", Alphabet.letters(2)))
+
     def test_agreement_exhaustive_binary(self):
         for w in enumerate_words(2, 16):
             assert minimal_qpt(w) == brute_min_qpt(w), w.render()
@@ -146,3 +150,7 @@ class TestBruteLength:
     def test_cap_exceeded(self):
         with pytest.raises(CapExceeded):
             brute_length(GeneratorSet(F5, 2, (E12, E21)), cap=1)
+
+    def test_non_positive_cap(self):
+        with pytest.raises(ValueError, match=r"^cap must be >= 1$"):
+            brute_length(GeneratorSet(F5, 2, (E12, E21)), cap=0)

@@ -341,6 +341,15 @@ class TestSampledWindows:
             inside += sum((j - g, d) in found for j, g, d in hits)
         assert inside >= 3
 
+    def test_band_tie_keeps_the_leftmost_witness(self, window_periods):
+        # x is square-free, so xx and dd are the squares that matter: the
+        # mask finds dd at period 1, then the band [64, 102) finds xx, of the
+        # same value 2 and further left, which must replace it
+        x = square_free_ternary_letters(100)
+        w = Word(x + x + (3, 3), Alphabet.letters(4))
+        assert max_factor_exponent(w) == brute_max_exponent(w) == (Exponent(200, 100), (0, 200))
+        assert [args[3:5] for args in window_periods] == [(64, 102)]
+
     def test_short_words_keep_the_mask(self, window_periods):
         # need <= l - p, so a word of at most 2 * WINDOW_LETTERS_MIN letters
         # never reaches the windows
@@ -397,6 +406,10 @@ class TestVerifyTc:
         assert r.c == 37  # l(l+1)/2 + 1
         assert r.bound == 25
         assert r.all_ok
+
+    def test_empty_word(self):
+        with pytest.raises(ValueError, match=r"^verify_tc of the empty word$"):
+            verify_tc(parse_word("", Alphabet.letters(2)), 1)
 
     def test_hypothesis_errors(self):
         with pytest.raises(ValueError, match=r"^hypothesis not satisfied: k >= 1$"):

@@ -251,6 +251,10 @@ class TestProfileShape:
     def test_unary(self):
         assert profile_shape(wd("aaaa")) == ProfileShape(0, 4, 1)
 
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match=r"^profile_shape requires a non-empty word$"):
+            profile_shape(Word((), Alphabet.letters(2)))
+
     def test_short_words(self):
         assert profile_shape(wd("ab")) == ProfileShape(1, 1, 2)
         assert profile_shape(wd("abcd")) == ProfileShape(1, 1, 4)

@@ -121,6 +121,10 @@ class TestSharding:
         assert merged.counterexamples == merge_reports([serial]).counterexamples
         assert merged.summary() == serial.summary()
 
+    def test_merge_nothing(self):
+        with pytest.raises(ValueError, match=r"^nothing to merge$"):
+            merge_reports([])
+
     def test_merge_orders_counterexamples(self):
         a = SweepReport("x", 2, 4, 1, [{"word": "bb", "n": 1}])
         b = SweepReport("x", 2, 4, 2, [{"word": "ab", "n": 2}])

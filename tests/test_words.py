@@ -40,6 +40,12 @@ class TestAlphabet:
         assert Alphabet.from_spec("abc").symbols == ("a", "b", "c")
         assert Alphabet.from_spec("x1,x2").symbols == ("x1", "x2")
 
+    def test_size_limits(self):
+        with pytest.raises(ValueError, match=r"^letters\(\) supports sizes 1\.\.26$"):
+            Alphabet.letters(27)
+        with pytest.raises(ValueError, match=r"^alphabet size must be >= 1$"):
+            Alphabet.indices(0)
+
 
 class TestParse:
     def test_identity_mapping(self):
@@ -63,6 +69,13 @@ class TestParse:
     def test_word_validates_letter_ids(self):
         with pytest.raises(ValueError):
             Word((0, 5), Alphabet.letters(2))
+
+    def test_factor_out_of_range(self):
+        w = wd("abc")
+        assert w.factor(1, 3).letters == (1, 2)
+        for start, end in ((2, 1), (-1, 2), (0, 4)):
+            with pytest.raises(IndexError, match=rf"^factor span \[{start}, {end}\) out of range$"):
+                w.factor(start, end)
 
 
 class TestFactorCount:
