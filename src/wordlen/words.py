@@ -15,10 +15,10 @@ f(n) = #{e : L_e < n} - (n - 1) for 1 <= n <= l, the total complexity is
 the sum of the counts, and the longest repeated factor has length
 R = max(L_e).  With the dense histogram h[n] = #{e : L_e = n} for
 n = 0..R + 1, that is the increment identity f(n + 1) - f(n) = h[n] - 1
-for 0 <= n < l, and h[n] = 0 for every n > R.  The automaton keeps its
-transitions in per-letter list rows for words of at most 16 distinct
-letters and in per-state dicts above that, where rows grow slower and
-larger (see ``SuffixAutomaton``).
+for 0 <= n < l, and h[n] = 0 for every n > R.  The automaton numbers
+each prefix state by its length and keeps its transitions in list rows
+keyed by letter for words of at most 16 distinct letters, in per-state
+dicts above that (see ``SuffixAutomaton``).
 """
 
 from __future__ import annotations
@@ -158,26 +158,25 @@ ROW_LETTERS_MAX = 16
 
 
 def _build_rows(
-    letters: Sequence[int], ranks: dict[int, int]
+    letters: Sequence[int], used: set[int]
 ) -> tuple[list[int], list[int], list[int]]:
-    """Online construction; returns (maxlen, link, repeats).  Transitions
-    on the letter of rank a live in rows[a][state], where 0 means "none",
-    since the root is never a target."""
+    """Online construction; returns (maxlen, link, repeats).  State e is
+    the prefix letters[:e], so a prefix state's id is its maxlen, one int
+    object for both; clones take the ids l + 1, l + 2, ... in order.
+    Transitions on letter a live in rows[a][state] for each a in used,
+    where 0 means "none", since the root is never a target."""
     l = len(letters)
     cap = 2 * l + 1
     maxlen = [0] * cap
     link = [0] * cap
     link[0] = -1
     repeats = [0] * l
-    rows = [[0] * cap for _ in ranks]
-    last = 0
-    size = 1
-    for e, a in enumerate(map(ranks.__getitem__, letters)):
+    rows = {a: [0] * cap for a in used}
+    size = l + 1
+    for cur, a in enumerate(letters, 1):
         g = rows[a]
-        cur = size
-        size += 1
-        maxlen[cur] = e + 1  # the state of the prefix letters[:e+1]
-        p = last
+        maxlen[cur] = cur
+        p = cur - 1
         while p != -1 and not g[p]:
             g[p] = cur
             p = link[p]
@@ -191,7 +190,7 @@ def _build_rows(
                 size += 1
                 maxlen[clone] = r
                 link[clone] = link[q]
-                for row in rows:
+                for row in rows.values():
                     row[clone] = row[q]
                 g[p] = clone  # g[p] == q here
                 p = link[p]
@@ -199,25 +198,26 @@ def _build_rows(
                     g[p] = clone
                     p = link[p]
                 link[q] = link[cur] = clone
-            repeats[e] = r
-        last = cur
+            repeats[cur - 1] = r
     del maxlen[size:], link[size:]
     return maxlen, link, repeats
 
 
 def _build_dicts(letters: Sequence[int]) -> tuple[list[int], list[int], list[int]]:
-    """The same construction with one transition dict per state."""
-    maxlen = [0]
-    link = [-1]
-    nxt: list[dict[int, int]] = [{}]
-    repeats = [0] * len(letters)
-    last = 0
-    for e, a in enumerate(letters):
-        cur = len(maxlen)
-        maxlen.append(e + 1)  # the state of the prefix letters[:e+1]
-        link.append(0)
-        nxt.append({})
-        p = last
+    """The same construction, with the same state ids and the same
+    output, on one transition dict per state."""
+    l = len(letters)
+    cap = 2 * l + 1
+    maxlen = [0] * cap
+    link = [0] * cap
+    link[0] = -1
+    nxt: list[dict[int, int] | None] = [{}] + [None] * (cap - 1)
+    repeats = [0] * l
+    size = l + 1
+    for cur, a in enumerate(letters, 1):
+        maxlen[cur] = cur
+        nxt[cur] = {}
+        p = cur - 1
         while p != -1 and a not in nxt[p]:
             nxt[p][a] = cur
             p = link[p]
@@ -227,18 +227,19 @@ def _build_dicts(letters: Sequence[int]) -> tuple[list[int], list[int], list[int
             if r == maxlen[q]:
                 link[cur] = q
             else:
-                clone = len(maxlen)
-                maxlen.append(r)
-                link.append(link[q])
-                nxt.append(dict(nxt[q]))
+                clone = size
+                size += 1
+                maxlen[clone] = r
+                link[clone] = link[q]
+                nxt[clone] = dict(nxt[q])
                 nxt[p][a] = clone  # nxt[p][a] == q here
                 p = link[p]
                 while p != -1 and nxt[p].get(a) == q:
                     nxt[p][a] = clone
                     p = link[p]
                 link[q] = link[cur] = clone
-            repeats[e] = r
-        last = cur
+            repeats[cur - 1] = r
+    del maxlen[size:], link[size:]
     return maxlen, link, repeats
 
 
@@ -256,25 +257,25 @@ class SuffixAutomaton:
     (``histogram``), one plain pass over the L_e, through
     f(n + 1) - f(n) = h[n] - 1 for 0 <= n < l.
 
-    Transitions live only while the automaton is built.  A word with at
-    most ROW_LETTERS_MAX = 16 distinct letters, ranked by first occurrence,
-    keeps them in one list row of 2l + 1 slots per letter; a wider word
-    keeps one dict per state.  Rows cost O(k') per clone and 8 k' (2l + 1)
-    bytes, so they lose as k' grows.  Built from random words of 10^5
-    letters (best of 3, tracemalloc peak; CPython 3.11, 2-core Xeon), rows
-    against dicts: k' = 4, 0.18 s and 18 MB against 0.32 s and 47 MB;
-    k' = 16, 0.23 s and 36 MB against 0.26 s and 42 MB; k' = 32, 0.36 s
-    and 60 MB against 0.24 s and 40 MB.  Two passes over every k' from 16
-    to 32 put the memory crossover at k' = 19-20 (40 MB each) and the time
-    crossover at 25-26: up to 25 the two builds differ by less than the
-    spread between passes (up to 20 %), and from 26 on rows were slower in
-    both passes (1.03-1.40x).  The threshold 16 sits below both.
+    Transitions live only while the automaton is built, on states
+    numbered by prefix length (see ``_build_rows``).  A word with at most
+    ROW_LETTERS_MAX = 16 distinct letters keeps them in one list row of
+    2l + 1 slots per letter, keyed by the letter; a wider word keeps one
+    dict per state.  Rows cost O(k') per clone and 8 k' (2l + 1) bytes, so
+    they lose as k' grows.  Built from random words of 10^5 letters (best
+    of 3 in each of 3 passes, tracemalloc peak; CPython 3.11, 2-core EPYC),
+    rows against dicts: k' = 4, 0.06 s and 15 MB against 0.16 s and 45 MB;
+    k' = 16, 0.10 s and 33 MB against 0.11 s and 41 MB; k' = 32, 0.12 s
+    and 57 MB against 0.11 s and 39 MB.  Two passes over k' = 18-22 and
+    the even k' to 30 put the memory crossover at k' = 20-21 and the time
+    crossover near 28: up to 26 rows were never slower, and at 30 dicts
+    were faster in both passes (1.27-1.36x).  The threshold 16 is below both.
     """
 
     def __init__(self, letters: Sequence[int]) -> None:
-        ranks = {a: i for i, a in enumerate(dict.fromkeys(letters))}
-        if len(ranks) <= ROW_LETTERS_MAX:
-            built = _build_rows(letters, ranks)
+        used = set(letters)
+        if len(used) <= ROW_LETTERS_MAX:
+            built = _build_rows(letters, used)
         else:
             built = _build_dicts(letters)
         self._maxlen, self._link, self.repeats = built
@@ -303,23 +304,22 @@ class SuffixAutomaton:
         factor at q.  R = max(L_e).  A state has two or more end positions
         iff it is a suffix-link target, so the length-R factors that occur
         twice are the link targets of maxlen R.  The states that link to a
-        length-R target are not link targets themselves, so each is the
-        prefix state of one end position, its maxlen - 1.  The target may
-        also own the end R - 1: the first state with maxlen R is the prefix
-        state of the first R letters.  That holds at R = 0 too (the word must
-        be non-empty): the root, the first state with maxlen 0, is the prefix
-        state of the empty prefix, and its end -1 joins the ends 0..l-1 of
-        every prefix state, so q = 0 and j = l.
+        length-R target are not link targets themselves, so each is a
+        prefix state v in 1..l, and its one end position is v - 1.  The
+        target may also own the end R - 1: state R, the prefix state of the
+        first R letters, is the one state of maxlen R that owns it.  That
+        holds at R = 0 too (the word must be non-empty): the root, state 0,
+        is the prefix state of the empty prefix, and its end -1 joins the
+        ends 0..l-1 of every prefix state, so q = 0 and j = l.
         """
         maxlen, link = self._maxlen, self._link
         r = max(self.repeats)
         ends: dict[int, list[int]] = {}
-        for v in range(1, len(maxlen)):
+        for v in range(1, len(self.repeats) + 1):
             if maxlen[link[v]] == r:
-                ends.setdefault(link[v], []).append(maxlen[v] - 1)
-        prefix = maxlen.index(r)
-        if prefix in ends:
-            ends[prefix].append(r - 1)
+                ends.setdefault(link[v], []).append(v - 1)
+        if r in ends:
+            ends[r].append(r - 1)
         u = min(ends, key=lambda u: min(ends[u]))
         return r, min(ends[u]) - r + 1, max(ends[u]) - r + 1
 

@@ -14,6 +14,8 @@ from wordlen.words import (
     Alphabet,
     SuffixAutomaton,
     Word,
+    _build_dicts,
+    _build_rows,
     complexity_profile,
     count_distinct_factors,
     factor_count,
@@ -240,6 +242,18 @@ class TestTransitionStores:
     def test_repeats_exhaustive_binary(self):
         for w in enumerate_words(2, 10):
             assert SuffixAutomaton(w.letters).repeats == brute_repeats(w.letters), w.render()
+
+    def test_builds_agree_state_for_state(self):
+        # both builds number the prefix state of letters[:e] as e and the
+        # clones l + 1, l + 2, ... in the order they are made
+        for k, max_len in ((2, 11), (3, 7)):
+            for w in enumerate_words(k, max_len):
+                letters = w.letters
+                built = _build_dicts(letters)
+                assert _build_rows(letters, set(letters)) == built, w.render()
+                maxlen, _, repeats = built
+                assert maxlen[: len(letters) + 1] == list(range(len(letters) + 1))
+                assert repeats == brute_repeats(letters), w.render()
 
     def test_wide_alphabet_memory(self):
         # 2,000 distinct letters, each used twice: per-state dicts stay small,
