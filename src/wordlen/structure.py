@@ -13,7 +13,7 @@ from itertools import repeat
 from operator import indexOf, le
 
 from .powers import Exponent
-from .words import SuffixAutomaton, Word
+from .words import SuffixAutomaton, Word, profile_counts, repeat_histogram
 
 
 class ShapeViolation(RuntimeError):
@@ -117,24 +117,22 @@ def profile_shape(w: Word) -> ProfileShape:
     peak = f(m_star) = 1 + h[0] + ... + h[m_star - 1] - m_star.  It always
     exists: the h[n] sum to l and are >= 2 below m_star, so m_star <= l/2.
     The plateau holds iff h[n] = 1 on [m_star, plateau_end), and the fall
-    iff h[n] = 0 on [plateau_end, R], R = max(L_e): h is 0 past R by
-    construction, so n > R needs no check.  The counts are built only to
-    report a violation.
+    iff h[n] = 0 from plateau_end on; past R = max(L_e), h is 0 by
+    construction.  Only repeat lengths that break the theorem can put
+    plateau_end below m_star, so the violation is the first
+    n >= min(m_star, plateau_end) with h[n] != 1 before plateau_end or
+    h[n] != 0 from it on.  The counts are built only to report it.
     """
     l = len(w)
     if l == 0:
         raise ValueError("profile_shape requires a non-empty word")
-    sam = SuffixAutomaton(w.letters)
-    h = sam.histogram()
+    repeats = SuffixAutomaton(w.letters).repeats
+    h = repeat_histogram(repeats)
     m_star = indexOf(map(le, h, repeat(1)), True)
     peak = 1 + sum(h[:m_star]) - m_star
     plateau_end = l - peak + 1
-    plateau = h[m_star:plateau_end]
-    if plateau.count(1) != len(plateau):
-        n = m_star + next(j for j, c in enumerate(plateau) if c != 1)
-        raise ShapeViolation(n + 1, (1, *sam.length_counts()))
-    fall = h[plateau_end : len(h) - 1]
-    if any(fall):
-        n = plateau_end + next(j for j, c in enumerate(fall) if c)
-        raise ShapeViolation(n + 1, (1, *sam.length_counts()))
+    start = min(m_star, plateau_end)
+    if h[start:plateau_end].count(1) != plateau_end - start or any(h[plateau_end:]):
+        n = next(n for n in range(start, len(h)) if h[n] != (n < plateau_end))
+        raise ShapeViolation(n + 1, profile_counts(repeats))
     return ProfileShape(m_star, plateau_end, peak)

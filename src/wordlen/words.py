@@ -14,17 +14,18 @@ The new factors of w[:e+1] are exactly its suffixes longer than L_e, so
 f(n) = #{e : L_e < n} - (n - 1) for 1 <= n <= l, the total complexity is
 the sum of the counts, and the longest repeated factor has length
 R = max(L_e).  With the dense histogram h[n] = #{e : L_e = n} for
-n = 0..R + 1, that is the increment identity f(n + 1) - f(n) = h[n] - 1
-for 0 <= n < l, and h[n] = 0 for every n > R.  The automaton numbers
-each prefix state by its length and keeps its transitions in list rows
-keyed by letter for words of at most 16 distinct letters, in per-state
-dicts above that (see ``SuffixAutomaton``).
+n = 0..R + 1, that is f(n + 1) - f(n) = h[n] - 1 for 0 <= n < l, and
+h[n] = 0 for every n > R.  ``repeat_histogram`` and ``profile_counts``
+read the list alone, so the automaton's states are freed before any
+count is built.  The automaton numbers each prefix state by its length and
+keeps its transitions in list rows keyed by letter for words of at most 16
+distinct letters, in per-state dicts above that (see ``SuffixAutomaton``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, chain, islice, repeat
 from operator import sub
 from string import ascii_lowercase
 from typing import Sequence
@@ -252,10 +253,10 @@ class SuffixAutomaton:
     suffix of letters[:e+1] that also occurs ending earlier.  The factors
     that first occur ending at e are exactly the longer suffixes, so
     f(n) = #{e : L_e < n} - (n - 1) for 1 <= n <= l, and the longest
-    factor that occurs twice has length R = max(L_e).  The profile is read
-    off the dense histogram h[n] = #{e : L_e = n}, n = 0..R + 1
-    (``histogram``), one plain pass over the L_e, through
-    f(n + 1) - f(n) = h[n] - 1 for 0 <= n < l.
+    factor that occurs twice has length R = max(L_e).  The profile and its
+    shape are read off ``repeats`` alone (``repeat_histogram``,
+    ``profile_counts``); only ``longest_repeat`` needs the states' maxlen
+    and suffix links as well.
 
     Transitions live only while the automaton is built, on states
     numbered by prefix length (see ``_build_rows``).  A word with at most
@@ -280,22 +281,6 @@ class SuffixAutomaton:
             built = _build_dicts(letters)
         self._maxlen, self._link, self.repeats = built
 
-    def histogram(self) -> list[int]:
-        """h[n] = #{e : L_e = n} for n = 0..R + 1, where R = max(L_e), so
-        the last entry is 0."""
-        h = [0] * (max(self.repeats, default=0) + 2)
-        for n in self.repeats:
-            h[n] += 1
-        return h
-
-    def length_counts(self) -> list[int]:
-        """f(1..l).  Summing f(n + 1) - f(n) = h[n] - 1 from f(0) = 1 gives
-        f(n + 1) = h[0] + ... + h[n] - n, and every L_e is at most R, so
-        f(n) = l - n + 1 from n = R + 1 on."""
-        l, h = len(self.repeats), self.histogram()
-        r = len(h) - 2
-        return list(map(sub, accumulate(h[:r]), range(r))) + list(range(l - r, 0, -1))
-
     def longest_repeat(self) -> tuple[int, int, int]:
         """(R, q, j) for the longest factor that occurs at two positions.
 
@@ -305,29 +290,42 @@ class SuffixAutomaton:
         iff it is a suffix-link target, so the length-R factors that occur
         twice are the link targets of maxlen R.  The states that link to a
         length-R target are not link targets themselves, so each is a
-        prefix state v in 1..l, and its one end position is v - 1.  The
-        target may also own the end R - 1: state R, the prefix state of the
-        first R letters, is the one state of maxlen R that owns it.  That
-        holds at R = 0 too (the word must be non-empty): the root, state 0,
-        is the prefix state of the empty prefix, and its end -1 joins the
-        ends 0..l-1 of every prefix state, so q = 0 and j = l.
+        prefix state v in 1..l, a hit, whose one end v - 1 gives its target
+        the start v - R.  State R, the prefix state of the first R letters,
+        also owns the start 0 if it is a target, and every hit is above R.
+        So the factor at q is state R if that is a target, else the first
+        hit's target, and j is the last hit that links to it, minus R.  At
+        R = 0 (the word must be non-empty) the root, state 0, is the target
+        of every prefix state, so q = 0 and j = l.
         """
         maxlen, link = self._maxlen, self._link
         r = max(self.repeats)
-        ends: dict[int, list[int]] = {}
-        for v in range(1, len(self.repeats) + 1):
-            if maxlen[link[v]] == r:
-                ends.setdefault(link[v], []).append(v - 1)
-        if r in ends:
-            ends[r].append(r - 1)
-        u = min(ends, key=lambda u: min(ends[u]))
-        return r, min(ends[u]) - r + 1, max(ends[u]) - r + 1
+        hits = [v for v in range(1, len(self.repeats) + 1) if maxlen[link[v]] == r]
+        u = r if r in map(link.__getitem__, hits) else link[hits[0]]
+        q = 0 if u == r else hits[0] - r
+        return r, q, next(v for v in reversed(hits) if link[v] == u) - r
+
+
+def repeat_histogram(repeats: Sequence[int]) -> list[int]:
+    """h[n] = #{e : L_e = n} for n = 0..R + 1, where R = max(L_e), so
+    the last entry is 0."""
+    h = [0] * (max(repeats, default=0) + 2)
+    for n in repeats:
+        h[n] += 1
+    return h
+
+
+def profile_counts(repeats: Sequence[int]) -> tuple[int, ...]:
+    """f(0..l), l = len(repeats): the running sum from f(0) = 1 of the
+    steps f(n + 1) - f(n) = h[n] - 1, where h[n] = 0 past R."""
+    steps = chain(map(sub, repeat_histogram(repeats), repeat(1)), repeat(-1))
+    return tuple(accumulate(islice(steps, len(repeats)), initial=1))
 
 
 def complexity_profile(w: Word) -> ComplexityProfile:
     """f(0..l) plus the total complexity, via the suffix automaton."""
-    counts = [1] + SuffixAutomaton(w.letters).length_counts()
-    return ComplexityProfile(tuple(counts), sum(counts))
+    counts = profile_counts(SuffixAutomaton(w.letters).repeats)
+    return ComplexityProfile(counts, sum(counts))
 
 
 def count_distinct_factors(w: Word) -> int:

@@ -20,6 +20,7 @@ from wordlen.words import (
     count_distinct_factors,
     factor_count,
     parse_word,
+    repeat_histogram,
 )
 
 
@@ -168,13 +169,13 @@ class TestComplexityProfile:
 
     def test_histogram(self):
         # repeat lengths 0, 0, 1, 1, 2, 3, 4, 5, 6, 2: R = 6, and h[R + 1] = 0
-        sam = SuffixAutomaton(wd("abbabbabbb").letters)
-        assert sam.histogram() == [2, 2, 2, 1, 1, 1, 1, 0]
-        assert SuffixAutomaton(()).histogram() == [0, 0]
+        repeats = SuffixAutomaton(wd("abbabbabbb").letters).repeats
+        assert repeat_histogram(repeats) == [2, 2, 2, 1, 1, 1, 1, 0]
+        assert repeat_histogram([]) == [0, 0]
         for w in enumerate_words(3, 7):
-            sam = SuffixAutomaton(w.letters)
-            expected = [sam.repeats.count(n) for n in range(max(sam.repeats) + 2)]
-            assert sam.histogram() == expected, w.render()
+            repeats = SuffixAutomaton(w.letters).repeats
+            expected = [repeats.count(n) for n in range(max(repeats) + 2)]
+            assert repeat_histogram(repeats) == expected, w.render()
 
     def test_large_word_fast_path(self):
         rng = random.Random(9)
