@@ -4,6 +4,8 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import sample_generating_sets
 from wordlen import algebra
@@ -32,6 +34,24 @@ F5 = PrimeField(5)
 E12 = FMatrix.from_rows(F5, [[0, 1], [0, 0]])
 E21 = FMatrix.from_rows(F5, [[0, 0], [1, 0]])
 PAIR = GeneratorSet(F5, 2, (E12, E21))
+
+
+def matrices(field: PrimeField, n: int, sparse: bool):
+    """n x n matrices over field; a sparse entry is 0 three times in four."""
+    entry = st.integers(0, field.p - 1)
+    if sparse:
+        entry = st.tuples(st.integers(0, 3), entry).map(lambda t: t[1] if t[0] == 0 else 0)
+    row = st.lists(entry, min_size=n, max_size=n)
+    return st.lists(row, min_size=n, max_size=n).map(lambda rows: FMatrix.from_rows(field, rows))
+
+
+@st.composite
+def generator_sets(draw, primes=(2, 3, 7, 11, 13), min_gens=1):
+    """min_gens to 3 generators, n = 2-5, all dense or all sparse."""
+    n = draw(st.integers(2, 5))
+    field = PrimeField(draw(st.sampled_from(primes)))
+    mats = matrices(field, n, draw(st.booleans()))
+    return GeneratorSet(field, n, tuple(draw(st.lists(mats, min_size=min_gens, max_size=3))))
 
 
 class TestGeneratorSet:
@@ -539,3 +559,43 @@ class TestMainTheoremSampling:
         for S, trace in sample_generating_sets(20, seed=21):
             bound = best_main_bound(S.n * S.n, S.n).integer_value
             assert trace.length <= bound
+
+
+class TestInvariance:
+    """Changes of generators that fix the algebra's filtration: no oracle is
+    needed to see that the walk must not notice them."""
+
+    @given(generator_sets(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_shift_by_identity(self, S, data):
+        # g + lam*I differs from g by a product of length 0, so a product of
+        # length i changes by an element of the span of the shorter ones
+        ident = FMatrix.identity(S.field, S.n)
+        lams = data.draw(st.lists(st.integers(0, S.field.p - 1),
+                                  min_size=len(S.gens), max_size=len(S.gens)))
+        shifted = tuple(g + ident.scale(lam) for g, lam in zip(S.gens, lams))
+        assert (length_trace(GeneratorSet(S.field, S.n, shifted), S.n * S.n)
+                == length_trace(S, S.n * S.n))
+
+    @given(generator_sets(primes=(7, 11, 13)), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_conjugation(self, S, data):
+        # Q = y + lam*I with Q^-1 from shift_to_invertible (p > 5 >= deg mu_y)
+        y = data.draw(matrices(S.field, S.n, data.draw(st.booleans())))
+        shift = shift_to_invertible(y)
+        ident = FMatrix.identity(S.field, S.n)
+        q = y + ident.scale(shift.lam)
+        assert q @ shift.inverse == ident
+        conj = tuple(q @ g @ shift.inverse for g in S.gens)
+        assert (length_trace(GeneratorSet(S.field, S.n, conj), S.n * S.n)
+                == length_trace(S, S.n * S.n))
+
+    @given(generator_sets(min_gens=2), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_add_multiple_of_first(self, S, data):
+        # g1 and g2 + c*g1 span what g1 and g2 span, so every level's span is
+        # the same; the minimal words can change
+        c = data.draw(st.integers(0, S.field.p - 1))
+        g1, g2, *rest = S.gens
+        mixed = GeneratorSet(S.field, S.n, (g1, g2 + g1.scale(c), *rest))
+        assert length_trace(mixed, S.n * S.n).dims == length_trace(S, S.n * S.n).dims

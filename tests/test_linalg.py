@@ -34,6 +34,44 @@ def E(field, n, i, j):
     return FMatrix.from_rows(field, rows)
 
 
+def jordan(field, sizes, eigenvalues):
+    """Block diagonal of Jordan blocks J_k(lam), one per size."""
+    n = sum(sizes)
+    rows = [[0] * n for _ in range(n)]
+    start = 0
+    for k, lam in zip(sizes, eigenvalues):
+        for i in range(start, start + k):
+            rows[i][i] = lam
+            if i + 1 < start + k:
+                rows[i][i + 1] = 1
+        start += k
+    return FMatrix.from_rows(field, rows)
+
+
+def structured_matrices(field, n, rng):
+    """Derogatory and structured n x n matrices: c*I, the zero matrix, a
+    diagonal that repeats its entries, the nilpotent Jordan block, block
+    diagonals of Jordan blocks with shared eigenvalues, and a sparse
+    upper-triangular matrix."""
+    p = field.p
+    sizes = []
+    while sum(sizes) < n:
+        sizes.append(rng.randint(1, n - sum(sizes)))
+    lams = [rng.randrange(p) for _ in range(2)]
+    values = [rng.randrange(p) for _ in range(max(1, n // 2))]
+    return [
+        FMatrix.identity(field, n).scale(rng.randrange(p)),
+        FMatrix.zero(field, n),
+        FMatrix.from_rows(field, [[rng.choice(values) if i == j else 0 for j in range(n)]
+                                  for i in range(n)]),
+        jordan(field, [n], [0]),
+        jordan(field, sizes, [rng.choice(lams) for _ in sizes]),
+        jordan(field, sorted(sizes), [lams[0]] * len(sizes)),
+        FMatrix.from_rows(field, [[rng.randrange(p) if j >= i and rng.random() < 0.3 else 0
+                                   for j in range(n)] for i in range(n)]),
+    ]
+
+
 class TestPrimeField:
     def test_accepts_primes(self):
         for p in (2, 3, 5, 7, 11, 104729):
@@ -702,11 +740,16 @@ class TestMinPoly:
         from wordlen.linalg import random_matrix
 
         rng = random.Random(17)
+        cases = []
         for _ in range(50):
             n = rng.choice((2, 3, 4))
-            p = rng.choice((5, 7, 11))
-            field = PrimeField(p)
-            a = random_matrix(field, n, rng)
+            field = PrimeField(rng.choice((5, 7, 11)))
+            cases.append(random_matrix(field, n, rng))
+        for p in (2, 2147483647):
+            for n in range(1, 9):
+                cases += structured_matrices(PrimeField(p), n, rng)
+        for a in cases:
+            field, n = a.field, a.n
             mu = min_poly(a)
             assert mu.degree <= n  # Cayley-Hamilton ceiling
             assert mu.coeffs[-1] == 1
