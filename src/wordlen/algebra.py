@@ -150,7 +150,7 @@ def length_trace(S: GeneratorSet, max_len: int) -> LengthTrace:
         raise ValueError("max_len must be >= 1")
     ambient = S.n * S.n
     basis = SpanBasis(ambient, S.field)
-    stack = FMatrix.identity(S.field, S.n).vectorize()
+    stack = FMatrix.identity(S.field, S.n).entries
     basis.insert(stack)
     dims = [1]
     words: list[tuple[int, ...]] = []

@@ -8,15 +8,16 @@ _unpack, slot_residues) is shared.  Both product kernels run one
 multiply-sum core (_multiply_sums): a single product packs each row of the
 right operand (see FMatrix.__matmul__), and a stack of matrices times a
 generator packs each column of the stack (see stack_products).  Matrices
-vectorize row-major; a span basis keeps its reduced row-echelon rows mod p
-as packed ints, shifts their all-pivot leading columns, which hold only the
-pivot's 1 and zeros, out once enough of them have piled up, and reduces
-vectors given as packed slots, such as stack_products' unreduced products
-(see SpanBasis).  The span walk hands each level's frontier to one
-SpanBasis.insert_products call, so the slot format stays in this module.
-A single product keeps the row-packed kernel, and min_poly its own loop:
-estimate_m_star's scans of 30 seeded sparse upper-triangular GF(7) pairs took
-29 ms, against 46 ms with stack_products, 48-49 ms with min_poly on a
+keep their entries row-major, the vector format of span bases, product
+stacks and matrix files.  A span basis keeps its reduced row-echelon rows
+mod p as packed ints, shifts their all-pivot leading columns, which hold
+only the pivot's 1 and zeros, out once enough of them have piled up, and
+reduces vectors given as packed slots, such as stack_products' unreduced
+products (see SpanBasis).  The span walk hands each level's frontier to one
+SpanBasis.insert_products call, so the slot format stays in this module.  A
+single product keeps the row-packed kernel, and min_poly its own loop:
+estimate_m_star's scans of 30 seeded sparse upper-triangular GF(7) pairs
+took 29 ms, against 46 ms with stack_products, 48-49 ms with min_poly on a
 SpanBasis and 67-69 ms with both (CPython 3.11, 2-core AMD EPYC, best of 5).
 """
 
@@ -28,7 +29,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import accumulate
 from operator import mul
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -121,31 +122,33 @@ def _multiply_sums(rows: Iterable[Sequence[int]], packed: Sequence[int], size: i
 
 @dataclass(frozen=True)
 class FMatrix:
-    """Dense n x n matrix over a prime field; entries always reduced mod p."""
+    """Dense n x n matrix over a prime field; entries holds its n^2 entries
+    row-major, each reduced mod p, the vector format of span bases too."""
 
     field: PrimeField
     n: int
-    entries: tuple[tuple[int, ...], ...]
+    entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        # Plain loops on purpose: on CPython 3.11 the specialized int
-        # compares beat min(map(min, ...)) and max(map(max, ...)), which go
-        # through the generic rich compare (6.8 against 10.9 us at n = 12).
+        # A plain loop on purpose: on CPython 3.11 its specialized int
+        # compares tie min(entries) and max(entries) at n = 12 (2.2 us) and
+        # beat them at n = 3 (0.26 against 0.46 us, 2-core AMD EPYC).
         n, p = self.n, self.field.p
-        if len(self.entries) != n or any(len(row) != n for row in self.entries):
+        if len(self.entries) != n * n:
             raise ValueError(f"entries are not {n}x{n}")
-        for row in self.entries:
-            for x in row:
-                if not 0 <= x < p:
-                    raise ValueError("entries must be reduced residues")
+        for x in self.entries:
+            if not 0 <= x < p:
+                raise ValueError("entries must be reduced residues")
 
     @classmethod
     def from_rows(cls, field: PrimeField, rows: Sequence[Sequence[int]]) -> "FMatrix":
-        p = field.p
-        return cls(field, len(rows), tuple(tuple(x % p for x in row) for row in rows))
+        p, n = field.p, len(rows)
+        if any(len(row) != n for row in rows):
+            raise ValueError(f"entries are not {n}x{n}")
+        return cls(field, n, tuple(x % p for row in rows for x in row))
 
     @classmethod
-    def _trusted(cls, field: PrimeField, n: int, entries: tuple[tuple[int, ...], ...]) -> "FMatrix":
+    def _trusted(cls, field: PrimeField, n: int, entries: tuple[int, ...]) -> "FMatrix":
         """Entries a kernel has already reduced mod p: skips the range check."""
         mat = object.__new__(cls)
         mat.__dict__.update(field=field, n=n, entries=entries)
@@ -153,11 +156,11 @@ class FMatrix:
 
     @classmethod
     def identity(cls, field: PrimeField, n: int) -> "FMatrix":
-        return cls(field, n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+        return cls(field, n, tuple(int(i == j) for i in range(n) for j in range(n)))
 
     @classmethod
     def zero(cls, field: PrimeField, n: int) -> "FMatrix":
-        return cls(field, n, tuple((0,) * n for _ in range(n)))
+        return cls(field, n, (0,) * (n * n))
 
     def _check_compatible(self, other: "FMatrix") -> None:
         if self.field != other.field or self.n != other.n:
@@ -172,38 +175,32 @@ class FMatrix:
         carry crosses a slot.  Cached, since the right operand of a product
         is nearly always a generator.
         """
-        width = _slot_width(self.n * (self.field.p - 1) ** 2)
-        return width, tuple(_pack(_slot_array(row, width)) for row in self.entries)
+        n = self.n
+        width = _slot_width(n * (self.field.p - 1) ** 2)
+        rows = zip(*[iter(self.entries)] * n)
+        return width, tuple(_pack(_slot_array(row, width)) for row in rows)
 
     def __matmul__(self, other: "FMatrix") -> "FMatrix":
         """Kronecker-substituted product: row i of self @ other is the one
         C-level sum(map(mul, self[i], packed rows of other)), whose slot j
-        holds the exact dot product of self[i] with column j."""
+        holds the exact dot product of self[i] with column j, so the
+        reduced slots are the product's entries row-major."""
         self._check_compatible(other)
         n, p = self.n, self.field.p
         width, packed = other._packed_rows
-        reduced = iter(_residues(_multiply_sums(self.entries, packed, n * width), width, p))
-        return FMatrix._trusted(self.field, n, tuple(zip(*[reduced] * n)))
+        sums = _multiply_sums(zip(*[iter(self.entries)] * n), packed, n * width)
+        return FMatrix._trusted(self.field, n, tuple(_residues(sums, width, p)))
 
     def __add__(self, other: "FMatrix") -> "FMatrix":
         self._check_compatible(other)
         p = self.field.p
-        rows = tuple(
-            tuple((a + b) % p for a, b in zip(r1, r2))
-            for r1, r2 in zip(self.entries, other.entries)
-        )
-        return FMatrix(self.field, self.n, rows)
+        entries = tuple((a + b) % p for a, b in zip(self.entries, other.entries))
+        return FMatrix(self.field, self.n, entries)
 
     def scale(self, c: int) -> "FMatrix":
         p = self.field.p
         c %= p
-        return FMatrix(
-            self.field, self.n, tuple(tuple(c * x % p for x in row) for row in self.entries)
-        )
-
-    def vectorize(self) -> tuple[int, ...]:
-        """Row-major flattening, the coordinate convention for span bases."""
-        return tuple(chain.from_iterable(self.entries))
+        return FMatrix(self.field, self.n, tuple(c * x % p for x in self.entries))
 
 
 def stack_products(stack: Sequence[int], gens: Sequence[FMatrix], width: int) -> list[array]:
@@ -233,7 +230,8 @@ def stack_products(stack: Sequence[int], gens: Sequence[FMatrix], width: int) ->
     packed = [_pack(_slot_array(stack[j::n], width)) for j in range(n)]
     out = []
     for g in gens:
-        cols = _unpack(_multiply_sums(zip(*g.entries), packed, height * width), width)
+        columns = [g.entries[l::n] for l in range(n)]
+        cols = _unpack(_multiply_sums(columns, packed, height * width), width)
         prods = array(cols.typecode, bytes(len(cols) * cols.itemsize))
         for item in range(n * half):  # half t of column l
             l, t = divmod(item, half)
@@ -472,7 +470,7 @@ def min_poly(a: FMatrix) -> MinPoly:
     rows: dict[int, list[int]] = {}
     power = FMatrix.identity(a.field, a.n)
     while True:
-        v = [*power.vectorize(), *[0] * len(rows), 1]
+        v = [*power.entries, *[0] * len(rows), 1]
         for col, row in rows.items():
             c = v[col]
             if c:
@@ -528,9 +526,7 @@ def shift_to_invertible(x: FMatrix) -> ShiftResult:
 
 def random_matrix(field: PrimeField, n: int, rng: random.Random) -> FMatrix:
     """Uniformly random n x n matrix over GF(p)."""
-    return FMatrix(
-        field, n, tuple(tuple(rng.randrange(field.p) for _ in range(n)) for _ in range(n))
-    )
+    return FMatrix(field, n, tuple(rng.randrange(field.p) for _ in range(n * n)))
 
 
 def _require_int(value: object, what: str) -> int:
@@ -565,6 +561,6 @@ def load_matrix_set(source: str | Path | Mapping) -> tuple[PrimeField, int, list
         values = [_require_int(x, f'"matrices"[{i}] entry') for x in flat]
         if len(values) != n * n:
             raise ValueError(f"expected {n * n} entries, got {len(values)}")
-        mats.append(FMatrix.from_rows(field, [values[r : r + n] for r in range(0, n * n, n)]))
+        mats.append(FMatrix(field, n, tuple(x % field.p for x in values)))
     return field, n, mats
 

@@ -183,15 +183,11 @@ class _GaussRows:
         return False
 
 
-def _schoolbook_product(
-    a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], p: int
-) -> list[list[int]]:
-    """a @ b mod p by the triple loop, independent of FMatrix.__matmul__."""
-    n = len(a)
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(n)) % p for j in range(n)]
-        for i in range(n)
-    ]
+def _schoolbook_product(a: Sequence[int], b: Sequence[int], n: int, p: int) -> list[int]:
+    """a @ b mod p by the triple loop over row-major entries, independent of
+    FMatrix.__matmul__."""
+    return [sum(a[i * n + k] * b[k * n + j] for k in range(n)) % p
+            for i in range(n) for j in range(n)]
 
 
 def brute_length(S: GeneratorSet, cap: int) -> LengthTrace:
@@ -225,8 +221,8 @@ def brute_length(S: GeneratorSet, cap: int) -> LengthTrace:
         for word in product(range(k), repeat=length):
             mat = gens[word[0]]
             for idx in word[1:]:
-                mat = _schoolbook_product(mat, gens[idx], p)
-            if span.insert([x for row in mat for x in row]) and first is None:
+                mat = _schoolbook_product(mat, gens[idx], S.n, p)
+            if span.insert(mat) and first is None:
                 first = word
         if first is None:
             break

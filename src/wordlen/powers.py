@@ -230,8 +230,11 @@ def avoids(w: Word, d: Fraction | int, strict_plus: bool) -> bool:
 
     strict_plus=True tests d-plus-power-freeness (no factor exponent
     strictly above d); strict_plus=False tests d-power-freeness (every
-    factor exponent strictly below d).
+    factor exponent strictly below d).  A float d raises ValueError, as 2.1
+    is just above 21/10 in binary, and so does a bool.
     """
+    if isinstance(d, (bool, float)):
+        raise ValueError(f"exponent must be an int or a Fraction, got {d!r}")
     bound = Fraction(d)
     if bound < 1:
         raise ValueError(f"exponent must be >= 1, got {d}")

@@ -271,7 +271,7 @@ def _check_length(S: GeneratorSet) -> Iterator[dict]:
     fast = length_trace(S, max_len=LENGTH_CAP)
     slow = brute_length(S, cap=LENGTH_CAP)
     if fast != slow:
-        yield {"gens": [list(g.vectorize()) for g in S.gens],
+        yield {"gens": [list(g.entries) for g in S.gens],
                "fast": str(fast), "brute": str(slow)}
 
 

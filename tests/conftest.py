@@ -26,6 +26,14 @@ def random_word(rng: random.Random, max_len: int, alphabet_sizes=(2, 3, 4)) -> W
     return Word(tuple(rng.randrange(k) for _ in range(l)), Alphabet.letters(k))
 
 
+def fibonacci_letters(length: int) -> tuple[int, ...]:
+    """The length-letter prefix of the Fibonacci word 0100101001001..."""
+    a, b = (0,), (0, 1)
+    while len(b) < length:
+        a, b = b, b + a
+    return b[:length]
+
+
 @st.composite
 def words_st(draw, min_size: int = 0, max_size: int = 40, max_alphabet: int = 4) -> Word:
     k = draw(st.integers(1, max_alphabet))
@@ -59,7 +67,7 @@ def dump_matrix_set(field: PrimeField, n: int, matrices: list[FMatrix]) -> dict:
     return {
         "p": field.p,
         "n": n,
-        "matrices": [list(m.vectorize()) for m in matrices],
+        "matrices": [list(m.entries) for m in matrices],
     }
 
 

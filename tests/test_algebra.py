@@ -198,7 +198,7 @@ def _brute_irreducible(S, max_i):
             mat = S.gens[word[0]]
             for idx in word[1:]:
                 mat = mat @ S.gens[idx]
-            vecs.append(list(mat.vectorize()))
+            vecs.append(list(mat.entries))
         levels.append([(w, any(span._reduced(v))) for w, v in zip(words, vecs)])
         for v in vecs:
             span.insert(v)
@@ -254,12 +254,12 @@ def _level_bases(S):
     ambient = S.n * S.n
     basis = SpanBasis(ambient, S.field)
     ident = FMatrix.identity(S.field, S.n)
-    basis.insert(ident.vectorize())
+    basis.insert(ident.entries)
     bases = [basis.copy()]
     prods = [ident]  # every product of the current length, in lex order
     while basis.dim < ambient:
         prods = [mat @ g for mat in prods for g in S.gens]
-        grew = [basis.insert(mat.vectorize()) for mat in prods]
+        grew = [basis.insert(mat.entries) for mat in prods]
         if not any(grew):
             break
         bases.append(basis.copy())
@@ -274,7 +274,7 @@ def _reducible(word, S, bases=None):
     prod = S.gens[word[0]]
     for idx in word[1:]:
         prod = prod @ S.gens[idx]
-    return bases[min(len(word), len(bases)) - 1].contains(prod.vectorize())
+    return bases[min(len(word), len(bases)) - 1].contains(prod.entries)
 
 
 def _dfs_liw_words(S):
@@ -304,7 +304,7 @@ def _dfs_liw_words(S):
             prods.pop()
             continue
         prod = prods[-1] @ gens[letter] if prods else gens[letter]
-        if bases[len(word)].contains(prod.vectorize()):
+        if bases[len(word)].contains(prod.entries):
             letter += 1
             continue
         word.append(letter)

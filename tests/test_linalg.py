@@ -18,6 +18,7 @@ from wordlen.linalg import (
     _slot_width,
     load_matrix_set,
     min_poly,
+    random_matrix,
     shift_to_invertible,
     slot_residues,
     stack_products,
@@ -86,7 +87,7 @@ class TestPrimeField:
 class TestFMatrix:
     def test_from_rows_reduces(self):
         m = FMatrix.from_rows(F5, [[7, -1], [5, 3]])
-        assert m.entries == ((2, 4), (0, 3))
+        assert m.entries == (2, 4, 0, 3)
 
     def test_matmul(self):
         assert E(F5, 2, 0, 1) @ E(F5, 2, 1, 0) == E(F5, 2, 0, 0)
@@ -102,23 +103,29 @@ class TestFMatrix:
         with pytest.raises(ValueError, match=r"^matrices from different spaces$"):
             FMatrix.identity(F5, 2) @ FMatrix.identity(F7, 2)
 
-    def test_vectorize_row_major(self):
+    def test_entries_row_major(self):
         m = FMatrix.from_rows(F5, [[1, 2], [3, 4]])
-        assert m.vectorize() == (1, 2, 3, 4)
+        assert m.entries == (1, 2, 3, 4)
+        assert m @ FMatrix.identity(F5, 2) == m and (m + m).entries == (2, 4, 1, 3)
 
     def test_product_is_an_ordinary_matrix(self):
         a = FMatrix.from_rows(F7, [[1, 2, 3], [4, 5, 6], [0, 6, 2]])
         c = a @ a
         same = FMatrix(F7, 3, c.entries)
         assert type(c) is FMatrix and c == same and hash(c) == hash(same)
-        assert c.entries == schoolbook(a.entries, a.entries, 7)
-        assert (c @ a).entries == schoolbook(c.entries, a.entries, 7)
+        assert c.entries == schoolbook(a, a)
+        assert (c @ a).entries == schoolbook(c, a)
 
     @pytest.mark.parametrize(
         "entries",
-        [((0, 1), (2,)), ((0,), (1, 2)), ((0, 1, 2), (3, 4)), ((0, 1),)],
+        [((0, 1), (2,)), ((0,), (1, 2)), ((0, 1, 2), (3, 4)), ((0, 1), ())],
     )
     def test_ragged_rows_rejected(self, entries):
+        with pytest.raises(ValueError, match=r"^entries are not 2x2$"):
+            FMatrix.from_rows(F5, entries)
+
+    @pytest.mark.parametrize("entries", [(), (0, 1, 2), (0, 1, 2, 3, 4), ((0, 1), (2, 3))])
+    def test_wrong_entry_count_rejected(self, entries):
         with pytest.raises(ValueError, match=r"^entries are not 2x2$"):
             FMatrix(F5, 2, entries)
 
@@ -128,15 +135,22 @@ class TestFMatrix:
         rows = [[0, 1, 2], [3, 4, 0], [1, 2, 3]]
         rows[where[0]][where[1]] = bad
         with pytest.raises(ValueError, match="reduced residues"):
-            FMatrix(F5, 3, tuple(map(tuple, rows)))
+            FMatrix(F5, 3, tuple(x for row in rows for x in row))
+
+    @pytest.mark.parametrize("p,n,seed", [(2, 1, 0), (5, 3, 1), (10007, 8, 2),
+                                          (2147483647, 12, 3)])
+    def test_random_matrix_draws_row_major(self, p, n, seed):
+        # Every seeded set (alg_span's, acceptance 12's, the oracle's length
+        # check's) depends on this draw order.
+        rng = random.Random(seed)
+        want = tuple(rng.randrange(p) for _ in range(n * n))
+        assert random_matrix(PrimeField(p), n, random.Random(seed)).entries == want
 
 
-def schoolbook(a, b, p):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) % p for j in range(n))
-        for i in range(n)
-    )
+def schoolbook(a, b, modulus=None):
+    """The entries of a @ b by the oracle's triple loop, mod modulus (p by
+    default)."""
+    return tuple(_schoolbook_product(a.entries, b.entries, a.n, modulus or a.field.p))
 
 
 @st.composite
@@ -163,8 +177,8 @@ class TestProductAgainstSchoolbook:
         field = PrimeField(p)
         a = data.draw(square_matrix(field, n))
         b = data.draw(square_matrix(field, n))
-        assert (a @ b).entries == schoolbook(a.entries, b.entries, p)
-        assert (b @ a).entries == schoolbook(b.entries, a.entries, p)
+        assert (a @ b).entries == schoolbook(a, b)
+        assert (b @ a).entries == schoolbook(b, a)
 
     @pytest.mark.parametrize("n,width", [(4, 8), (5, 16)])
     def test_slot_width_boundary(self, n, width):
@@ -181,7 +195,7 @@ class TestProductAgainstSchoolbook:
         ]
         for a in mats:
             for b in mats:
-                assert (a @ b).entries == schoolbook(a.entries, b.entries, p)
+                assert (a @ b).entries == schoolbook(a, b)
 
 
 def _slot_values(slots, width):
@@ -204,16 +218,16 @@ class TestStackProducts:
     @staticmethod
     def _check(stack, gens, width):
         p, n = gens[0].field.p, gens[0].n
-        flat = [x for a in stack for x in a.vectorize()]
+        flat = [x for a in stack for x in a.entries]
         out = stack_products(flat, gens, width)
         assert len(out) == len(gens)
         for prods, g in zip(out, gens):
             # The slots hold the exact products: a modulus above every dot
             # product makes the triple loop exact too.
-            exact = [_schoolbook_product(a.entries, g.entries, n * (p - 1) ** 2 + 1) for a in stack]
-            assert _slot_values(prods, width) == [x for mat in exact for row in mat for x in row]
-            reduced = [_schoolbook_product(a.entries, g.entries, p) for a in stack]
-            assert slot_residues(prods, width, p) == [x for mat in reduced for row in mat for x in row]
+            exact = [x for a in stack for x in schoolbook(a, g, n * (p - 1) ** 2 + 1)]
+            assert _slot_values(prods, width) == exact
+            reduced = [x for a in stack for x in schoolbook(a, g)]
+            assert slot_residues(prods, width, p) == reduced
 
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from((2, 3, 13, 10007, 2147483647)), st.integers(1, 12),
@@ -245,33 +259,33 @@ class TestStackProducts:
         field = PrimeField(13)
         ident = FMatrix.identity(field, 2)
         with pytest.raises(ValueError, match=r"^1-byte slots cannot hold 2 x 2 products mod 13$"):
-            stack_products(list(ident.vectorize()), [ident], 1)
+            stack_products(list(ident.entries), [ident], 1)
 
 
 class TestSpanBasis:
     def test_grows_on_independent(self):
         basis = SpanBasis(4, F5)
-        assert basis.insert(FMatrix.identity(F5, 2).vectorize())
+        assert basis.insert(FMatrix.identity(F5, 2).entries)
         assert basis.dim == 1
 
     def test_scalar_multiple_dependent(self):
         basis = SpanBasis(4, F5)
         ident = FMatrix.identity(F5, 2)
-        basis.insert(ident.vectorize())
-        assert not basis.insert(ident.scale(2).vectorize())
+        basis.insert(ident.entries)
+        assert not basis.insert(ident.scale(2).entries)
 
     def test_matrix_units_independent(self):
         basis = SpanBasis(4, F5)
-        basis.insert(FMatrix.identity(F5, 2).vectorize())
-        basis.insert(E(F5, 2, 0, 1).vectorize())
-        assert basis.insert(E(F5, 2, 1, 0).vectorize())
+        basis.insert(FMatrix.identity(F5, 2).entries)
+        basis.insert(E(F5, 2, 0, 1).entries)
+        assert basis.insert(E(F5, 2, 1, 0).entries)
         assert basis.dim == 3
 
     def test_idempotent(self):
         basis = SpanBasis(4, F5)
         m = E(F5, 2, 0, 1)
-        assert basis.insert(m.vectorize())
-        assert not basis.insert(m.vectorize())
+        assert basis.insert(m.entries)
+        assert not basis.insert(m.entries)
         assert basis.dim == 1
 
     def test_all_units_reach_full_dimension(self):
@@ -279,7 +293,7 @@ class TestSpanBasis:
             basis = SpanBasis(k * k, F5)
             for i in range(k):
                 for j in range(k):
-                    basis.insert(E(F5, k, i, j).vectorize())
+                    basis.insert(E(F5, k, i, j).entries)
             assert basis.dim == k * k
 
     def test_rows_are_reduced_echelon(self):
@@ -305,7 +319,7 @@ class TestSpanBasis:
         with pytest.raises(ValueError, match=r"^vector length 3 != ambient 4$"):
             basis.insert([1, 2, 3])
         with pytest.raises(ValueError, match=r"^vector length 9 != ambient 4$"):
-            basis.insert(FMatrix.identity(F5, 3).vectorize())
+            basis.insert(FMatrix.identity(F5, 3).entries)
 
 
 @st.composite
@@ -520,13 +534,13 @@ class TestInsertProducts:
         for v in vecs:
             assert basis.insert(v) == plain.insert(v) == oracle.insert(v)
         basis.reduced = 0
-        found, out = basis.insert_products([x for a in stack for x in a.vectorize()], gens)
+        found, out = basis.insert_products([x for a in stack for x in a.entries], gens)
         want, want_out, reduced = [], [], 0
         for k, a in enumerate(stack):
             for i, g in enumerate(gens):
                 if plain.dim == d:
                     break
-                prod = [x for row in _schoolbook_product(a.entries, g.entries, p) for x in row]
+                prod = _schoolbook_product(a.entries, g.entries, a.n, p)
                 reduced += 1
                 independent = plain.insert(prod)
                 assert oracle.insert(prod) == independent
@@ -557,7 +571,7 @@ class TestInsertProducts:
         field = PrimeField(p)
         e12, e21, e11 = (E(field, 2, i, j) for i, j in ((0, 1), (1, 0), (0, 0)))
         basis = _CountingBasis(4, field)
-        vecs = [m.vectorize() for m in (FMatrix.identity(field, 2), e12, e21)]
+        vecs = [m.entries for m in (FMatrix.identity(field, 2), e12, e21)]
         found, out = self._check(basis, [e12, e21], [e21, e12, e11], vecs)
         assert found == [(0, 0)] and out == [1, 0, 0, 0] and basis.reduced == 1
 
@@ -568,7 +582,7 @@ class TestInsertProducts:
         diag = [FMatrix.from_rows(field, [[int(i == j) * (i + c) for j in range(3)]
                                           for i in range(3)]) for c in (1, 2, 3)]
         basis = _CountingBasis(9, field)
-        vecs = [E(field, 3, i, i).vectorize() for i in range(3)]
+        vecs = [E(field, 3, i, i).entries for i in range(3)]
         assert self._check(basis, diag, diag[:2], vecs) == ([], [])
         assert basis.reduced == 6 and basis.dim == 3
 
@@ -737,8 +751,6 @@ class TestMinPoly:
         assert mu.coeffs == (0, 1)  # t
 
     def test_annihilates_and_minimal(self):
-        from wordlen.linalg import random_matrix
-
         rng = random.Random(17)
         cases = []
         for _ in range(50):
@@ -758,7 +770,7 @@ class TestMinPoly:
             basis = SpanBasis(n * n, field)
             power = FMatrix.identity(field, n)
             for _ in range(mu.degree):
-                assert basis.insert(power.vectorize())
+                assert basis.insert(power.entries)
                 power = power @ a
 
 
@@ -777,8 +789,6 @@ class TestShiftToInvertible:
         assert res.cert_degree == 0
 
     def test_random_product_and_certificate(self):
-        from wordlen.linalg import random_matrix
-
         rng = random.Random(23)
         for _ in range(60):
             n = rng.choice((2, 3))
@@ -822,7 +832,7 @@ class TestMatrixJson:
         field, n, mats = load_matrix_set(
             {"p": 5, "n": 2, "matrices": [[6, -1, 0, 10]]}
         )
-        assert mats[0].entries == ((1, 4), (0, 0))
+        assert mats[0].entries == (1, 4, 0, 0)
 
     @pytest.mark.parametrize(
         "payload, field_name",

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_word, wd, words_st
+from conftest import fibonacci_letters, random_word, wd, words_st
 from wordlen import powers
 from wordlen.oracles import brute_max_exponent, enumerate_words
 from wordlen.powers import Exponent, avoids, max_factor_exponent, verify_tc
@@ -35,13 +35,6 @@ def dumb_max_exponent(w: Word) -> tuple[Fraction, tuple[int, int]]:
                 best = value
                 span = (i, j)
     return best, span
-
-
-def fibonacci_letters(length: int) -> tuple[int, ...]:
-    a, b = (0,), (0, 1)
-    while len(b) < length:
-        a, b = b, b + a
-    return b[:length]
 
 
 def thue_morse_letters(length: int) -> tuple[int, ...]:
@@ -374,6 +367,17 @@ class TestAvoids:
 
     def test_empty_word_vacuous(self):
         assert avoids(parse_word("", Alphabet.letters(2)), 1, strict_plus=True)
+
+    def test_float_and_bool_exponents_rejected(self):
+        # The maximal exponent is 21/10, and Fraction(2.1) lies just above
+        # it, so a float bound would call the word 21/10-power-free.
+        w = wd("abcdefghij" * 2 + "a")
+        assert max_factor_exponent(w)[0].value == Fraction(21, 10)
+        assert not avoids(w, Fraction(21, 10), strict_plus=False)
+        assert avoids(w, Fraction(21, 10), strict_plus=True)
+        for d in (2.1, 2.0, True, False):
+            with pytest.raises(ValueError, match=r"^exponent must be an int or a Fraction, got "):
+                avoids(w, d, strict_plus=False)
 
     def test_one_plus_free_iff_distinct_letters(self):
         for k, l in ((2, 10), (3, 7)):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_word, wd, words_st
+from conftest import fibonacci_letters, random_word, wd, words_st
 from wordlen import verify, words
 from wordlen.cli import main
 from wordlen.oracles import (
@@ -339,13 +339,6 @@ def move_repeat(src: int, dst: int):
     return fault
 
 
-def fibonacci_word(length: int, offset: int) -> Word:
-    a, b = (0,), (0, 1)
-    while len(b) < offset + length:
-        a, b = b, b + a
-    return Word(b[offset : offset + length], Alphabet.letters(2))
-
-
 def near_periodic_word(rng: random.Random, length: int, k: int, period: int) -> Word:
     """A random block repeated, between random edges of 2 % of the length each."""
     edge = length // 50
@@ -384,7 +377,8 @@ class TestShapeFromHistogram:
         rng = random.Random(2404)
         cases = []
         for length in (1_000, 3_000, 10_000):
-            cases.append(fibonacci_word(length, rng.randrange(1000)))
+            offset = rng.randrange(1000)
+            cases.append(Word(fibonacci_letters(offset + length)[offset:], Alphabet.letters(2)))
             cases.append(near_periodic_word(rng, length, 3, 11))
             for k in (2, 4):
                 cases.append(Word(tuple(rng.randrange(k) for _ in range(length)),
