@@ -14,11 +14,13 @@ mod p as packed ints, shifts their all-pivot leading columns, which hold
 only the pivot's 1 and zeros, out once enough of them have piled up, and
 reduces vectors given as packed slots, such as stack_products' unreduced
 products (see SpanBasis).  The span walk hands each level's frontier to one
-SpanBasis.insert_products call, so the slot format stays in this module.  A
-single product keeps the row-packed kernel, and min_poly its own loop:
-estimate_m_star's scans of 30 seeded sparse upper-triangular GF(7) pairs
-took 29 ms, against 46 ms with stack_products, 48-49 ms with min_poly on a
-SpanBasis and 67-69 ms with both (CPython 3.11, 2-core AMD EPYC, best of 5).
+SpanBasis.insert_products call, so the slot format stays in this module,
+with the (matrix, generator) pairs whose products it has proved dependent:
+those are multiplied with their chunk and never reduced.  A single product
+keeps the row-packed kernel, and min_poly its own loop: estimate_m_star's
+scans of 30 seeded sparse upper-triangular GF(7) pairs took 29 ms, against
+46 ms with stack_products, 48-49 ms with min_poly on a SpanBasis and
+67-69 ms with both (CPython 3.11, 2-core AMD EPYC, best of 5).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from functools import cached_property
 from itertools import accumulate
 from operator import mul
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Container, Iterable, Mapping, Sequence
 
 
 class NoShiftFound(RuntimeError):
@@ -130,15 +132,18 @@ class FMatrix:
     entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        # A plain loop on purpose: on CPython 3.11 its specialized int
-        # compares tie min(entries) and max(entries) at n = 12 (2.2 us) and
-        # beat them at n = 3 (0.26 against 0.46 us, 2-core AMD EPYC).
+        # One plain loop checks each entry's type and range.  The type test
+        # keeps out floats, which pass the range test (1.5), and bools (an
+        # int subclass); it costs a construction about 0.1 us at n = 3 and
+        # 1.2 us at n = 12 (5.0 us in all; CPython 3.11, 2-core AMD EPYC),
+        # and kernel products skip it (_trusted).  min(entries) and
+        # max(entries) are no faster than the loop's int compares.
         n, p = self.n, self.field.p
         if len(self.entries) != n * n:
             raise ValueError(f"entries are not {n}x{n}")
         for x in self.entries:
-            if not 0 <= x < p:
-                raise ValueError("entries must be reduced residues")
+            if type(x) is not int or not 0 <= x < p:
+                raise ValueError(f"entries must be reduced residues, got {x!r}")
 
     @classmethod
     def from_rows(cls, field: PrimeField, rows: Sequence[Sequence[int]]) -> "FMatrix":
@@ -387,10 +392,12 @@ class SpanBasis:
             self._offset = base
         return True
 
-    def insert_products(self, stack: Sequence[int],
-                        gens: Sequence[FMatrix]) -> tuple[list[tuple[int, int]], list[int]]:
+    def insert_products(self, stack: Sequence[int], gens: Sequence[FMatrix],
+                        skip: Container[tuple[int, int]],
+                        ) -> tuple[list[tuple[int, int]], list[int]]:
         """Insert every matrix of a stack times each generator, in (matrix,
-        generator) order, up to the insert that fills the span.
+        generator) order, up to the insert that fills the span, except the
+        (matrix index, generator index) pairs in skip.
 
         stack holds n x n matrices, each as its d = n^2 reduced entries
         row-major.  Returns the (matrix index, generator index) of each
@@ -402,7 +409,10 @@ class SpanBasis:
         so no FMatrix is built per product.  A chunk holds fewer than |gens|
         products more than the span still lacks, so a call that fills the
         span leaves only the rest of its last chunk multiplied and not
-        reduced.
+        reduced.  A skipped product is multiplied with its chunk and never
+        reduced.  The span walk skips only products it has proved dependent,
+        whose inserts would leave the basis as it is (see
+        algebra.length_trace).
         """
         d, p, width = self.ambient_dim, self.field.p, self.width
         size = d * (2 if width == 16 else 1)  # array items per product
@@ -413,6 +423,8 @@ class SpanBasis:
             chunk = stack_products(stack[start * d:(start + count) * d], gens, width)
             for k in range(min(count, total - start)):
                 for i, prods in enumerate(chunk):
+                    if (start + k, i) in skip:
+                        continue
                     slots = prods[k * size:(k + 1) * size]
                     if self.insert_slots(slots):
                         found.append((start + k, i))

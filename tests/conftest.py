@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from wordlen import powers
 from wordlen.algebra import GeneratorSet, LengthTrace, length_trace
-from wordlen.linalg import FMatrix, PrimeField, random_matrix
+from wordlen.linalg import FMatrix, PrimeField, SpanBasis, random_matrix
 from wordlen.words import Alphabet, Word, parse_word
 
 _FULL = Alphabet.letters(26)
@@ -54,6 +54,16 @@ def window_periods(monkeypatch) -> list[tuple]:
 
     monkeypatch.setattr(powers, "_band_runs", counted)
     return calls
+
+
+class CountingBasis(SpanBasis):
+    """A span basis that counts the vectors it reduces."""
+
+    reduced = 0
+
+    def insert_slots(self, slots):
+        self.reduced += 1
+        return super().insert_slots(slots)
 
 
 def fail_every_word(w: Word):

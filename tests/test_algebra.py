@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import sample_generating_sets
+from conftest import CountingBasis, sample_generating_sets
 from wordlen import algebra
 from wordlen.algebra import (
     BudgetExceeded,
     CapExceeded,
     GeneratorSet,
+    LengthTrace,
     check_irreducible_power_free,
     check_liw_complexity,
     estimate_m_star,
@@ -436,6 +437,112 @@ class TestAgainstBruteForce:
             for level in levels:
                 for word, outside in level:
                     assert _reducible(word, S, bases) == (not outside), word
+
+
+def _unpruned_walk(S, max_len):
+    """length_trace's walk with nothing skipped: insert_products reduces
+    every candidate, frontier by frontier.  Returns the trace and the
+    number of vectors reduced after the identity."""
+    ambient = S.n * S.n
+    basis = CountingBasis(ambient, S.field)
+    stack = FMatrix.identity(S.field, S.n).entries
+    basis.insert(stack)
+    basis.reduced = 0
+    dims, words, frontier = [1], [], [()]
+    while basis.dim < ambient:
+        if len(dims) > max_len:
+            raise CapExceeded(max_len)
+        found, stack = basis.insert_products(stack, S.gens, frozenset())
+        if not found:
+            break
+        frontier = [frontier[k] + (i,) for k, i in found]
+        dims.append(basis.dim)
+        words.append(frontier[0])
+    return LengthTrace(tuple(dims), len(dims) - 1, dims[-1], tuple(words)), basis.reduced
+
+
+def _monomial_conjugate(S, rng):
+    """S conjugated by a seeded monomial matrix M, a permutation matrix with
+    non-zero weights: g -> M g M^-1, with M^-1 read off M."""
+    n, p = S.n, S.field.p
+    perm = rng.sample(range(n), n)
+    weights = [rng.randrange(1, p) for _ in range(n)]
+    m = FMatrix.from_rows(S.field, [[weights[i] if j == perm[i] else 0 for j in range(n)]
+                                    for i in range(n)])
+    m_inv = FMatrix.from_rows(S.field, [[pow(weights[j], p - 2, p) if i == perm[j] else 0
+                                         for j in range(n)] for i in range(n)])
+    assert m @ m_inv == FMatrix.identity(S.field, n)
+    return GeneratorSet(S.field, n, tuple(m @ g @ m_inv for g in S.gens))
+
+
+def _family_sets():
+    """The diag-shift, Jordan-corner and upper-triangular families at
+    n = 2-10 over GF(5), GF(19) and GF(10007), each conjugated by a seeded
+    monomial matrix."""
+    rng = random.Random(36)
+    return [_monomial_conjugate(family(PrimeField(p), n), rng)
+            for family in (_diag_shift, _jordan_corner, _upper_triangular)
+            for n in range(2, 11) for p in (5, 19, 10007)]
+
+
+def _assert_skip_changes_nothing(sets):
+    """length_trace equals the unpruned walk on every set, and brute_length
+    at n <= 6."""
+    for S in sets:
+        trace = length_trace(S, S.n * S.n)
+        assert trace == _unpruned_walk(S, S.n * S.n)[0], S
+        if S.n <= 6:
+            assert trace == brute_length(S, trace.length + 1), S
+
+
+class TestClosureSkip:
+    """length_trace skips every candidate whose suffix of one letter less
+    is off the previous frontier, a product it proves dependent: the skip
+    may change the number of vectors reduced, and nothing else."""
+
+    def test_matches_unpruned_walk(self):
+        # The families first: sample_generating_sets filters its sets with
+        # length_trace, so a walk that never fills the span would keep it
+        # sampling.
+        _assert_skip_changes_nothing(_family_sets())
+        _assert_skip_changes_nothing([S for S, _ in sample_generating_sets(
+            30, dims=(2, 3, 4, 5, 6), primes=(5, 19, 10007), seed=36)])
+
+    def test_reduction_counts(self, monkeypatch):
+        bases = []
+
+        class LoggedBasis(CountingBasis):
+            def __init__(self, *args):
+                super().__init__(*args)
+                bases.append(self)
+
+        monkeypatch.setattr(algebra, "SpanBasis", LoggedBasis)
+        f19, f10007 = PrimeField(19), PrimeField(10007)
+        rng = random.Random(36)
+        pair = GeneratorSet(f10007, 8, tuple(random_matrix(f10007, 8, rng) for _ in range(2)))
+        cases = [  # (set, reductions unpruned, reductions skipped), after the identity
+            (_jordan_corner(f19, 8), 123, 72),
+            (_diag_shift(f19, 8), 112, 77),
+            (_upper_triangular(f19, 8), 72, 45),
+            (pair, 63, 63),  # a random dense pair: no candidate is skipped
+        ]
+        for S, unpruned, pruned in cases:
+            trace, reductions = _unpruned_walk(S, S.n * S.n)
+            assert length_trace(S, S.n * S.n) == trace
+            assert (reductions, bases[-1].reduced - 1) == (unpruned, pruned)
+
+    def test_wrong_rule_is_caught(self, monkeypatch):
+        # A planted rule that also skips the first candidate of each level
+        # that the closure keeps.
+        class WrongRule(SpanBasis):
+            def insert_products(self, stack, gens, skip):
+                pairs = product(range(len(stack) // self.ambient_dim), range(len(gens)))
+                first = next((pair for pair in pairs if pair not in skip), None)
+                return super().insert_products(stack, gens, {*skip, first})
+
+        monkeypatch.setattr(algebra, "SpanBasis", WrongRule)
+        with pytest.raises(AssertionError):
+            _assert_skip_changes_nothing(_family_sets())
 
 
 class TestChecks:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dump_matrix_set
+from conftest import CountingBasis, dump_matrix_set
 from wordlen.linalg import (
     FMatrix,
     PrimeField,
@@ -136,6 +136,15 @@ class TestFMatrix:
         rows[where[0]][where[1]] = bad
         with pytest.raises(ValueError, match="reduced residues"):
             FMatrix(F5, 3, tuple(x for row in rows for x in row))
+
+    @pytest.mark.parametrize("bad", [1.5, 1.0, True, False])
+    def test_non_int_entry_rejected(self, bad):
+        # 1.5 and 1.0 pass the range test, and bool is an int subclass.
+        with pytest.raises(ValueError, match=f"reduced residues, got {bad!r}$"):
+            FMatrix(F5, 2, (bad, 0, 0, 1))
+        if isinstance(bad, float):
+            with pytest.raises(ValueError, match=f"reduced residues, got {bad!r}$"):
+                FMatrix.from_rows(F5, [[bad, 2], [0, 1]])
 
     @pytest.mark.parametrize("p,n,seed", [(2, 1, 0), (5, 3, 1), (10007, 8, 2),
                                           (2147483647, 12, 3)])
@@ -511,35 +520,29 @@ class TestInsertSlots:
             basis.insert_slots(_native_slots([1, 2, 3], basis.width))
 
 
-class _CountingBasis(SpanBasis):
-    """A span basis that counts the vectors it reduces."""
-
-    reduced = 0
-
-    def insert_slots(self, slots):
-        self.reduced += 1
-        return super().insert_slots(slots)
-
-
 class TestInsertProducts:
     """insert_products against one insert per schoolbook product, in (matrix,
-    generator) order up to the fill, and against the oracle's elimination."""
+    generator) order up to the fill, skipped pairs left out, and against the
+    oracle's elimination."""
 
     @staticmethod
-    def _check(basis, stack, gens, vecs=()):
-        """Insert vecs, then the products of stack by gens, into basis, a
-        plain basis and the oracle; return what insert_products returned."""
+    def _check(basis, stack, gens, vecs=(), skip=frozenset()):
+        """Insert vecs, then the products of stack by gens but the pairs in
+        skip, into basis, a plain basis and the oracle; return what
+        insert_products returned."""
         p, d = basis.field.p, basis.ambient_dim
         plain, oracle = SpanBasis(d, basis.field), _GaussRows(p)
         for v in vecs:
             assert basis.insert(v) == plain.insert(v) == oracle.insert(v)
         basis.reduced = 0
-        found, out = basis.insert_products([x for a in stack for x in a.entries], gens)
+        found, out = basis.insert_products([x for a in stack for x in a.entries], gens, skip)
         want, want_out, reduced = [], [], 0
         for k, a in enumerate(stack):
             for i, g in enumerate(gens):
                 if plain.dim == d:
                     break
+                if (k, i) in skip:
+                    continue
                 prod = _schoolbook_product(a.entries, g.entries, a.n, p)
                 reduced += 1
                 independent = plain.insert(prod)
@@ -548,7 +551,7 @@ class TestInsertProducts:
                     want.append((k, i))
                     want_out += prod
         assert (found, out) == (want, want_out)
-        assert basis.reduced == reduced  # none after the fill
+        assert basis.reduced == reduced  # none skipped, none after the fill
         assert basis.rows == plain.rows and basis.dim == len(oracle.rows)
         return found, out
 
@@ -561,7 +564,9 @@ class TestInsertProducts:
         gens = [data.draw(square_matrix(field, n)) for _ in range(letters)]
         vec = st.lists(st.integers(0, p - 1), min_size=n * n, max_size=n * n)
         vecs = data.draw(st.lists(vec, max_size=n * n))
-        self._check(_CountingBasis(n * n, field), stack, gens, vecs)
+        pairs = st.tuples(st.integers(0, count - 1), st.integers(0, letters - 1))
+        skip = data.draw(st.one_of(st.just(frozenset()), st.frozensets(pairs)))
+        self._check(CountingBasis(n * n, field), stack, gens, vecs, skip)
 
     @pytest.mark.parametrize("p", [2, 13, 10007, 2147483647])
     def test_fill_inside_a_chunk(self, p):
@@ -570,7 +575,7 @@ class TestInsertProducts:
         # second matrix's products are never reduced.
         field = PrimeField(p)
         e12, e21, e11 = (E(field, 2, i, j) for i, j in ((0, 1), (1, 0), (0, 0)))
-        basis = _CountingBasis(4, field)
+        basis = CountingBasis(4, field)
         vecs = [m.entries for m in (FMatrix.identity(field, 2), e12, e21)]
         found, out = self._check(basis, [e12, e21], [e21, e12, e11], vecs)
         assert found == [(0, 0)] and out == [1, 0, 0, 0] and basis.reduced == 1
@@ -581,7 +586,7 @@ class TestInsertProducts:
         field = PrimeField(p)
         diag = [FMatrix.from_rows(field, [[int(i == j) * (i + c) for j in range(3)]
                                           for i in range(3)]) for c in (1, 2, 3)]
-        basis = _CountingBasis(9, field)
+        basis = CountingBasis(9, field)
         vecs = [E(field, 3, i, i).entries for i in range(3)]
         assert self._check(basis, diag, diag[:2], vecs) == ([], [])
         assert basis.reduced == 6 and basis.dim == 3
