@@ -150,7 +150,9 @@ class FMatrix:
         p, n = field.p, len(rows)
         if any(len(row) != n for row in rows):
             raise ValueError(f"entries are not {n}x{n}")
-        return cls(field, n, tuple(x % p for row in rows for x in row))
+        # Only an int is reduced: any other entry (True % 5 is the int 1)
+        # reaches __post_init__ as given, which rejects it.
+        return cls(field, n, tuple(x % p if type(x) is int else x for row in rows for x in row))
 
     @classmethod
     def _trusted(cls, field: PrimeField, n: int, entries: tuple[int, ...]) -> "FMatrix":

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -32,6 +33,33 @@ def fibonacci_letters(length: int) -> tuple[int, ...]:
     while len(b) < length:
         a, b = b, b + a
     return b[:length]
+
+
+def thue_morse_letters(length: int) -> tuple[int, ...]:
+    return tuple(bin(i).count("1") % 2 for i in range(length))
+
+
+def square_free_ternary_letters(length: int) -> tuple[int, ...]:
+    """The square-free fixed point abcacbabcbac... of a -> abc, b -> ac,
+    c -> b: letter i is 2 minus the number of 1s between the i-th and the
+    (i + 1)-th 0 of the Thue-Morse word."""
+    zeros = [i for i, x in enumerate(thue_morse_letters(4 * length + 4)) if x == 0]
+    return tuple(2 - (b - a - 1) for a, b in zip(zeros, zeros[1:]))[:length]
+
+
+def seeded_letters(k: int, length: int) -> tuple[int, ...]:
+    """length letters, each one rng.randrange(k) of rng = random.Random(1):
+    the same draws as rng.choice over a k-letter string."""
+    rng = random.Random(1)
+    return tuple(rng.randrange(k) for _ in range(length))
+
+
+def two_byte_word(length: int) -> Word:
+    """298 distinct letters U+0100..U+0229, then the (length / 2)-letter
+    Fibonacci prefix over U+022A, U+022B: letters 298 and 299, whose ids
+    differ only in their low byte."""
+    letters = tuple(range(298)) + tuple(298 + x for x in fibonacci_letters(length // 2))
+    return Word(letters, Alphabet(tuple(map(chr, range(0x100, 0x22C)))))
 
 
 @st.composite
@@ -81,6 +109,12 @@ def dump_matrix_set(field: PrimeField, n: int, matrices: list[FMatrix]) -> dict:
     }
 
 
+def write_set(path, S: GeneratorSet) -> str:
+    """Write S to path as a matrix JSON file and return the path."""
+    path.write_text(json.dumps(dump_matrix_set(S.field, S.n, S.gens)))
+    return str(path)
+
+
 def sample_generating_sets(
     count: int,
     dims: tuple[int, ...] = (2, 3, 4),
@@ -88,14 +122,58 @@ def sample_generating_sets(
     seed: int = 0,
 ) -> list[tuple[GeneratorSet, LengthTrace]]:
     """Seeded random pairs that generate the full matrix algebra, with their
-    traces; candidates that fail to generate everything are resampled."""
+    traces; candidates that fail to generate everything are resampled, up to
+    4 * count + 20 draws in all."""
     rng = random.Random(seed)
     out: list[tuple[GeneratorSet, LengthTrace]] = []
-    while len(out) < count:
+    for _ in range(4 * count + 20):
         n = rng.choice(dims)
         field = PrimeField(rng.choice(primes))
         S = GeneratorSet(field, n, (random_matrix(field, n, rng), random_matrix(field, n, rng)))
         trace = length_trace(S, max_len=n * n)
         if trace.generated_dim == n * n:
             out.append((S, trace))
-    return out
+            if len(out) == count:
+                return out
+    pytest.fail(f"{4 * count + 20} draws gave {len(out)} of {count} generating sets")
+
+
+def _generators(field: PrimeField, n: int, *rows) -> GeneratorSet:
+    return GeneratorSet(field, n, tuple(FMatrix.from_rows(field, g) for g in rows))
+
+
+def jordan_corner(field: PrimeField, n: int) -> GeneratorSet:
+    """The n x n Jordan block with eigenvalue 1 and the corner unit E_n1;
+    they generate the full matrix algebra with l(S) = 2n - 2."""
+    jordan = [[int(j in (i, i + 1)) for j in range(n)] for i in range(n)]
+    corner = [[int((i, j) == (n - 1, 0)) for j in range(n)] for i in range(n)]
+    return _generators(field, n, jordan, corner)
+
+
+def diag_shift(field: PrimeField, n: int) -> GeneratorSet:
+    """diag(1..n) and the cyclic shift; they generate the full matrix
+    algebra with l(S) = n."""
+    diag = [[i + 1 if i == j else 0 for j in range(n)] for i in range(n)]
+    shift = [[int(j == (i + 1) % n) for j in range(n)] for i in range(n)]
+    return _generators(field, n, diag, shift)
+
+
+def upper_triangular(field: PrimeField, n: int) -> GeneratorSet:
+    """diag(1..n) and the n x n Jordan block; they span only the
+    upper-triangular matrices, with l(S) = n - 1."""
+    diag = [[i + 1 if i == j else 0 for j in range(n)] for i in range(n)]
+    jordan = [[int(j in (i, i + 1)) for j in range(n)] for i in range(n)]
+    return _generators(field, n, diag, jordan)
+
+
+def diagonal_set(field: PrimeField, diagonals: list[tuple[int, ...]]) -> GeneratorSet:
+    """One diagonal matrix per tuple of diagonal entries."""
+    n = len(diagonals[0])
+    rows = ([[d[i] if i == j else 0 for j in range(n)] for i in range(n)] for d in diagonals)
+    return _generators(field, n, *rows)
+
+
+def seeded_set(field: PrimeField, n: int, k: int) -> GeneratorSet:
+    """k uniformly random n x n matrices drawn by random.Random(n)."""
+    rng = random.Random(n)
+    return GeneratorSet(field, n, tuple(random_matrix(field, n, rng) for _ in range(k)))

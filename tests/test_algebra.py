@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CountingBasis, sample_generating_sets
+from conftest import (
+    CountingBasis,
+    diag_shift,
+    jordan_corner,
+    sample_generating_sets,
+    upper_triangular,
+)
 from wordlen import algebra
 from wordlen.algebra import (
     BudgetExceeded,
@@ -206,30 +212,6 @@ def _brute_irreducible(S, max_i):
     return levels, len(span.rows)
 
 
-def _jordan_corner(field, n):
-    """The n x n Jordan block with eigenvalue 1 and the corner unit E_n1;
-    they generate the full matrix algebra with l(S) = 2n - 2."""
-    jordan = [[int(j in (i, i + 1)) for j in range(n)] for i in range(n)]
-    corner = [[int((i, j) == (n - 1, 0)) for j in range(n)] for i in range(n)]
-    return GeneratorSet(field, n, tuple(FMatrix.from_rows(field, g) for g in (jordan, corner)))
-
-
-def _diag_shift(field, n):
-    """diag(1..n) and the cyclic shift; they generate the full matrix
-    algebra with l(S) = n."""
-    diag = [[i + 1 if i == j else 0 for j in range(n)] for i in range(n)]
-    shift = [[int(j == (i + 1) % n) for j in range(n)] for i in range(n)]
-    return GeneratorSet(field, n, tuple(FMatrix.from_rows(field, g) for g in (diag, shift)))
-
-
-def _upper_triangular(field, n):
-    """diag(1..n) and the n x n Jordan block; they span only the
-    upper-triangular matrices, with l(S) = n - 1."""
-    diag = [[i + 1 if i == j else 0 for j in range(n)] for i in range(n)]
-    jordan = [[int(j in (i, i + 1)) for j in range(n)] for i in range(n)]
-    return GeneratorSet(field, n, tuple(FMatrix.from_rows(field, g) for g in (diag, jordan)))
-
-
 def _sparse_sets(count, seed):
     """Seeded sets over GF(2), GF(3), GF(5) and GF(7) with n in {2, 3} and
     1-3 generators, each entry non-zero with probability 1/3: many spans
@@ -331,9 +313,9 @@ def _oracle_sets():
     block spans the upper-triangular matrices, and a lone matrix unit spans
     <I, E12>."""
     return [S for S, _ in sample_generating_sets(12, dims=(2, 3), seed=5)] + [
-        _jordan_corner(PrimeField(11), 4),
-        _jordan_corner(PrimeField(11), 5),
-        _upper_triangular(PrimeField(7), 3),
+        jordan_corner(PrimeField(11), 4),
+        jordan_corner(PrimeField(11), 5),
+        upper_triangular(PrimeField(7), 3),
         GeneratorSet(F5, 2, (E12,)),
     ]
 
@@ -357,7 +339,7 @@ class TestAgainstBruteForce:
     def test_walk_words_match_search(self):
         families = [
             family(PrimeField(p), n)
-            for family in (_diag_shift, _jordan_corner, _upper_triangular)
+            for family in (diag_shift, jordan_corner, upper_triangular)
             for n, p in ((5, 11), (6, 13))
         ]
         sets = (
@@ -481,7 +463,7 @@ def _family_sets():
     monomial matrix."""
     rng = random.Random(36)
     return [_monomial_conjugate(family(PrimeField(p), n), rng)
-            for family in (_diag_shift, _jordan_corner, _upper_triangular)
+            for family in (diag_shift, jordan_corner, upper_triangular)
             for n in range(2, 11) for p in (5, 19, 10007)]
 
 
@@ -521,9 +503,9 @@ class TestClosureSkip:
         rng = random.Random(36)
         pair = GeneratorSet(f10007, 8, tuple(random_matrix(f10007, 8, rng) for _ in range(2)))
         cases = [  # (set, reductions unpruned, reductions skipped), after the identity
-            (_jordan_corner(f19, 8), 123, 72),
-            (_diag_shift(f19, 8), 112, 77),
-            (_upper_triangular(f19, 8), 72, 45),
+            (jordan_corner(f19, 8), 123, 72),
+            (diag_shift(f19, 8), 112, 77),
+            (upper_triangular(f19, 8), 72, 45),
             (pair, 63, 63),  # a random dense pair: no candidate is skipped
         ]
         for S, unpruned, pruned in cases:

@@ -11,7 +11,14 @@ import random
 import pytest
 
 import wordlen
-from conftest import dump_matrix_set, fail_every_word
+from conftest import (
+    diagonal_set,
+    dump_matrix_set,
+    fail_every_word,
+    jordan_corner,
+    upper_triangular,
+    write_set,
+)
 from wordlen import algebra, bounds, cli, structure, verify, words
 from wordlen.cli import EXIT_INTERNAL, main
 from wordlen.linalg import FMatrix, PrimeField
@@ -45,14 +52,8 @@ def upper_triangular_file(tmp_path):
     """diag(1, 2, 3) and a Jordan block over GF(7): they span only the
     upper-triangular matrices (dim 6, l(S) = 2), so `alg liw` scans products
     for m, and diag(1, 2, 3) reaches the certified maximum min(n, 6) = 3."""
-    field = PrimeField(7)
-    mats = [
-        FMatrix.from_rows(field, [[1, 0, 0], [0, 2, 0], [0, 0, 3]]),
-        FMatrix.from_rows(field, [[1, 1, 0], [0, 1, 1], [0, 0, 1]]),
-    ]
-    path = tmp_path / "upper.json"
-    path.write_text(json.dumps(dump_matrix_set(field, 3, mats)))
-    return str(path)
+    S = upper_triangular(PrimeField(7), 3)
+    return write_set(tmp_path / "upper.json", S)
 
 
 class TestComplexity:
@@ -393,14 +394,9 @@ class TestAlg:
     def test_liw_m_certified_at_min_of_n_and_dim(
         self, capsys, tmp_path, diagonals, dim, m, estimated
     ):
-        field = PrimeField(7)
-        mats = [
-            FMatrix.from_rows(field, [[d[i] if i == j else 0 for j in range(3)] for i in range(3)])
-            for d in diagonals
-        ]
-        path = tmp_path / "diagonal.json"
-        path.write_text(json.dumps(dump_matrix_set(field, 3, mats)))
-        code, out = run(capsys, "alg", "liw", str(path), "--json")
+        S = diagonal_set(PrimeField(7), diagonals)
+        path = write_set(tmp_path / "diagonal.json", S)
+        code, out = run(capsys, "alg", "liw", path, "--json")
         payload = json.loads(out)
         assert code == 0
         assert (payload["generated_dim"], payload["m"], payload["m_estimated"]) == (
@@ -420,13 +416,9 @@ class TestAlg:
         # the 12 x 12 Jordan block and corner unit over GF(13): l(S) = 22,
         # so there are 2^22 > 2 * 10^6 words of length l(S), yet the walk
         # reads every minimal irreducible word off 22 levels
-        n, field = 12, PrimeField(13)
-        jordan = [[int(j in (i, i + 1)) for j in range(n)] for i in range(n)]
-        corner = [[int((i, j) == (n - 1, 0)) for j in range(n)] for i in range(n)]
-        mats = [FMatrix.from_rows(field, g) for g in (jordan, corner)]
-        path = tmp_path / "jordan12.json"
-        path.write_text(json.dumps(dump_matrix_set(field, n, mats)))
-        code, out = run(capsys, "alg", "liw", str(path), "--json")
+        S = jordan_corner(PrimeField(13), 12)
+        path = write_set(tmp_path / "jordan12.json", S)
+        code, out = run(capsys, "alg", "liw", path, "--json")
         payload = json.loads(out)
         assert code == 0
         assert payload["length"] == 22 and payload["generated_dim"] == 144
@@ -436,13 +428,9 @@ class TestAlg:
         # diag(1..21) and the 21 x 21 Jordan block over GF(23) span only the
         # upper-triangular matrices, so m comes from the scan; 2^1 + ... + 2^21
         # words exceed its budget, but diag(1..21) alone ends it at m = n
-        n, field = 21, PrimeField(23)
-        diag = [[i + 1 if i == j else 0 for j in range(n)] for i in range(n)]
-        jordan = [[int(j in (i, i + 1)) for j in range(n)] for i in range(n)]
-        mats = [FMatrix.from_rows(field, g) for g in (diag, jordan)]
-        path = tmp_path / "upper21.json"
-        path.write_text(json.dumps(dump_matrix_set(field, n, mats)))
-        code, out = run(capsys, "alg", "liw", str(path), "--json")
+        S = upper_triangular(PrimeField(23), 21)
+        path = write_set(tmp_path / "upper21.json", S)
+        code, out = run(capsys, "alg", "liw", path, "--json")
         payload = json.loads(out)
         assert code == 0
         assert (payload["length"], payload["m"], payload["m_estimated"]) == (20, 21, False)
@@ -683,18 +671,6 @@ class TestBounds:
         assert code == 0
         summary = last_json(out)
         assert summary["counterexamples"] == 0
-
-    def test_grid_rows_stop_at_d_max(self, capsys):
-        # Every cell has d >= m, so rows m > d_max are empty: an m_max of
-        # 10^12 must not loop over them.
-        _, small = run(capsys, "bounds", "--grid", "--m-max", "10", "--d-max", "10")
-        code, huge = run(capsys, "bounds", "--grid", "--m-max", str(10**12), "--d-max", "10")
-        small_lines, huge_lines = small.splitlines(), huge.splitlines()
-        assert code == 0
-        assert huge_lines[:-1] == small_lines[:-1]
-        summary = last_json(huge)
-        assert summary.pop("m_max") == 10**12
-        assert summary == {k: v for k, v in last_json(small).items() if k != "m_max"}
 
     def test_grid_counterexample(self, capsys, monkeypatch):
         real = bounds.pappacena_exceeds_main

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fibonacci_letters, random_word, wd, words_st
+from conftest import (
+    fibonacci_letters,
+    random_word,
+    square_free_ternary_letters,
+    thue_morse_letters,
+    wd,
+    words_st,
+)
 from wordlen import powers
 from wordlen.oracles import brute_max_exponent, enumerate_words
 from wordlen.powers import Exponent, avoids, max_factor_exponent, verify_tc
@@ -35,16 +42,6 @@ def dumb_max_exponent(w: Word) -> tuple[Fraction, tuple[int, int]]:
                 best = value
                 span = (i, j)
     return best, span
-
-
-def thue_morse_letters(length: int) -> tuple[int, ...]:
-    return tuple(bin(i).count("1") % 2 for i in range(length))
-
-
-def square_free_ternary_letters(length: int) -> tuple[int, ...]:
-    """Number of 1s between consecutive 0s of the Thue-Morse word."""
-    zeros = [i for i, x in enumerate(thue_morse_letters(4 * length + 4)) if x == 0]
-    return tuple(b - a - 1 for a, b in zip(zeros, zeros[1:]))[:length]
 
 
 def near_periodic_letters(rng: random.Random, length: int) -> tuple[int, ...]:

@@ -6,8 +6,10 @@ from collections import Counter
 
 import pytest
 
+import conftest
 from conftest import fail_every_word, sample_generating_sets
 from wordlen import powers, verify
+from wordlen.algebra import LengthTrace
 from wordlen.oracles import enumerate_words, naive_profile
 from wordlen.powers import max_factor_exponent
 from wordlen.verify import (
@@ -188,3 +190,11 @@ class TestSampling:
         a = sample_generating_sets(5, seed=2)
         b = sample_generating_sets(5, seed=2)
         assert [S.gens for S, _ in a] == [S.gens for S, _ in b]
+
+    def test_stops_when_no_draw_generates(self, monkeypatch):
+        # a fault that keeps every span below full must fail the sampling
+        # tests, not hang them
+        monkeypatch.setattr(conftest, "length_trace",
+                            lambda S, max_len: LengthTrace((1,), 0, 1, ()))
+        with pytest.raises(pytest.fail.Exception, match="^60 draws gave 0 of 10 generating sets$"):
+            sample_generating_sets(10)
