@@ -7,12 +7,10 @@ lies in the span of strictly shorter products.  `length_trace` grows the
 span breadth-first, extending its frontier in lexicographic order, so the
 first product it inserts at each length is the minimal irreducible word of
 that length: the one walk yields the dimensions and the words, and no
-search is needed.  The walk keeps only words and dimensions: it hands each
-level's frontier matrices to the span basis, which multiplies and inserts
-them, and only linalg knows the packed-slot format they travel in.  The
-frontier's words are closed under factors, so the walk also tells the basis
-which products need no insert: those whose last letters form a word off the
-previous frontier.
+search is needed.  The walk keeps only words and dimensions: the span
+basis multiplies and inserts each level, skipping the candidates that the
+factor closure of the frontier proves dependent, and only linalg knows the
+packed-slot format the frontier travels in.
 """
 
 from __future__ import annotations
@@ -161,16 +159,26 @@ def length_trace(S: GeneratorSet, max_len: int) -> LengthTrace:
     when reached, and inserting it would leave the basis unchanged.  The
     walk skips those candidates (at level 1 the suffix is the empty word,
     always on the frontier), and dims, words and the length are those of
-    the walk that reduces every candidate.  On diag(1..n) with the cyclic
-    shift the walk reduces 77 candidates instead of 112 at n = 8 and 285
-    instead of 480 at n = 16; on the Jordan block with the corner unit, 72
-    instead of 123 and 272 instead of 507; on diag(1..n) with the Jordan
-    block (upper-triangular), 45 instead of 72 at n = 8.  On random dense
-    pairs, whose words shorter than l(S) are all normal, it skips none.
+    the walk that reduces every candidate.  At n = 8 and 16 the walk
+    reduces 77 and 285 candidates instead of 112 and 480 on diag(1..n) with
+    the cyclic shift, 72 and 272 instead of 123 and 507 on the Jordan block
+    with the corner unit; random dense pairs, whose words shorter than l(S)
+    are all normal, skip none.
 
-    The basis multiplies and inserts each level from the frontier's stacked
-    matrices (SpanBasis.insert_products), in candidate order, skipping the
-    (frontier index, generator index) pairs of the skipped candidates.
+    The basis multiplies and inserts each level from one stack
+    (SpanBasis.insert_products), in candidate order, skipping the (frontier
+    index, generator index) pairs of the skipped candidates.  For each
+    frontier word u the stack holds the row x_u that u's insert added, its
+    residual scaled to 1 at its pivot: x_u = mu P_u + s with mu != 0 and s
+    a combination of the products P_v inserted before u (the identity is
+    its own row).  Then x_u g = mu P_ug + sum c_v P_vg, and each P_vg is
+    spanned when ug is reached: a product shorter than ug if v is shorter
+    than u, else a candidate vg before ug.  So x_u g and mu P_ug differ by
+    the span: one is independent iff the other is, and their residuals,
+    linear and 0 on the span, scale to the same new row.  By induction over
+    the candidates the basis, and with it dims, words, skips and the fill,
+    are those of the walk that stacks products, and no product is reduced
+    twice.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")

@@ -13,7 +13,8 @@ stacks and matrix files.  A span basis keeps its reduced row-echelon rows
 mod p as packed ints, shifts their all-pivot leading columns, which hold
 only the pivot's 1 and zeros, out once enough of them have piled up, and
 reduces vectors given as packed slots, such as stack_products' unreduced
-products (see SpanBasis).  The span walk hands each level's frontier to one
+products, returning the row each independent one adds (see SpanBasis).  The
+span walk hands each level's frontier, as those rows, to one
 SpanBasis.insert_products call, so the slot format stays in this module,
 with the (matrix, generator) pairs whose products it has proved dependent:
 those are multiplied with their chunk and never reduced.  A single product
@@ -111,11 +112,6 @@ def slot_residues(slots: array, width: int, p: int) -> list[int]:
     return [x % p for x in slots]
 
 
-def _residues(data: bytes, width: int, p: int) -> list[int]:
-    """The slots of little-endian data, each reduced mod p."""
-    return slot_residues(_unpack(data, width), width, p)
-
-
 def _multiply_sums(rows: Iterable[Sequence[int]], packed: Sequence[int], size: int) -> bytes:
     """The multiply-sum core of both product kernels: for each row, the one
     C-level sum(map(mul, row, packed)), little-endian in size bytes."""
@@ -196,7 +192,8 @@ class FMatrix:
         n, p = self.n, self.field.p
         width, packed = other._packed_rows
         sums = _multiply_sums(zip(*[iter(self.entries)] * n), packed, n * width)
-        return FMatrix._trusted(self.field, n, tuple(_residues(sums, width, p)))
+        entries = slot_residues(_unpack(sums, width), width, p)
+        return FMatrix._trusted(self.field, n, tuple(entries))
 
     def __add__(self, other: "FMatrix") -> "FMatrix":
         self._check_compatible(other)
@@ -259,8 +256,8 @@ class SpanBasis:
     span iff every residual slot is 0 mod p.
 
     One core reduces a vector given as packed slots (see insert_slots):
-    insert_products feeds it products straight from stack_products, and
-    insert and contains pack their vector's residues and call it.
+    insert_products feeds it stack_products' products and stacks the rows
+    it adds, and insert and contains pack their vector's residues.
 
     On the pivot prefix [0, base), the leading columns that are all pivots,
     rows and residuals hold only those 1s and 0s, so a row is one packed int
@@ -317,7 +314,7 @@ class SpanBasis:
         size = (self.ambient_dim - offset) * width
         return [
             (*(int(c == pivot) for c in range(offset)),
-             *_residues(row.to_bytes(size, "little"), width, p))
+             *slot_residues(_unpack(row.to_bytes(size, "little"), width), width, p))
             for pivot, row in sorted(zip(self._pivots, self._rows))
         ]
 
@@ -331,9 +328,9 @@ class SpanBasis:
         p = self.field.p
         return _slot_array([x % p for x in vec], self.width)
 
-    def _residual(self, slots: array) -> list[int]:
-        """The residual on columns [offset, d) of the vector in slots, slot
-        by slot, reduced mod p."""
+    def _residual(self, slots: array) -> Sequence[int]:
+        """The residual on columns [offset, d) of the vector in slots, one int
+        per slot congruent to it mod p: exact, or reduced for 16-byte slots."""
         p, width, offset, pivots = self.field.p, self.width, self._offset, self._pivots
         half = 2 if width == 16 else 1  # array items per slot
         if len(slots) != self.ambient_dim * half:
@@ -344,41 +341,38 @@ class SpanBasis:
             coeffs = [-(slots[2 * c] + (slots[2 * c + 1] << 64)) % p for c in pivots]
         else:
             coeffs = [-slots[c] % p for c in pivots]
-        if not any(coeffs):
-            # Zero at every pivot: the vector is its own residual.
-            # Structured products are sparse, so this skips many
-            # multiply-sums.
-            return slot_residues(slots[offset * half:], width, p)
-        residual = sum(
-            map(mul, coeffs, self._rows),
-            _pack(slots[offset * half:]),
-        )
-        size = (self.ambient_dim - offset) * width
-        return _residues(residual.to_bytes(size, "little"), width, p)
+        # A vector zero at every pivot is its own residual: structured
+        # products are sparse, so this skips many multiply-sums.
+        res = slots[offset * half:]
+        if any(coeffs):
+            residual = sum(map(mul, coeffs, self._rows), _pack(res))
+            res = _unpack(residual.to_bytes((self.ambient_dim - offset) * width, "little"), width)
+        return slot_residues(res, width, p) if half == 2 else res
 
-    def insert_slots(self, slots: array) -> bool:
-        """Add a vector to the span; True iff it was independent.
-
-        slots holds the vector's d entries as native-order slots of `width`
-        bytes, 16-byte slots as two 64-bit halves, low half first, each at
-        most d(p-1)^2 and not necessarily reduced: what stack_products
-        returns."""
-        res = self._residual(slots)
-        lead = next(filter(None, res), 0)
-        if not lead:
-            return False
+    def insert_slots(self, slots: array) -> list[int] | None:
+        """Add a vector to the span: None if it was dependent, else the row
+        this insert adds, its residual scaled to 1 at its pivot, as d
+        residues (0 on the pivot prefix).  slots holds the vector's d entries,
+        each at most d(p-1)^2 and not necessarily reduced, as native-order
+        slots of `width` bytes (16-byte ones as two 64-bit halves, low half
+        first): what stack_products returns."""
         p, width, offset, pivots = self.field.p, self.width, self._offset, self._pivots
+        res = self._residual(slots)
+        # The pivot is the first slot nonzero mod p, not merely nonzero.
+        slot = next((j for j, x in enumerate(res) if x % p), None)
+        if slot is None:
+            return None
         # The new row w is res scaled to 1 at its pivot; every row r that is
         # a != 0 there gains (p - a) * w, one big-int update per row.  The
         # masked read of a costs the slots below the pivot, not a copy of r.
-        slot = res.index(lead)
         pivots.append(offset + slot)
         base = self._base
         while base in pivots:
             base += 1
         self._base = base
-        inv = pow(lead, p - 2, p)
-        new = _pack(_slot_array([x * inv % p for x in res], width))
+        inv = pow(res[slot], p - 2, p)
+        entries = [x * inv % p for x in res]
+        new = _pack(_slot_array(entries, width))
         shift = 8 * width * slot
         mask = ((1 << 8 * width) - 1) << shift
         rows = self._rows
@@ -392,7 +386,7 @@ class SpanBasis:
             drop = 8 * width * dead
             self._rows = [row >> drop for row in rows]
             self._offset = base
-        return True
+        return [0] * offset + entries
 
     def insert_products(self, stack: Sequence[int], gens: Sequence[FMatrix],
                         skip: Container[tuple[int, int]],
@@ -403,8 +397,8 @@ class SpanBasis:
 
         stack holds n x n matrices, each as its d = n^2 reduced entries
         row-major.  Returns the (matrix index, generator index) of each
-        independent product, in insert order, and those products' reduced
-        entries stacked the same way.
+        independent product, in insert order, and the rows their inserts
+        added (insert_slots), stacked the same way (see algebra.length_trace).
 
         The stack is multiplied ceil((d - dim) / |gens|) matrices at a time
         (stack_products), and each product is reduced from its packed slots,
@@ -416,7 +410,7 @@ class SpanBasis:
         whose inserts would leave the basis as it is (see
         algebra.length_trace).
         """
-        d, p, width = self.ambient_dim, self.field.p, self.width
+        d, width = self.ambient_dim, self.width
         size = d * (2 if width == 16 else 1)  # array items per product
         found, out = [], []
         start, total = 0, len(stack) // d
@@ -427,10 +421,10 @@ class SpanBasis:
                 for i, prods in enumerate(chunk):
                     if (start + k, i) in skip:
                         continue
-                    slots = prods[k * size:(k + 1) * size]
-                    if self.insert_slots(slots):
+                    row = self.insert_slots(prods[k * size:(k + 1) * size])
+                    if row is not None:
                         found.append((start + k, i))
-                        out += slot_residues(slots, width, p)
+                        out += row
                         if self.dim == d:
                             return found, out
             start += count
@@ -438,10 +432,10 @@ class SpanBasis:
 
     def insert(self, vec: Sequence[int]) -> bool:
         """Add vec to the span; True iff it was independent."""
-        return self.insert_slots(self._slots(vec))
+        return self.insert_slots(self._slots(vec)) is not None
 
     def contains(self, vec: Sequence[int]) -> bool:
-        return not any(self._residual(self._slots(vec)))
+        return not any(map(self.field.p.__rmod__, self._residual(self._slots(vec))))
 
 
 @dataclass(frozen=True)
@@ -475,9 +469,7 @@ def min_poly(a: FMatrix) -> MinPoly:
     This keeps its own elimination loop instead of using SpanBasis: at most
     n + 1 powers face n^2 columns, so a basis's fixed costs per vector
     (packing, the multiply-sum, unpacking every slot, the back-substitution)
-    outweigh these short row loops.  estimate_m_star's scans of 30 seeded
-    sparse upper-triangular GF(7) pairs took 29 ms with this loop and
-    48-49 ms with min_poly on a SpanBasis (see the module docstring).
+    outweigh these short row loops (see the module docstring's timings).
     """
     p = a.field.p
     dim = a.n * a.n

@@ -4,16 +4,18 @@ from __future__ import annotations
 
 import json
 import random
+import signal
 
 import pytest
 from hypothesis import strategies as st
 
-from wordlen import powers
+from wordlen import cli, powers
 from wordlen.algebra import GeneratorSet, LengthTrace, length_trace
 from wordlen.linalg import FMatrix, PrimeField, SpanBasis, random_matrix
 from wordlen.words import Alphabet, Word, parse_word
 
 _FULL = Alphabet.letters(26)
+MAIN_SECONDS = 60
 
 
 def wd(text: str) -> Word:
@@ -82,6 +84,22 @@ def window_periods(monkeypatch) -> list[tuple]:
 
     monkeypatch.setattr(powers, "_band_runs", counted)
     return calls
+
+
+def run_main(argv) -> int:
+    """cli.main(argv) in process under a SIGALRM bound of MAIN_SECONDS: a
+    call still running then fails its test, naming argv, rather than stall
+    the suite.  Exit codes, SystemExit and exceptions pass through."""
+    def expire(signum, frame):
+        pytest.fail(f"main({list(argv)!r}) ran past {MAIN_SECONDS} s", pytrace=False)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(MAIN_SECONDS)
+    try:
+        return cli.main(list(argv))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class CountingBasis(SpanBasis):

@@ -34,7 +34,7 @@ from wordlen.linalg import (
     random_matrix,
     shift_to_invertible,
 )
-from wordlen.oracles import _GaussRows, brute_length
+from wordlen.oracles import _GaussRows, _schoolbook_product, brute_length
 from wordlen.words import Word, count_distinct_factors
 
 F5 = PrimeField(5)
@@ -525,6 +525,71 @@ class TestClosureSkip:
         monkeypatch.setattr(algebra, "SpanBasis", WrongRule)
         with pytest.raises(AssertionError):
             _assert_skip_changes_nothing(_family_sets())
+
+
+def _product_frontier_walk(S, max_len):
+    """The span walk with raw products on the frontier: each level multiplies
+    the previous level's independent products by the generators with the
+    schoolbook product, in length_trace's candidate order, and reduces every
+    candidate with the oracle's elimination, skipping none."""
+    n, p, d = S.n, S.field.p, S.n * S.n
+    span = _GaussRows(p)
+    ident = [int(i == j) for i in range(n) for j in range(n)]
+    span.insert(ident)
+    dims, words, frontier = [1], [], [((), ident)]
+    while dims[-1] < d:
+        if len(dims) > max_len:
+            raise CapExceeded(max_len)
+        level = []
+        for u, mat in frontier:
+            for i, g in enumerate(S.gens):
+                prod = _schoolbook_product(mat, g.entries, n, p)
+                if span.insert(prod):
+                    level.append(((*u, i), prod))
+        if not level:
+            break
+        frontier = level
+        dims.append(len(span.rows))
+        words.append(frontier[0][0])
+    return LengthTrace(tuple(dims), len(dims) - 1, dims[-1], tuple(words))
+
+
+def _small_families():
+    """The diag-shift, Jordan-corner and upper-triangular families at n = 2-8
+    over GF(5), GF(19) and GF(10007)."""
+    return [family(PrimeField(p), n) for family in (jordan_corner, diag_shift, upper_triangular)
+            for n in range(2, 9) for p in (5, 19, 10007)]
+
+
+def _assert_matches_product_walk(sets):
+    for S in sets:
+        assert length_trace(S, S.n * S.n) == _product_frontier_walk(S, S.n * S.n), S
+
+
+class TestNewRowFrontier:
+    """length_trace multiplies each level's new basis rows, not its products:
+    a new row is its product times a nonzero scalar plus an element of the
+    span held before its insert, so every independence decision, and the
+    trace, is that of the walk on raw products."""
+
+    def test_matches_product_frontier_walk(self):
+        _assert_matches_product_walk(_small_families())
+        _assert_matches_product_walk([S for S, _ in sample_generating_sets(
+            60, dims=(2, 3, 4, 5), primes=(2, 7, 10007, 2147483647), seed=38)])
+
+    def test_row_off_its_coset_is_caught(self, monkeypatch):
+        # A planted fault: each returned row gains 1 in its last entry, which
+        # moves it off the coset of its product mod the span.
+        class OffCoset(SpanBasis):
+            def insert_slots(self, slots):
+                row = super().insert_slots(slots)
+                if row is not None:
+                    row[-1] = (row[-1] + 1) % self.field.p
+                return row
+
+        monkeypatch.setattr(algebra, "SpanBasis", OffCoset)
+        with pytest.raises(AssertionError):
+            _assert_matches_product_walk(_small_families())
 
 
 class TestChecks:

@@ -16,17 +16,18 @@ from conftest import (
     dump_matrix_set,
     fail_every_word,
     jordan_corner,
+    run_main,
     upper_triangular,
     write_set,
 )
 from wordlen import algebra, bounds, cli, structure, verify, words
-from wordlen.cli import EXIT_INTERNAL, main
+from wordlen.cli import EXIT_INTERNAL
 from wordlen.linalg import FMatrix, PrimeField
 from wordlen.powers import Exponent
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    code = run_main(argv)
     out = capsys.readouterr().out
     return code, out
 
@@ -83,7 +84,7 @@ class TestComplexity:
 @pytest.mark.parametrize("command", ["complexity", "decompose", "powers"])
 def test_empty_word_needs_alphabet(capsys, command):
     # no letter to infer an alphabet from: a usage error that says so
-    assert main([command, ""]) == 2
+    assert run_main([command, ""]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: cannot infer an alphabet from an empty word; give --alphabet\n"
@@ -220,14 +221,14 @@ class TestVerify:
     def test_alphabet_above_26_is_usage_error(self, capsys, argv):
         # checked before the budget, so --maxlen 6 (over budget) and 5 (not)
         # fail alike, and at the call, so before any output, under --jobs too
-        code = main(["verify", *argv])
+        code = run_main(["verify", *argv])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert "alphabet size must be <= 26" in captured.err
 
     def test_unknown_theorem_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["verify", "nope"])
+            run_main(["verify", "nope"])
         assert exc.value.code == 2
 
     def test_pool_capped_at_cpu_count(self, capsys, monkeypatch):
@@ -406,11 +407,11 @@ class TestAlg:
         # the span last grows at step 2, but with --cap 2 the walk must still
         # try step 3 to see that, so it stops there
         for action in ("length", "liw"):
-            code = main(["alg", action, upper_triangular_file, "--cap", "2"])
+            code = run_main(["alg", action, upper_triangular_file, "--cap", "2"])
             captured = capsys.readouterr()
             assert code == 3 and captured.out == ""
             assert captured.err == "error: still growing after 2 steps\n"
-        assert main(["alg", "liw", upper_triangular_file, "--cap", "3", "--json"]) == 0
+        assert run_main(["alg", "liw", upper_triangular_file, "--cap", "3", "--json"]) == 0
 
     def test_liw_has_no_word_budget(self, capsys, tmp_path):
         # the 12 x 12 Jordan block and corner unit over GF(13): l(S) = 22,
@@ -442,7 +443,7 @@ class TestAlg:
     def test_top_level_list_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "list.json"
         path.write_text(json.dumps([[0, 1, 0, 0]]))
-        code = main(["alg", "length", str(path)])
+        code = run_main(["alg", "length", str(path)])
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: matrix set must be an object")
@@ -451,7 +452,7 @@ class TestAlg:
     def test_short_matrix_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "short.json"
         path.write_text(json.dumps({"p": 5, "n": 2, "matrices": [[0, 1, 0]]}))
-        code = main(["alg", "length", str(path)])
+        code = run_main(["alg", "length", str(path)])
         assert code == 2
         assert capsys.readouterr().err == "error: expected 4 entries, got 3\n"
 
@@ -474,7 +475,7 @@ class TestAlg:
 def test_non_positive_count_is_usage_error(capsys, unit_pair_file, argv):
     argv = [unit_pair_file if a == "FILE" else a for a in argv]
     with pytest.raises(SystemExit) as exc:
-        main(argv)
+        run_main(argv)
     assert exc.value.code == 2
     assert "must be >= 1" in capsys.readouterr().err
 
@@ -518,7 +519,7 @@ def test_qpt_maxlen_limits_are_checked_before_any_case(capsys, monkeypatch, qpt_
 
     for check in ("_check_profiles", "_check_qpt", "_check_length", "_check_exponent"):
         monkeypatch.setattr(verify, check, no_case)
-    assert main(["oracle", "--words", "3", "--sets", "1", "--maxlen", "10",
+    assert run_main(["oracle", "--words", "3", "--sets", "1", "--maxlen", "10",
                  "--qpt-maxlen", qpt_maxlen]) == code
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == err
@@ -548,7 +549,7 @@ def test_flag_the_mode_does_not_read_is_usage_error(capsys, argv):
     # argparse rejects a flag the theorem's sub-parser lacks; bounds checks
     # its two modes' flags itself
     try:
-        code = main(argv)
+        code = run_main(argv)
     except SystemExit as exc:
         code = exc.code
     captured = capsys.readouterr()
@@ -568,7 +569,7 @@ class TestInternalError:
         # the search, not the check, is substituted: the true minimum for
         # (9, 3) is 4 at k = 2, not 9/2 at k = 1
         monkeypatch.setattr(bounds, "_search_k", lambda d, m: 1)
-        code = main(["bounds", "--dim", "9", "--m", "3", "--json"])
+        code = run_main(["bounds", "--dim", "9", "--m", "3", "--json"])
         self._assert_internal(capsys, code, "BoundInvariantError")
 
     def test_key_error_is_internal(self, capsys, monkeypatch):
@@ -577,7 +578,7 @@ class TestInternalError:
             raise KeyError("internal")
 
         monkeypatch.setattr(words, "complexity_profile", broken)
-        code = main(["complexity", "abba"])
+        code = run_main(["complexity", "abba"])
         self._assert_internal(capsys, code, "KeyError")
 
     def test_liw_internal_error(self, capsys, monkeypatch, unit_pair_file):
@@ -585,7 +586,7 @@ class TestInternalError:
             raise RuntimeError("report invariant broken")
 
         monkeypatch.setattr(algebra, "_complexity_report", broken)
-        code = main(["alg", "liw", unit_pair_file, "--json"])
+        code = run_main(["alg", "liw", unit_pair_file, "--json"])
         self._assert_internal(capsys, code, "RuntimeError")
 
 
@@ -692,12 +693,12 @@ class TestBounds:
         code, out = run(capsys, "bounds", "--grid", "--m-max", "10", "--d-max", "10")
         assert code == 0 and last_json(out)["cells"] == len(checked) == 45
         checked.clear()
-        code = main(["bounds", "--grid", "--m-max", "10", "--d-max", "11"])
+        code = run_main(["bounds", "--grid", "--m-max", "10", "--d-max", "11"])
         captured = capsys.readouterr()
         assert code == 3 and captured.out == "" and checked == []
         assert captured.err == "error: 54 grid cells exceed budget 45\n"
         monkeypatch.undo()
-        code = main(["bounds", "--grid", "--m-max", "2", "--d-max", str(10**12)])
+        code = run_main(["bounds", "--grid", "--m-max", "2", "--d-max", str(10**12)])
         captured = capsys.readouterr()
         assert code == 3 and captured.out == ""
         assert captured.err == f"error: {10**12 - 1} grid cells exceed budget 1000000\n"
@@ -711,7 +712,7 @@ class TestBounds:
         [("--m-max", "1"), ("--m-max", "-3"), ("--d-max", "1"), ("--d-max", "-4")],
     )
     def test_empty_grid_rejected(self, capsys, flag, value):
-        code = main(["bounds", "--grid", flag, value])
+        code = run_main(["bounds", "--grid", flag, value])
         captured = capsys.readouterr()
         assert code == 2
         assert flag in captured.err
@@ -722,7 +723,7 @@ class TestBounds:
     def test_float_range_of_sqrt_form(self, capsys, fmt):
         code, out = run(capsys, "bounds", "--dim", str(10**300), "--m", "4", *fmt)
         assert code == 0 and out
-        code = main(["bounds", "--dim", str(10**400), "--m", "4", *fmt])
+        code = run_main(["bounds", "--dim", str(10**400), "--m", "4", *fmt])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err.startswith("error: --dim ")

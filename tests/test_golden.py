@@ -55,6 +55,8 @@ F_MERSENNE = PrimeField(2147483647)
 RANDOM_AB = (seeded_letters, 2, 100_000)
 TOKENS = ",".join(f"t{i}" for i in range(300))
 DIAG_SHIFT_12 = (diag_shift, F13, 12)
+DIAG_SHIFT_20 = (diag_shift, F10007, 20)
+JORDAN_CORNER_20 = (jordan_corner, F10007, 20)
 WIDE = (diag_shift, F_MERSENNE, 5)
 # --jobs N runs min(N, CPUs) shards, so a huge N builds no more shards than
 # there are CPUs, and the merged summary is the serial one.
@@ -155,6 +157,20 @@ LEDGER = [
         ('"dims": [1, 3, 7, 13, 21, 31, 43, 57, 73, 91, 111, 133, 144]',)),
     Row("alg-liw-diag-shift-12", ("alg", "liw", DIAG_SHIFT_12, "--json"),
         "d183424c7f879839bb0c60daeb5e5d1ff058df59ab35f71d3694c4072409af8f", ('"length": 12',)),
+    # Past brute force: at n = 20 over GF(10007) the Jordan block and corner
+    # unit have l(S) = 38 and diag(1..20) with the cyclic shift l(S) = 20.
+    # Each level's stack holds its new basis rows; all four hashes come from
+    # the walk that stacked the level's products.
+    Row("alg-length-jordan-corner-20", ("alg", "length", JORDAN_CORNER_20, "--json"),
+        "94bc369a5858f7ea773fe71002d69c201dfff419700d1a43200dfb2005ed4d7b",
+        ('"generated_dim": 400', '"length": 38')),
+    Row("alg-liw-jordan-corner-20", ("alg", "liw", JORDAN_CORNER_20, "--json"),
+        "2417e60d10c8bd1bc478058667f9e871de9e9903ffaa42db295e4604c939145b", ('"length": 38',)),
+    Row("alg-length-diag-shift-20", ("alg", "length", DIAG_SHIFT_20, "--json"),
+        "bba1ece7434bbaebb18c8936e6c0dbeff290248da5f7a46f3e447b1e07b73d14",
+        ('"generated_dim": 400', '"length": 20')),
+    Row("alg-liw-diag-shift-20", ("alg", "liw", DIAG_SHIFT_20, "--json"),
+        "e90d9b1a71839ce1f9c1d9144f63999b11991065105ebd11591c20383e055172", ('"length": 20',)),
     # The four fast-path/oracle cross-checks, each run through the one sweep
     # driver; the length check counts every one of its 40 sets.
     Row("oracle", ("oracle", "--words", "300", "--qpt-maxlen", "9", "--sets", "40", "--json"),

@@ -401,6 +401,18 @@ def _rref(p, vecs):
     return [tuple(r) for r in rows]
 
 
+def _echelon_insert(oracle, vec):
+    """Insert vec into the oracle: its new echelon row, scaled to 1 at its
+    pivot, if vec was independent, else None.  The residual that is 0 at
+    every pivot is unique, so this is the row insert_slots must return."""
+    p = oracle.p
+    reduced = oracle._reduced(vec)
+    if not oracle.insert(vec):
+        return None
+    inv = pow(next(filter(None, reduced)), -1, p)
+    return [x * inv % p for x in reduced]
+
+
 class TestSpanBasisAtScale:
     """`alg_span` sizes: d = 144 at both wide slot widths, and copies."""
 
@@ -500,7 +512,7 @@ class TestInsertSlots:
                 vecs.append([rng.randrange(p) for _ in range(d)])
             else:
                 vecs.append([rng.randrange(p) if rng.random() < 0.2 else 0 for _ in range(d)])
-        lifted, plain = SpanBasis(d, field), SpanBasis(d, field)
+        lifted, plain, oracle = SpanBasis(d, field), SpanBasis(d, field), _GaussRows(p)
         assert lifted.width == _slot_width(d * (p - 1) ** 2 + d * (p - 1) * ((p - 1) + top))
         for v in vecs:
             # Each slot is its residue plus a multiple of p, often the largest
@@ -510,9 +522,37 @@ class TestInsertSlots:
             assert max(slots) <= top
             packed = _native_slots(slots, lifted.width)
             assert lifted.contains(v) == plain.contains(v)
-            assert lifted.insert_slots(packed) == plain.insert(v)
+            row = lifted.insert_slots(packed)
+            assert (row is not None) == plain.insert(v)
+            assert row == _echelon_insert(oracle, v)
             assert lifted.dim == plain.dim and lifted._base == plain._base
         assert lifted.rows == plain.rows == _rref(p, vecs)
+
+    @pytest.mark.parametrize("p", [2, 13, 10007, 2147483647])
+    def test_lead_skips_multiples_of_p(self, p):
+        # d = 9 gives 1-, 4-, 8- and 16-byte slots.  A slot that is a nonzero
+        # multiple of p is 0 mod p, so it is never the pivot: not in a vector
+        # that is its own residual, nor in a residual that the multiply-sum
+        # leaves as one at a live pivot column.
+        d, field = 9, PrimeField(p)
+        big = d * (p - 1) ** 2 // p * p  # the largest multiple of p within d(p - 1)^2
+        assert big > 0
+        for first in (None, [1] + [0] * (d - 1)):
+            basis = SpanBasis(d, field)
+            if first is not None:
+                # Pivot 0 with 1 < d - 1 leaves column 0 stored.
+                assert basis.insert(first) and basis._offset == 0
+            start = basis.dim
+            multiples = [big - p * (j % 3) for j in range(d)]
+            assert all(x > 0 and x % p == 0 for x in multiples)
+            if first is not None:
+                multiples[0] = big + 1  # the residual adds p - 1 there: big + p
+            assert basis.insert_slots(_native_slots(multiples, basis.width)) is None
+            assert basis.dim == start
+            vec = multiples[:4] + [2 * p + 1] + multiples[5:]
+            row = basis.insert_slots(_native_slots(vec, basis.width))
+            assert row == [0] * 4 + [1] + [0] * 4
+            assert basis._pivots == [0] * start + [4] and basis.dim == start + 1
 
     def test_length_mismatch(self):
         basis = SpanBasis(4, F5)
@@ -523,7 +563,8 @@ class TestInsertSlots:
 class TestInsertProducts:
     """insert_products against one insert per schoolbook product, in (matrix,
     generator) order up to the fill, skipped pairs left out, and against the
-    oracle's elimination."""
+    oracle's elimination: it returns the new echelon row of each independent
+    product."""
 
     @staticmethod
     def _check(basis, stack, gens, vecs=(), skip=frozenset()):
@@ -545,11 +586,11 @@ class TestInsertProducts:
                     continue
                 prod = _schoolbook_product(a.entries, g.entries, a.n, p)
                 reduced += 1
-                independent = plain.insert(prod)
-                assert oracle.insert(prod) == independent
-                if independent:
+                row = _echelon_insert(oracle, prod)
+                assert plain.insert(prod) == (row is not None)
+                if row is not None:
                     want.append((k, i))
-                    want_out += prod
+                    want_out += row
         assert (found, out) == (want, want_out)
         assert basis.reduced == reduced  # none skipped, none after the fill
         assert basis.rows == plain.rows and basis.dim == len(oracle.rows)
@@ -572,13 +613,14 @@ class TestInsertProducts:
     def test_fill_inside_a_chunk(self, p):
         # Span I, E12, E21 lacks one dimension, so the stack goes one matrix
         # at a time: E12 E21 = E11 fills it, and E12 E12, E12 E11 and the
-        # second matrix's products are never reduced.
+        # second matrix's products are never reduced.  E11's new row is its
+        # residual E11 - I = -E22, scaled to E22.
         field = PrimeField(p)
         e12, e21, e11 = (E(field, 2, i, j) for i, j in ((0, 1), (1, 0), (0, 0)))
         basis = CountingBasis(4, field)
         vecs = [m.entries for m in (FMatrix.identity(field, 2), e12, e21)]
         found, out = self._check(basis, [e12, e21], [e21, e12, e11], vecs)
-        assert found == [(0, 0)] and out == [1, 0, 0, 0] and basis.reduced == 1
+        assert found == [(0, 0)] and out == [0, 0, 0, 1] and basis.reduced == 1
 
     @pytest.mark.parametrize("p", [2, 13, 10007, 2147483647])
     def test_level_that_adds_nothing(self, p):
@@ -684,6 +726,16 @@ class TestPivotLag:
             coeffs = [rng.randrange(p) for _ in vecs]
             return [sum(map(mul, coeffs, col)) % p for col in zip(*vecs)]
 
+        def grows(b, kept, v):
+            """insert_slots on v's lifted slots returns the oracle's new
+            echelon row for v against the vectors kept: True iff one."""
+            oracle = _GaussRows(p)
+            for u in kept:
+                oracle.insert(u)
+            row = b.insert_slots(lifted(v))
+            assert row == _echelon_insert(oracle, v)
+            return row is not None
+
         def check(b, vecs, offset, base):
             assert (b._offset, b._base) == (offset, base)
             assert (base - offset) ** 2 < d - base or b.dim == d
@@ -693,30 +745,30 @@ class TestPivotLag:
         vecs = []
         for j in range(6):  # shifts at base 6: 6^2 >= 36 - 6
             vecs.append(echelon(j))
-            assert basis.insert_slots(lifted(vecs[-1])) if j % 2 else basis.insert(vecs[-1])
+            assert grows(basis, vecs[:-1], vecs[-1]) if j % 2 else basis.insert(vecs[-1])
             check(basis, vecs, 0 if j < 5 else 6, j + 1)
         # A pivot past the prefix, then two at its first free column: two
         # dead slots, 2^2 < 36 - 8, stay stored.
         for j in (20, 6, 7):
             vecs.append(echelon(j))
-            assert basis.insert_slots(lifted(vecs[-1]))
+            assert grows(basis, vecs[:-1], vecs[-1])
         check(basis, vecs, 6, 8)
-        assert basis.contains(combo(vecs)) and not basis.insert_slots(lifted(combo(vecs)))
+        assert basis.contains(combo(vecs)) and basis.insert_slots(lifted(combo(vecs))) is None
         fresh = [rng.randrange(p) for _ in range(d)]
         assert not basis.contains(fresh)
         # A pivot past the prefix while it lags: its slot is 25 - offset.
         vecs.append(echelon(25))
-        assert basis.insert_slots(lifted(vecs[-1]))
+        assert grows(basis, vecs[:-1], vecs[-1])
         check(basis, vecs, 6, 8)
 
         dup = basis.copy()
         check(dup, vecs, 6, 8)
         mine, theirs = [echelon(8)], [echelon(8), echelon(9), echelon(10)]
-        assert basis.insert_slots(lifted(mine[0]))
+        assert grows(basis, vecs, mine[0])
         check(basis, vecs + mine, 6, 9)
         check(dup, vecs, 6, 8)
-        for v in theirs:  # base 11: 5^2 >= 36 - 11, so the copy shifts
-            assert dup.insert_slots(lifted(v))
+        for k, v in enumerate(theirs):  # base 11: 5^2 >= 36 - 11, so the copy shifts
+            assert grows(dup, vecs + theirs[:k], v)
         check(dup, vecs + theirs, 11, 11)
         check(basis, vecs + mine, 6, 9)
         assert dup.contains(combo(vecs + theirs)) and not dup.contains(mine[0])
@@ -729,7 +781,7 @@ class TestPivotLag:
                 oracle.insert(v)
             while b.dim < d:
                 v = [rng.randrange(p) for _ in range(d)]
-                assert b.insert_slots(lifted(v)) == oracle.insert(v)
+                assert b.insert_slots(lifted(v)) == _echelon_insert(oracle, v)
                 assert (b._base - b._offset) ** 2 < d - b._base or b.dim == d
             assert b._offset == b._base == d and b._rows == [0] * d
             assert b.rows == [tuple(int(i == j) for i in range(d)) for j in range(d)]

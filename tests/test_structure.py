@@ -9,9 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fibonacci_letters, random_word, wd, words_st
+from conftest import fibonacci_letters, random_word, run_main, wd, words_st
 from wordlen import verify, words
-from wordlen.cli import main
 from wordlen.oracles import (
     BRUTE_QPT_CAP,
     brute_min_qpt,
@@ -211,7 +210,7 @@ class TestEquivalence:
     def test_range_violation(self, capsys, monkeypatch):
         # n outside [1, l/2] is a usage error on the CLI ...
         for n in ("3", "0"):
-            assert main(["decompose", "abab", "--n", n]) == 2
+            assert run_main(["decompose", "abab", "--n", n]) == 2
             assert capsys.readouterr().err == f"error: need 1 <= n <= l/2, got n={n}, l=4\n"
         # ... and the sweep check examines exactly n = 1 .. l/2
         _shifted_cost(monkeypatch)
@@ -259,10 +258,10 @@ class TestCorollaryMaxProfile:
         assert list(_check_mhgen(w)) == []
 
     def test_precondition(self, capsys):
-        assert main(["decompose", "abab", "--n", "3"]) == 2  # n > l/2
+        assert run_main(["decompose", "abab", "--n", "3"]) == 2  # n > l/2
         capsys.readouterr()
         # f(2) = 4 > 2: the hypothesis fails, so nothing is claimed at n = 2
-        assert main(["decompose", "abcabd", "--n", "2", "--json"]) == 0
+        assert run_main(["decompose", "abcabd", "--n", "2", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert (payload["lhs"], payload["agree"]) == (False, True)
         assert list(_check_mhgen(wd("abcabd"))) == []
@@ -442,7 +441,7 @@ class TestShapeFromHistogram:
     def test_cli_reports_planted_fault(self, capsys, monkeypatch):
         fault = move_repeat(0, 1)  # one more 1 and one fewer 0: f(1) falls short
         plant_repeats(monkeypatch, fault)
-        code = main(["verify", "shape", "--count", "20", "--maxlen", "12", "--seed", "3"])
+        code = run_main(["verify", "shape", "--count", "20", "--maxlen", "12", "--seed", "3"])
         lines = capsys.readouterr().out.strip().splitlines()
         assert code == 1
         records = [json.loads(line) for line in lines[:-1]]
