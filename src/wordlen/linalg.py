@@ -329,8 +329,8 @@ class SpanBasis:
         return _slot_array([x % p for x in vec], self.width)
 
     def _residual(self, slots: array) -> Sequence[int]:
-        """The residual on columns [offset, d) of the vector in slots, one int
-        per slot congruent to it mod p: exact, or reduced for 16-byte slots."""
+        """The residual on columns [offset, d) of the vector in slots, one
+        exact int per slot, congruent to it mod p and not reduced."""
         p, width, offset, pivots = self.field.p, self.width, self._offset, self._pivots
         half = 2 if width == 16 else 1  # array items per slot
         if len(slots) != self.ambient_dim * half:
@@ -347,7 +347,7 @@ class SpanBasis:
         if any(coeffs):
             residual = sum(map(mul, coeffs, self._rows), _pack(res))
             res = _unpack(residual.to_bytes((self.ambient_dim - offset) * width, "little"), width)
-        return slot_residues(res, width, p) if half == 2 else res
+        return [lo + (hi << 64) for lo, hi in zip(res[::2], res[1::2])] if half == 2 else res
 
     def insert_slots(self, slots: array) -> list[int] | None:
         """Add a vector to the span: None if it was dependent, else the row

@@ -1,6 +1,6 @@
 """Brute-force reference implementations.
 
-These exist to be obviously correct, not fast: substring sets instead of
+These exist to be obviously correct, not fast: coded-window sets instead of
 automata, exhaustive (q, p, t) scans instead of the longest-repeat identity,
 one border array per start position instead of per-period mismatch masks
 and block searches over bands of periods, per-level from-scratch products
@@ -64,7 +64,7 @@ def _words(k: int, max_len: int, which: int, of: int) -> Iterator[Word]:
         # Step straight from one word of this shard to the next in C.
         block = product(range(k), repeat=length)
         for tup in islice(block, (which - idx) % of, None, of):
-            yield Word(tup, alphabet)
+            yield Word._trusted(tup, alphabet)
         idx += k**length
 
 
@@ -81,7 +81,10 @@ def check_qpt_length(length: int) -> None:
 
 
 def naive_profile(w: Word) -> ComplexityProfile:
-    """Factor counts by literally collecting the substring set per length.
+    """Factor counts by literally collecting the set of windows per length,
+    each coded as its base-k value, k the alphabet size (all 0 when k = 1):
+    level n's codes are level n - 1's times k plus the next letter.  Digits
+    lie in [0, k), so windows of one length share a code only when equal.
 
     Collection stops at the first n with f(n) = l - n + 1, where no factor
     of length n occurs twice.  Then no longer factor occurs twice either:
@@ -91,13 +94,15 @@ def naive_profile(w: Word) -> ComplexityProfile:
     """
     l = len(w)
     check_naive_length(l)
-    seq: Sequence = bytes(w.letters) if w.alphabet.size <= 256 else w.letters
+    k, letters = w.alphabet.size, w.letters
+    codes: Sequence[int] = letters  # level 1: each window is its letter
     counts = [1]
     for n in range(1, l + 1):
-        counts.append(len({seq[i : i + n] for i in range(l - n + 1)}))
+        counts.append(len(set(codes)))
         if counts[-1] == l - n + 1:
             counts.extend(range(l - n, 0, -1))
             break
+        codes = [c * k + x for c, x in zip(codes, letters[n:])]
     return ComplexityProfile(tuple(counts), sum(counts))
 
 

@@ -15,6 +15,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
+from operator import ge
 
 from .words import Word, complexity_profile
 
@@ -251,9 +252,9 @@ def _tc_report(counts: tuple[int, ...], k: int, d: Exponent) -> TcReport:
     l = len(counts) - 1
     c = sum(counts)
     bound = (k + 1) * (l - k + 1)
-    lemma1 = all(counts[n] >= n + 1 for n in range(k + 1))
-    lemma2 = all(counts[n] >= k + 1 for n in range(k, l - k + 1))
-    lemma3 = all(counts[n] == l - n + 1 for n in range(l - k, l + 1))
+    lemma1 = all(map(ge, counts[:k + 1], range(1, k + 2)))
+    lemma2 = min(counts[k:l - k + 1]) >= k + 1
+    lemma3 = counts[l - k:] == tuple(range(k + 1, 0, -1))
     return TcReport(l, k, d, lemma1, lemma2, lemma3, c >= bound, c, bound)
 
 

@@ -8,7 +8,8 @@ space (optionally one deterministic shard of it), seeded random words, or
 seeded random generating sets; the report's summary carries the
 words_checked / max_length / alphabet_size record the CLI prints, and a
 cross-check's summary also a space record naming every part of the space it
-drew its cases from.  Zero counterexamples is expected everywhere.
+drew its cases from.  Zero counterexamples is expected everywhere.  The mh,
+mhgen and tc checks read f off one naive_profile per word.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .oracles import (
 )
 from .powers import _tc_report, max_factor_exponent
 from .structure import ShapeViolation, minimal_qpt, profile_shape
-from .words import Alphabet, Word, complexity_profile, factor_count
+from .words import Alphabet, Word, complexity_profile
 
 # The cross-checks' fixed spaces; the CLI varies only counts, lengths and seeds.
 RANDOM_ALPHABETS = (2, 3, 4)  # letters of the random words of shape and profiles
@@ -120,10 +121,10 @@ def _random_words(rng: random.Random, count: int, max_len: int,
 
 def _check_mh(w: Word) -> Iterator[dict]:
     cost = minimal_qpt(w).cost
+    counts = naive_profile(w).counts
     for n in range(1, len(w) // 2 + 1):
-        f_n = factor_count(w, n)
-        if (f_n <= n) != (cost <= n):
-            yield {"word": w.render(), "n": n, "f": f_n, "cost": cost}
+        if (counts[n] <= n) != (cost <= n):
+            yield {"word": w.render(), "n": n, "f": counts[n], "cost": cost}
 
 
 def sweep_mh(
@@ -133,7 +134,8 @@ def sweep_mh(
     shard: tuple[int, int] | None = None,
 ) -> SweepReport:
     """Check f(n) <= n iff min decomposition cost <= n, for every word and
-    every n in [1, l/2]."""
+    every n in [1, l/2], f read off naive_profile (so max_len <= its cap)."""
+    check_naive_length(max_len)
     words = enumerate_words(alphabet_size, max_len, shard, budget)
     return _sweep("mh", alphabet_size, max_len, words, _check_mh)
 

@@ -4,8 +4,8 @@ Letters are integer ids into an ordered alphabet; the alphabet order fixes
 parsing, rendering, and the letter order used for shortlex enumeration
 elsewhere.  Factor counting deliberately has two implementations: the
 suffix-automaton fast path, and substring sets.  ``factor_count`` here is
-the per-length substring-set count, the independent side of the mh sweep
-and of ``decompose --n``; the whole-profile oracle lives in
+the per-length substring-set count, the independent side of ``decompose
+--n``; the whole-profile oracle, which the sweeps read, lives in
 ``wordlen.oracles``, and the test suite requires that they agree exactly.
 
 The fast path reads every count off one list.  Let L_e be the length of
@@ -93,6 +93,13 @@ class Word:
         if self.letters:
             if min(self.letters) < 0 or max(self.letters) >= self.alphabet.size:
                 raise ValueError("letter id out of range for the alphabet")
+
+    @classmethod
+    def _trusted(cls, letters: tuple[int, ...], alphabet: Alphabet) -> "Word":
+        """Letters already known to lie in range(alphabet.size): no check."""
+        word = object.__new__(cls)
+        word.__dict__.update(letters=letters, alphabet=alphabet)
+        return word
 
     def __len__(self) -> int:
         return len(self.letters)

@@ -490,6 +490,8 @@ def test_non_positive_count_is_usage_error(capsys, unit_pair_file, argv):
         # past the enumeration budget too: the length is checked first
         ["verify", "tc", "--alphabet", "2", "--maxlen", "1001"],
         ["oracle", "--maxlen", "1001", "--words", "3", "--sets", "1", "--qpt-maxlen", "3"],
+        ["verify", "mh", "--alphabet", "1", "--maxlen", "1001"],
+        ["verify", "mh", "--alphabet", "1", "--maxlen", "1001", "--jobs", "2"],
     ],
 )
 def test_maxlen_past_naive_profile_cap_is_usage_error(capsys, monkeypatch, argv):
@@ -498,7 +500,7 @@ def test_maxlen_past_naive_profile_cap_is_usage_error(capsys, monkeypatch, argv)
     def no_word(w):
         raise RuntimeError(f"checked {w.render()}")
 
-    for check in ("_check_tc", "_check_mhgen", "_check_profiles"):
+    for check in ("_check_tc", "_check_mhgen", "_check_mh", "_check_profiles"):
         monkeypatch.setattr(verify, check, no_word)
     code, out = run(capsys, *argv)
     assert code == 2 and out == ""

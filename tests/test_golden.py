@@ -116,6 +116,15 @@ LEDGER = [
         code=3),
     Row("verify-mh-jobs-1", ("verify", "mh", "--maxlen", "8", "--jobs", "1"), MH_8),
     Row("verify-mh-jobs-huge", ("verify", "mh", "--maxlen", "8", "--jobs", "100000000"), MH_8),
+    # The mh sweep reads f off one substring-set profile per word, as mhgen
+    # and tc do: every ternary word to length 9, as the bench's sweep runs
+    # them, and the profile's length cap, a usage error before any word.
+    Row("verify-mh-ternary-9-jobs-2",
+        ("verify", "mh", "--alphabet", "3", "--maxlen", "9", "--jobs", "2"),
+        "69da6049373f487a83ff25680b30af653ccbb4fab7f75f87042d28c066285b99",
+        ('"words_checked": 29523', '"counterexamples": 0')),
+    Row("verify-mh-past-profile-cap", ("verify", "mh", "--alphabet", "1", "--maxlen", "1001"),
+        code=2, stderr="error: naive_profile handles length <= 1000\n"),
     # diag(1..5) and the cyclic shift over GF(2^31 - 1): the product kernel's
     # 16-byte slots, since 5(p - 1)^2 needs more than 64 bits. The span
     # walk's first product at length 5 is the liw word 01111.

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import random_word, wd
+from conftest import fibonacci_letters, random_word, seeded_letters, two_byte_word, wd
 from wordlen import oracles
 from wordlen.algebra import BudgetExceeded, CapExceeded, GeneratorSet
 from wordlen.linalg import FMatrix, PrimeField
@@ -73,8 +73,50 @@ class TestEnumerateWords:
         with pytest.raises(ValueError, match=r"^alphabet size must be <= 26 \(letters a\.\.z\), got 27$"):
             enumerate_words(27, 6)
 
+    def test_words_equal_checked_words(self):
+        # enumerated words skip the range check; the constructor still makes it
+        for w in enumerate_words(3, 7):
+            checked = Word(w.letters, w.alphabet)
+            assert w == checked and hash(w) == hash(checked)
+        with pytest.raises(ValueError, match=r"^letter id out of range for the alphabet$"):
+            Word((0, 3), Alphabet.letters(2))
+
+
+def literal_counts(w: Word) -> tuple[int, ...]:
+    """f(0..l), each the number of distinct tuple slices of its length."""
+    letters, l = w.letters, len(w)
+    return tuple(len({letters[i : i + n] for i in range(l - n + 1)}) for n in range(l + 1))
+
+
+def _random_words(count: int, max_len: int) -> list[Word]:
+    rng = random.Random(39)
+    return [random_word(rng, max_len) for _ in range(count)]
+
+
+TOKENS_300 = Alphabet(tuple(f"t{i}" for i in range(300)))
+LITERAL_FAMILIES = {
+    "unary": lambda: [Word((0,) * l, Alphabet.letters(1)) for l in range(1, 41)],
+    "binary": lambda: list(enumerate_words(2, 10)),
+    "ternary": lambda: list(enumerate_words(3, 7)),
+    "random": lambda: _random_words(300, 300),
+    "tokens": lambda: [Word(seeded_letters(300, 400), TOKENS_300)],
+    "two-byte": lambda: [two_byte_word(400)],
+    "fibonacci": lambda: [Word(fibonacci_letters(1377)[377:], Alphabet.letters(2))],
+    "period-11": lambda: [Word((seeded_letters(3, 11) * 91)[:1000], Alphabet.letters(3))],
+    "empty": lambda: [Word((), Alphabet.letters(2))],
+}
+
 
 class TestNaiveProfile:
+    @pytest.mark.parametrize("family", list(LITERAL_FAMILIES))
+    def test_matches_literal_count(self, family):
+        # the coded windows against a count of tuple slices at every length,
+        # past the point where naive_profile stops collecting
+        for w in LITERAL_FAMILIES[family]():
+            prof = naive_profile(w)
+            assert prof.counts == literal_counts(w), w.render()
+            assert prof.total == sum(prof.counts)
+
     def test_worked_example(self):
         prof = naive_profile(wd("abbabbabbb"))
         assert prof.total == 32

@@ -10,8 +10,8 @@ import conftest
 from conftest import fail_every_word, sample_generating_sets
 from wordlen import powers, verify
 from wordlen.algebra import LengthTrace
-from wordlen.oracles import enumerate_words, naive_profile
-from wordlen.powers import max_factor_exponent
+from wordlen.oracles import brute_min_qpt, enumerate_words, naive_profile
+from wordlen.powers import _tc_report, max_factor_exponent
 from wordlen.verify import (
     SweepReport,
     cross_validate_exponent,
@@ -24,7 +24,7 @@ from wordlen.verify import (
     sweep_profile_shape,
     sweep_tc,
 )
-from wordlen.words import ComplexityProfile
+from wordlen.words import ComplexityProfile, factor_count
 
 
 class TestSweeps:
@@ -46,6 +46,17 @@ class TestSweeps:
         assert report.ok and report.words_checked == 500
 
 
+def reference_tc_flags(counts, k) -> tuple[bool, bool, bool, bool]:
+    """Lemmas 1-3 and the bound at k for the counts f(0..l), by per-n loops."""
+    l = len(counts) - 1
+    return (
+        all(counts[n] >= n + 1 for n in range(k + 1)),
+        all(counts[n] >= k + 1 for n in range(k, l - k + 1)),
+        all(counts[n] == l - n + 1 for n in range(l - k, l + 1)),
+        sum(counts) >= (k + 1) * (l - k + 1),
+    )
+
+
 def reference_tc_kinds(w, counts) -> set[str]:
     """The kinds of total-complexity failure of w under the counts f(0..l),
     by the loops over every admissible k and every admissible (k, d) that
@@ -57,10 +68,7 @@ def reference_tc_kinds(w, counts) -> set[str]:
     for k in range(1, l // 2 + 1):
         if l * exp.den <= k * exp.num:
             continue
-        lemma1 = all(counts[n] >= n + 1 for n in range(k + 1))
-        lemma2 = all(counts[n] >= k + 1 for n in range(k, l - k + 1))
-        lemma3 = all(counts[n] == l - n + 1 for n in range(l - k, l + 1))
-        if not (lemma1 and lemma2 and lemma3 and c >= (k + 1) * (l - k + 1)):
+        if not all(reference_tc_flags(counts, k)):
             kinds.add("theorem")
     for d in range(-(-exp.num // exp.den), l):
         for k in range(1, (l - 1) // d + 1):
@@ -102,6 +110,53 @@ class TestTcPlantedFaults:
         }
         assert set(per_word) == expected
         assert {kind for _, kind in expected} == {"theorem", "integer"}
+
+
+class TestTcReportSlices:
+    def test_flags_match_loops(self):
+        # every 1 <= k <= l/2, admissible or not: the slices must read each
+        # lemma's range exactly, on true counts and on damaged ones
+        seen = set()
+        for fault in (None, zero_last, lower_f1, perturb):
+            for w in enumerate_words(2, 10):
+                counts = list(naive_profile(w).counts)
+                if fault is not None:
+                    fault(w, counts)
+                counts = tuple(counts)
+                exp, _ = max_factor_exponent(w)
+                for k in range(1, len(w) // 2 + 1):
+                    r = _tc_report(counts, k, exp)
+                    flags = (r.lemma1_ok, r.lemma2_ok, r.lemma3_ok, r.theorem_ok)
+                    assert flags == reference_tc_flags(counts, k), (fault, w.render(), k)
+                    seen.add(flags)
+        # each flag reads both ways somewhere, so none is vacuous
+        assert all({f[i] for f in seen} == {True, False} for i in range(4))
+
+
+class TestMhPlantedFaults:
+    @pytest.mark.parametrize("at", [1, 3, 5])
+    def test_matches_reference_loop(self, monkeypatch, at):
+        # f(at) raised by 1: exactly the (word, at) pairs where f(at) = at
+        # and the cost is at most at turn into counterexamples
+        def planted(w):
+            counts = list(naive_profile(w).counts)
+            if at < len(counts):
+                counts[at] += 1
+            return ComplexityProfile(tuple(counts), sum(counts))
+
+        monkeypatch.setattr(verify, "naive_profile", planted)
+        report = sweep_mh(2, 10)
+        got = Counter((ce["word"], ce["n"]) for ce in report.counterexamples)
+        assert max(got.values()) == 1
+        expected = {}
+        for w in enumerate_words(2, 10):
+            cost = brute_min_qpt(w).cost
+            for n in range(1, len(w) // 2 + 1):
+                f = factor_count(w, n) + (n == at)
+                if (f <= n) != (cost <= n):
+                    expected[w.render(), n] = f
+        assert {(ce["word"], ce["n"]): ce["f"] for ce in report.counterexamples} == expected
+        assert {n for _, n in expected} == {at}
 
 
 class TestSharding:
