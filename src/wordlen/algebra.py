@@ -204,9 +204,14 @@ def length_trace(S: GeneratorSet, max_len: int) -> LengthTrace:
     return LengthTrace(tuple(dims), len(dims) - 1, dims[-1], tuple(words))
 
 
-def _complexity_report(S: GeneratorSet, trace: LengthTrace) -> LiwComplexityReport:
-    alphabet = S.word_alphabet
-    dim = trace.generated_dim
+def check_liw_complexity(S: GeneratorSet, trace: LengthTrace | None = None) -> LiwComplexityReport:
+    """Total complexity of each minimal irreducible word versus the
+    generated dimension; the bound must hold for every length.  The words
+    come from trace, S's walk, or from length_trace(S, n^2) when none is
+    given."""
+    if trace is None:
+        trace = length_trace(S, S.n * S.n)
+    alphabet, dim = S.word_alphabet, trace.generated_dim
     entries = []
     for i, word in enumerate(trace.words, start=1):
         c = count_distinct_factors(Word(word, alphabet))
@@ -214,31 +219,24 @@ def _complexity_report(S: GeneratorSet, trace: LengthTrace) -> LiwComplexityRepo
     return LiwComplexityReport(trace.length, dim, tuple(entries))
 
 
-def _power_free_report(S: GeneratorSet, m: int, trace: LengthTrace) -> PowerFreeReport:
-    alphabet = S.word_alphabet
-    limit = m - 1
+def check_irreducible_power_free(S: GeneratorSet, m: int,
+                                 trace: LengthTrace | None = None) -> PowerFreeReport:
+    """Max factor exponent of each minimal irreducible word versus m - 1.
+
+    m is the max minimal-polynomial degree in play (matrix size for a full
+    matrix algebra); requires field size > m.  The words come from trace,
+    as in check_liw_complexity.
+    """
+    if S.field.p <= m:
+        raise ValueError(f"need field size > m = {m}")
+    if trace is None:
+        trace = length_trace(S, S.n * S.n)
+    alphabet, limit = S.word_alphabet, m - 1
     entries = []
     for i, word in enumerate(trace.words, start=1):
         exp, _ = max_factor_exponent(Word(word, alphabet))
         entries.append(PowerFreeEntry(i, word, exp, exp.value <= limit))
     return PowerFreeReport(trace.length, limit, tuple(entries))
-
-
-def check_liw_complexity(S: GeneratorSet) -> LiwComplexityReport:
-    """Total complexity of each minimal irreducible word versus the
-    generated dimension; the bound must hold for every length."""
-    return _complexity_report(S, length_trace(S, S.n * S.n))
-
-
-def check_irreducible_power_free(S: GeneratorSet, m: int) -> PowerFreeReport:
-    """Max factor exponent of each minimal irreducible word versus m - 1.
-
-    m is the max minimal-polynomial degree in play (matrix size for a full
-    matrix algebra); requires field size > m.
-    """
-    if S.field.p <= m:
-        raise ValueError(f"need field size > m = {m}")
-    return _power_free_report(S, m, length_trace(S, S.n * S.n))
 
 
 def estimate_m_star(S: GeneratorSet, word_len_cap: int) -> int:

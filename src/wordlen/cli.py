@@ -181,8 +181,8 @@ def _cmd_alg(args: argparse.Namespace) -> int:
     # no x in L(S) has deg mu_x above n (Cayley-Hamilton) or above dim L(S)
     # (1, x, ..., x^dim are dependent), so a scan that reaches both is exact
     estimated = m < min(S.n, trace.generated_dim)
-    comp = algebra._complexity_report(S, trace)
-    power_report = algebra._power_free_report(S, m, trace) if S.field.p > m else None
+    comp = algebra.check_liw_complexity(S, trace)
+    power_report = algebra.check_irreducible_power_free(S, m, trace) if S.field.p > m else None
     alphabet = S.word_alphabet
     rows = [
         {
@@ -405,7 +405,3 @@ def main(argv: list[str] | None = None) -> int:
         print(f"internal error: {type(exc).__name__}: {exc} "
               f"({Path(where.filename).name}:{where.lineno})", file=sys.stderr)
         return EXIT_INTERNAL
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -191,9 +191,9 @@ def test_10_irreducible_word_checks():
         if trace.length > 10 or len(S.gens) ** trace.length > DEFAULT_SEARCH_BUDGET:
             continue
         checked += 1
-        if not check_liw_complexity(S).all_ok:
+        if not check_liw_complexity(S, trace).all_ok:
             bad += 1
-        if not check_irreducible_power_free(S, S.n).all_ok:
+        if not check_irreducible_power_free(S, S.n, trace).all_ok:
             bad += 1
     report(10, checked > 0 and bad == 0, f"{checked} sets checked, {bad} violations")
 

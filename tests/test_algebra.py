@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -330,8 +332,8 @@ class TestAgainstBruteForce:
             assert ref[length:] == [None] * 3
             assert (trace.length, trace.generated_dim) == (length, rank)
             assert list(trace.words) + [None] * 3 == ref
-            comp = check_liw_complexity(S)
-            power = check_irreducible_power_free(S, S.n)
+            comp = check_liw_complexity(S, trace)
+            power = check_irreducible_power_free(S, S.n, trace)
             assert [e.word for e in comp.entries] == [e.word for e in power.entries]
             assert [e.word for e in comp.entries] == ref[:length]
             assert (comp.length, comp.generated_dim, power.length) == (length, rank, length)
@@ -425,22 +427,20 @@ def _unpruned_walk(S, max_len):
     """length_trace's walk with nothing skipped: insert_products reduces
     every candidate, frontier by frontier.  Returns the trace and the
     number of vectors reduced after the identity."""
-    ambient = S.n * S.n
-    basis = CountingBasis(ambient, S.field)
-    stack = FMatrix.identity(S.field, S.n).entries
-    basis.insert(stack)
-    basis.reduced = 0
-    dims, words, frontier = [1], [], [()]
-    while basis.dim < ambient:
-        if len(dims) > max_len:
-            raise CapExceeded(max_len)
-        found, stack = basis.insert_products(stack, S.gens, frozenset())
-        if not found:
-            break
-        frontier = [frontier[k] + (i,) for k, i in found]
-        dims.append(basis.dim)
-        words.append(frontier[0])
-    return LengthTrace(tuple(dims), len(dims) - 1, dims[-1], tuple(words)), basis.reduced
+    bases = []
+
+    class UnprunedBasis(CountingBasis):
+        def __init__(self, *args):
+            super().__init__(*args)
+            bases.append(self)
+
+        def insert_products(self, stack, gens, skip):
+            return super().insert_products(stack, gens, frozenset())
+
+    # the patch restores whatever basis the caller has patched in
+    with mock.patch.object(algebra, "SpanBasis", UnprunedBasis):
+        trace = length_trace(S, max_len)
+    return trace, bases[-1].reduced - 1
 
 
 def _monomial_conjugate(S, rng):
@@ -618,6 +618,45 @@ class TestChecks:
         for S, _ in sample_generating_sets(25, dims=(2, 3), primes=(7,), seed=9):
             assert check_liw_complexity(S).all_ok
             assert check_irreducible_power_free(S, S.n).all_ok
+
+
+def _reports(S, trace=None):
+    """Both checks at m = n; on the oracle sets that includes the
+    upper-triangular set at m = 3, the m the CLI certifies for it."""
+    return check_liw_complexity(S, trace), check_irreducible_power_free(S, S.n, trace)
+
+
+class TestWalkArgument:
+    """Each check reads the walk its caller passes, and reports exactly what
+    it reports when it walks on its own."""
+
+    def test_given_walk_matches_own_walk(self):
+        for S in _oracle_sets():
+            assert _reports(S, length_trace(S, S.n * S.n)) == _reports(S), S
+
+    def test_given_walk_is_not_repeated(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return length_trace(*args)
+
+        monkeypatch.setattr(algebra, "length_trace", counted)
+        for S in _oracle_sets():
+            _reports(S, length_trace(S, S.n * S.n))
+        assert calls == []
+
+    def test_planted_walk_changes_the_report(self):
+        # the same dims with the last word cut: each report loses its last row
+        for S in _oracle_sets():
+            trace = length_trace(S, S.n * S.n)
+            comp, power = _reports(S, trace)
+            assert comp.entries and power.entries, S
+            planted = dataclasses.replace(trace, words=trace.words[:-1])
+            assert _reports(S, planted) == (
+                dataclasses.replace(comp, entries=comp.entries[:-1]),
+                dataclasses.replace(power, entries=power.entries[:-1]),
+            ), S
 
 
 def _unpruned_m_star(S, cap):

@@ -584,10 +584,10 @@ class TestInternalError:
         self._assert_internal(capsys, code, "KeyError")
 
     def test_liw_internal_error(self, capsys, monkeypatch, unit_pair_file):
-        def broken(S, trace):
+        def broken(S, trace=None):
             raise RuntimeError("report invariant broken")
 
-        monkeypatch.setattr(algebra, "_complexity_report", broken)
+        monkeypatch.setattr(algebra, "check_liw_complexity", broken)
         code = run_main(["alg", "liw", unit_pair_file, "--json"])
         self._assert_internal(capsys, code, "RuntimeError")
 

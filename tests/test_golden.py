@@ -8,15 +8,20 @@ c, ... A row passes when the exit code is its `code`, every `greps` string
 is a substring of stdout, stdout hashes to its `sha256` (every exit-0 row
 has one) and, when `stderr` is set, stderr is exactly that. To add a row,
 take its hash from the output of the parent commit.
+
+The README's library example runs here too, with the values its comments
+state.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
@@ -34,6 +39,7 @@ from conftest import (
     upper_triangular,
     write_set,
 )
+from wordlen import complexity_profile, length_trace, minimal_qpt, verify_tc
 from wordlen.algebra import GeneratorSet
 from wordlen.linalg import PrimeField
 from wordlen.words import Alphabet, Word
@@ -289,3 +295,19 @@ def test_row(row, tmp_path):
         assert hashlib.sha256(proc.stdout).hexdigest() == row.sha256
     if row.stderr is not None:
         assert proc.stderr.decode() == row.stderr
+
+
+def test_readme_library_example():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"## Library\n\n```python\n(.*?)```", readme, re.S).group(1)
+    ns = {}
+    exec(block, ns)
+    w, S, exp, span = ns["w"], ns["S"], ns["exp"], ns["span"]
+    assert complexity_profile(w).total == 32
+    dec = minimal_qpt(w)
+    assert dec.cost == 4 and (dec.q, dec.p, dec.t) == (0, 3, 1)
+    assert (exp.num, exp.den) == (9, 3) and span == (0, 9)
+    assert verify_tc(w, k=3).theorem_ok
+    trace = length_trace(S, max_len=4)
+    assert trace.dims == (1, 3, 4) and trace.length == 2
+    assert trace.words == ((0,), (0, 1))
