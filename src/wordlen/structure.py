@@ -13,7 +13,7 @@ from itertools import repeat
 from operator import indexOf, le
 
 from .powers import Exponent
-from .words import SuffixAutomaton, Word, profile_counts, repeat_histogram
+from .words import SuffixAutomaton, Word, profile_counts
 
 
 class ShapeViolation(RuntimeError):
@@ -110,12 +110,13 @@ def profile_shape(w: Word) -> ProfileShape:
     constant through l - f(m_star) + 1 and afterwards drop by exactly one
     per step.  A ShapeViolation names the first offending index.
 
-    The phases are read off the automaton's histogram h of the repeat
-    lengths, since f(n + 1) - f(n) = h[n] - 1 (see ``SuffixAutomaton``):
-    the rise is where h >= 2, the plateau where h = 1 and the fall where
-    h = 0.  So m_star is the first n with h[n] <= 1, and
-    peak = f(m_star) = 1 + h[0] + ... + h[m_star - 1] - m_star.  It always
-    exists: the h[n] sum to l and are >= 2 below m_star, so m_star <= l/2.
+    The phases are read off the histogram h of the repeat lengths that
+    the automaton counts as it is built, since f(n + 1) - f(n) = h[n] - 1
+    (see ``SuffixAutomaton``): the rise is where h >= 2, the plateau where
+    h = 1 and the fall where h = 0.  So m_star is the first n with
+    h[n] <= 1, and peak = f(m_star) = 1 + h[0] + ... + h[m_star - 1] -
+    m_star.  It always exists: the h[n] sum to l and are >= 2 below m_star,
+    so m_star <= l/2.
     The plateau holds iff h[n] = 1 on [m_star, plateau_end), and the fall
     iff h[n] = 0 from plateau_end on; past R = max(L_e), h is 0 by
     construction.  Only repeat lengths that break the theorem can put
@@ -126,13 +127,12 @@ def profile_shape(w: Word) -> ProfileShape:
     l = len(w)
     if l == 0:
         raise ValueError("profile_shape requires a non-empty word")
-    repeats = SuffixAutomaton(w.letters).repeats
-    h = repeat_histogram(repeats)
+    h = SuffixAutomaton(w.letters).histogram
     m_star = indexOf(map(le, h, repeat(1)), True)
     peak = 1 + sum(h[:m_star]) - m_star
     plateau_end = l - peak + 1
     start = min(m_star, plateau_end)
     if h[start:plateau_end].count(1) != plateau_end - start or any(h[plateau_end:]):
         n = next(n for n in range(start, len(h)) if h[n] != (n < plateau_end))
-        raise ShapeViolation(n + 1, profile_counts(repeats))
+        raise ShapeViolation(n + 1, profile_counts(h))
     return ProfileShape(m_star, plateau_end, peak)

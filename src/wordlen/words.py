@@ -8,18 +8,17 @@ the per-length substring-set count, the independent side of ``decompose
 --n``; the whole-profile oracle, which the sweeps read, lives in
 ``wordlen.oracles``, and the test suite requires that they agree exactly.
 
-The fast path reads every count off one list.  Let L_e be the length of
-the longest suffix of the prefix w[:e+1] that also occurs ending earlier.
-The new factors of w[:e+1] are exactly its suffixes longer than L_e, so
-f(n) = #{e : L_e < n} - (n - 1) for 1 <= n <= l, the total complexity is
-the sum of the counts, and the longest repeated factor has length
-R = max(L_e).  With the dense histogram h[n] = #{e : L_e = n} for
-n = 0..R + 1, that is f(n + 1) - f(n) = h[n] - 1 for 0 <= n < l, and
-h[n] = 0 for every n > R.  ``repeat_histogram`` and ``profile_counts``
-read the list alone, so the automaton's states are freed before any
-count is built.  The automaton numbers each prefix state by its length and
-keeps its transitions in list rows keyed by letter for words of at most 16
-distinct letters, in per-state dicts above that (see ``SuffixAutomaton``).
+The fast path reads every count off one histogram h[n] = #{e : L_e = n},
+where L_e is the length of the longest suffix of the prefix w[:e+1] that
+also occurs ending earlier.  The suffix automaton counts h as it is built
+and keeps h[0..R + 1], R = max(L_e), which holds every nonzero entry (see
+``SuffixAutomaton``).  Then f(n + 1) - f(n) = h[n] - 1 for 0 <= n < l, with
+l = sum(h); the total complexity is the sum of the counts, and R is the
+length of the longest repeated factor.  ``profile_counts`` reads h alone,
+so the automaton's states are freed before any count is built.  The
+automaton numbers each prefix state by its length and keeps transitions in
+list rows keyed by letter for words of at most 16 distinct letters, in
+per-state dicts above that.
 """
 
 from __future__ import annotations
@@ -168,9 +167,10 @@ ROW_LETTERS_MAX = 16
 def _build_rows(
     letters: Sequence[int], used: set[int]
 ) -> tuple[list[int], list[int], list[int]]:
-    """Online construction; returns (maxlen, link, repeats).  State e is
-    the prefix letters[:e], so a prefix state's id is its maxlen, one int
-    object for both; clones take the ids l + 1, l + 2, ... in order.
+    """Online construction; returns (maxlen, link, histogram) (see
+    ``SuffixAutomaton``).  State e is the prefix letters[:e], so a prefix
+    state's id is its maxlen, one int object for both; clones take the ids
+    l + 1, l + 2, ... in order.
     Transitions on letter a live in rows[a][state] for each a in used,
     where 0 means "none", since the root is never a target."""
     l = len(letters)
@@ -178,7 +178,7 @@ def _build_rows(
     maxlen = [0] * cap
     link = [0] * cap
     link[0] = -1
-    repeats = [0] * l
+    h = [0] * (l + 2)
     rows = {a: [0] * cap for a in used}
     size = l + 1
     for cur, a in enumerate(letters, 1):
@@ -206,9 +206,11 @@ def _build_rows(
                     g[p] = clone
                     p = link[p]
                 link[q] = link[cur] = clone
-            repeats[cur - 1] = r
+            h[r] += 1
+        else:
+            h[0] += 1
     del maxlen[size:], link[size:]
-    return maxlen, link, repeats
+    return maxlen, link, h[: h.index(0, 1) + 1]
 
 
 def _build_dicts(letters: Sequence[int]) -> tuple[list[int], list[int], list[int]]:
@@ -220,7 +222,7 @@ def _build_dicts(letters: Sequence[int]) -> tuple[list[int], list[int], list[int
     link = [0] * cap
     link[0] = -1
     nxt: list[dict[int, int] | None] = [{}] + [None] * (cap - 1)
-    repeats = [0] * l
+    h = [0] * (l + 2)
     size = l + 1
     for cur, a in enumerate(letters, 1):
         maxlen[cur] = cur
@@ -246,9 +248,11 @@ def _build_dicts(letters: Sequence[int]) -> tuple[list[int], list[int], list[int
                     nxt[p][a] = clone
                     p = link[p]
                 link[q] = link[cur] = clone
-            repeats[cur - 1] = r
+            h[r] += 1
+        else:
+            h[0] += 1
     del maxlen[size:], link[size:]
-    return maxlen, link, repeats
+    return maxlen, link, h[: h.index(0, 1) + 1]
 
 
 class SuffixAutomaton:
@@ -256,13 +260,17 @@ class SuffixAutomaton:
 
     Each non-initial state covers the factor lengths
     (maxlen(link(s)), maxlen(s)].  Right after letter e is added, the new
-    state's link has maxlen L_e = ``repeats[e]``: the length of the longest
-    suffix of letters[:e+1] that also occurs ending earlier.  The factors
-    that first occur ending at e are exactly the longer suffixes, so
-    f(n) = #{e : L_e < n} - (n - 1) for 1 <= n <= l, and the longest
-    factor that occurs twice has length R = max(L_e).  The profile and its
-    shape are read off ``repeats`` alone (``repeat_histogram``,
-    ``profile_counts``); only ``longest_repeat`` needs the states' maxlen
+    state's link has maxlen L_e (0 when the suffix-link walk falls off the
+    root): the length of the longest suffix of letters[:e+1] that also
+    occurs ending earlier.  The factors that first occur ending at e are
+    exactly the longer suffixes, so f(n) = #{e : L_e < n} - (n - 1) for
+    1 <= n <= l, and the longest factor that occurs twice has length
+    R = max(L_e).  The build adds 1 to h[L_e] at each end.  L_0 = 0 and
+    L_e <= L_{e-1} + 1: drop the last letter of an earlier occurrence.  So
+    h[n] >= 1 for every n <= R, the first zero after index 0 is h[R + 1],
+    and ``histogram`` is h[0..R + 1], with sum(h) = l ([0, 0] for the
+    empty word).  The profile and its shape are read off h alone
+    (``profile_counts``); only ``longest_repeat`` needs the states' maxlen
     and suffix links as well.
 
     Transitions live only while the automaton is built, on states
@@ -286,7 +294,7 @@ class SuffixAutomaton:
             built = _build_rows(letters, used)
         else:
             built = _build_dicts(letters)
-        self._maxlen, self._link, self.repeats = built
+        self._maxlen, self._link, self.histogram = built
 
     def longest_repeat(self) -> tuple[int, int, int]:
         """(R, q, j) for the longest factor that occurs at two positions.
@@ -305,33 +313,24 @@ class SuffixAutomaton:
         R = 0 (the word must be non-empty) the root, state 0, is the target
         of every prefix state, so q = 0 and j = l.
         """
-        maxlen, link = self._maxlen, self._link
-        r = max(self.repeats)
-        hits = [v for v in range(1, len(self.repeats) + 1) if maxlen[link[v]] == r]
+        maxlen, link, h = self._maxlen, self._link, self.histogram
+        r = len(h) - 2
+        hits = [v for v in range(1, sum(h) + 1) if maxlen[link[v]] == r]
         u = r if r in map(link.__getitem__, hits) else link[hits[0]]
         q = 0 if u == r else hits[0] - r
         return r, q, next(v for v in reversed(hits) if link[v] == u) - r
 
 
-def repeat_histogram(repeats: Sequence[int]) -> list[int]:
-    """h[n] = #{e : L_e = n} for n = 0..R + 1, where R = max(L_e), so
-    the last entry is 0."""
-    h = [0] * (max(repeats, default=0) + 2)
-    for n in repeats:
-        h[n] += 1
-    return h
-
-
-def profile_counts(repeats: Sequence[int]) -> tuple[int, ...]:
-    """f(0..l), l = len(repeats): the running sum from f(0) = 1 of the
-    steps f(n + 1) - f(n) = h[n] - 1, where h[n] = 0 past R."""
-    steps = chain(map(sub, repeat_histogram(repeats), repeat(1)), repeat(-1))
-    return tuple(accumulate(islice(steps, len(repeats)), initial=1))
+def profile_counts(h: Sequence[int]) -> tuple[int, ...]:
+    """f(0..l), l = sum(h): the running sum from f(0) = 1 of the steps
+    f(n + 1) - f(n) = h[n] - 1, where h[n] = 0 past R."""
+    steps = chain(map(sub, h, repeat(1)), repeat(-1))
+    return tuple(accumulate(islice(steps, sum(h)), initial=1))
 
 
 def complexity_profile(w: Word) -> ComplexityProfile:
     """f(0..l) plus the total complexity, via the suffix automaton."""
-    counts = profile_counts(SuffixAutomaton(w.letters).repeats)
+    counts = profile_counts(SuffixAutomaton(w.letters).histogram)
     return ComplexityProfile(counts, sum(counts))
 
 

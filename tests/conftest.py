@@ -56,6 +56,27 @@ def seeded_letters(k: int, length: int) -> tuple[int, ...]:
     return tuple(rng.randrange(k) for _ in range(length))
 
 
+def brute_repeats(letters: tuple[int, ...]) -> list[int]:
+    """For each end e, the longest suffix of letters[:e+1] that also ends
+    earlier, by comparing slices."""
+    out = []
+    for e in range(len(letters)):
+        prefix = letters[: e + 1]
+        earlier = [n for n in range(1, e + 1)
+                   if any(prefix[i : i + n] == prefix[e + 1 - n :] for i in range(e + 1 - n))]
+        out.append(max(earlier, default=0))
+    return out
+
+
+def histogram_of(repeats: list[int]) -> list[int]:
+    """h[n] = #{e : L_e = n} for n = 0..R + 1, where R = max(L_e), so
+    the last entry is 0."""
+    h = [0] * (max(repeats, default=0) + 2)
+    for n in repeats:
+        h[n] += 1
+    return h
+
+
 def two_byte_word(length: int) -> Word:
     """298 distinct letters U+0100..U+0229, then the (length / 2)-letter
     Fibonacci prefix over U+022A, U+022B: letters 298 and 299, whose ids
@@ -178,7 +199,23 @@ def diag_shift(field: PrimeField, n: int) -> GeneratorSet:
 
 def upper_triangular(field: PrimeField, n: int) -> GeneratorSet:
     """diag(1..n) and the n x n Jordan block; they span only the
-    upper-triangular matrices, with l(S) = n - 1."""
+    upper-triangular matrices, with l(S) = n - 1 when n <= p.
+
+    Proof, for D = diag(1..n) and J = I + N, N the nilpotent shift.  The
+    products of length <= i over {D, J} and over {D, N} span the same
+    space, since J = I + N, N = J - I and I is the empty product.  As
+    N D = (D + I) N, every product over {D, N} with b letters N and at
+    most i - b letters D is a combination of D^a N^b with a <= i - b, and
+    D^a N^b is such a product: so the span is that of {D^a N^b : a + b <= i}.
+    D^a N^b lies on the b-th superdiagonal, with the entries k^a for
+    k = 1..n - b.  If n <= p then 1..n are distinct mod p, so for each b
+    the vectors (k^a) for k = 1..n - b and a = 0..i - b are independent
+    (Vandermonde) while i - b + 1 <= n - b, that is i <= n - 1, and
+    matrices on distinct diagonals are independent.  So
+    dims[i] = (i + 1)(i + 2)/2, the number of pairs a + b <= i, for
+    i <= n - 1.  At i = n - 1 that is n(n + 1)/2, every
+    upper-triangular matrix, so l(S) = n - 1 and dim L(S) = n(n + 1)/2.
+    """
     diag = [[i + 1 if i == j else 0 for j in range(n)] for i in range(n)]
     jordan = [[int(j in (i, i + 1)) for j in range(n)] for i in range(n)]
     return _generators(field, n, diag, jordan)

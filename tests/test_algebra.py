@@ -592,6 +592,43 @@ class TestNewRowFrontier:
             _assert_matches_product_walk(_small_families())
 
 
+def _upper_triangular_mismatches(p: int) -> list[int]:
+    """The n in 2..16 at which the walk on upper_triangular over GF(p) does
+    not give the dims, l(S) and dim L(S) that its docstring proves."""
+    out = []
+    for n in range(2, 17):
+        trace = length_trace(upper_triangular(PrimeField(p), n), n * n)
+        dims = tuple((i + 1) * (i + 2) // 2 for i in range(n))
+        if (trace.dims, trace.length, trace.generated_dim) != (dims, n - 1, dims[-1]):
+            out.append(n)
+    return out
+
+
+class TestUpperTriangularDims:
+    """dims[i] = (i + 1)(i + 2)/2 for the upper-triangular family, an exact
+    check of the walk at every n past brute force.  The proof needs n <= p:
+    over GF(5) at n = 6 the dims end at 20, not 21.  So both fields here
+    have p >= 16, and nothing past n = p is checked."""
+
+    @pytest.mark.parametrize("p", [17, 10007])
+    def test_closed_form_at_every_n(self, p):
+        assert _upper_triangular_mismatches(p) == []
+
+    def test_residual_fault_is_caught(self, monkeypatch):
+        # A planted fault that only d = n^2 >= 256 reaches: every residual
+        # loses its last coordinate.
+        class LastSlotLost(SpanBasis):
+            def _residual(self, slots):
+                res = list(super()._residual(slots))
+                if self.ambient_dim >= 256:
+                    res[-1] = 0
+                return res
+
+        monkeypatch.setattr(algebra, "SpanBasis", LastSlotLost)
+        assert _upper_triangular_mismatches(17) == [16]
+        assert length_trace(upper_triangular(PrimeField(17), 16), 256).generated_dim == 135
+
+
 class TestChecks:
     def test_liw_complexity_example(self):
         report = check_liw_complexity(PAIR)

@@ -9,7 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fibonacci_letters, random_word, run_main, wd, words_st
+from conftest import (
+    brute_repeats,
+    fibonacci_letters,
+    histogram_of,
+    random_word,
+    run_main,
+    wd,
+    words_st,
+)
 from wordlen import verify, words
 from wordlen.oracles import (
     BRUTE_QPT_CAP,
@@ -317,16 +325,22 @@ def counts_from_repeats(repeats: list[int]) -> tuple[int, ...]:
     return (1, *(sum(r < n for r in repeats) - n + 1 for n in range(1, len(repeats) + 1)))
 
 
-def plant_repeats(monkeypatch, fault):
-    """Pass the repeat lengths of every automaton built on per-letter rows
-    through fault (a list -> list function) before any count is read."""
+def plant_histogram(monkeypatch, fault):
+    """Replace the histogram of every automaton built on per-letter rows by
+    fault(letters, histogram) before any count is read."""
     build = words._build_rows
 
     def planted(letters, used):
-        maxlen, link, repeats = build(letters, used)
-        return maxlen, link, fault(list(repeats))
+        maxlen, link, h = build(letters, used)
+        return maxlen, link, fault(letters, h)
 
     monkeypatch.setattr(words, "_build_rows", planted)
+
+
+def plant_repeats(monkeypatch, fault):
+    """Plant the histogram of fault(repeat lengths) (a list -> list
+    function), the per-end lengths taken from the brute_repeats oracle."""
+    plant_histogram(monkeypatch, lambda letters, h: histogram_of(fault(brute_repeats(letters))))
 
 
 def move_repeat(src: int, dst: int):
@@ -388,13 +402,16 @@ class TestShapeFromHistogram:
 
     def test_large_word_memory(self):
         # a prefix state's id is its maxlen, one int object for both: about
-        # 12.6 MB on CPython 3.11-3.13, against 16.0 MB with two per state
+        # 12.6 MB on CPython 3.11, against 16.0 MB with two per state; the
+        # histogram counted during the build peaks as the per-end list of
+        # repeat lengths did here, and 10.3 MB against 13.3 MB on the
+        # Fibonacci word of 10^5 letters, whose list held 10^5 large ints
         assert traced_peak(profile_shape, large_binary_word()) < 13.5 * 2**20
 
     def test_large_word_profile_memory(self):
-        # only the repeat lengths outlive the automaton, so its maxlen and
-        # link lists are freed before the counts are built: 12.6 MB on
-        # CPython 3.11, against 14.1 MB with them alive
+        # only the histogram outlives the automaton, so its maxlen and link
+        # lists are freed before the counts are built: 12.6 MB on CPython
+        # 3.11, against 14.1 MB with them alive
         assert traced_peak(complexity_profile, large_binary_word()) < 13.5 * 2**20
 
     # "abbabbabbb": f = 1, 2, 3, 4, 4, 4, 4, 4, 3, 2, 1, repeat lengths
@@ -412,7 +429,7 @@ class TestShapeFromHistogram:
     ])
     def test_planted_fault_matches_scan(self, monkeypatch, phase, fault, n):
         w = wd("abbabbabbb")
-        counts = counts_from_repeats(fault(SuffixAutomaton(w.letters).repeats))
+        counts = counts_from_repeats(fault(brute_repeats(w.letters)))
         with pytest.raises(ShapeViolation) as ref:
             scan_shape(len(w), counts)
         plant_repeats(monkeypatch, fault)
@@ -422,13 +439,14 @@ class TestShapeFromHistogram:
         assert exc.value.n == n, phase
 
     def test_random_faults_match_scan(self, monkeypatch):
-        # any repeat lengths in [0, l): l of them, or l + 1 to reach the fall
+        # any repeat lengths in [0, l): l of them, or l + 1 to reach the fall;
+        # their histogram is planted as it is, with no call to the oracle
         rng = random.Random(2405)
         for _ in range(500):
             w = random_word(rng, 40)
             l = len(w)
             planted = [rng.randrange(l) for _ in range(l + rng.randint(0, 1) * (l > 1))]
-            plant_repeats(monkeypatch, lambda repeats, planted=planted: planted)
+            plant_histogram(monkeypatch, lambda letters, h, planted=planted: histogram_of(planted))
             try:
                 expected = scan_shape(l, counts_from_repeats(planted))
             except ShapeViolation as ref:
@@ -449,10 +467,93 @@ class TestShapeFromHistogram:
         monkeypatch.undo()
         for record in records:
             w = wd(record["word"])
-            counts = counts_from_repeats(fault(SuffixAutomaton(w.letters).repeats))
+            counts = counts_from_repeats(fault(brute_repeats(w.letters)))
             with pytest.raises(ShapeViolation) as ref:
                 scan_shape(len(w), counts)
             assert (record["n"], record["counts"]) == (ref.value.n, list(ref.value.counts))
+
+
+def planted_split(rng: random.Random, l: int) -> tuple[Word, int, int, int]:
+    """A word of l >= 2 letters over k in {2, 3, 4} with a planted run: for
+    m in [1, min(l // 2, 40)] and p in [1, m], a primitive root of length p
+    (unequal to its rotation by every proper divisor of p) repeated over
+    [i, j), of length L in [l - m + p, l], free letters elsewhere, and the
+    letters just outside the run chosen to break its period.  Returns
+    (w, i, p, j)."""
+    k = rng.choice((2, 3, 4))
+    m = rng.randint(1, min(l // 2, 40))
+    p = rng.randint(1, m)
+    while True:
+        root = [rng.randrange(k) for _ in range(p)]
+        if all(root != root[d:] + root[:d] for d in range(1, p) if p % d == 0):
+            break
+    length = rng.randint(l - m + p, l)
+    i = rng.randint(0, l - length)
+    j = i + length
+    letters = [rng.randrange(k) for _ in range(l)]
+    letters[i:j] = (root[t % p] for t in range(length))
+    if i > 0:
+        letters[i - 1] = rng.choice([a for a in range(k) if a != letters[i - 1 + p]])
+    if j < l:
+        letters[j] = rng.choice([a for a in range(k) if a != letters[j - p]])
+    return Word(tuple(letters), Alphabet.letters(k)), i, p, j
+
+
+PLANTED_SPLITS = ((40, 200), (1_000, 200), (10_000, 20))  # (length, words)
+
+
+def assert_planted_answers(sizes) -> None:
+    """On planted_split words, seeded by their length: minimal_qpt is
+    exactly (i, p, l - j), and the first n with f(n) = l - n + 1 is
+    R + 1 = j - i - p + 1."""
+    for l, count in sizes:
+        rng = random.Random(l)
+        for _ in range(count):
+            w, i, p, j = planted_split(rng, l)
+            assert minimal_qpt(w) == QptDecomposition(i, p, l - j, l), (l, i, p, j)
+            counts = complexity_profile(w).counts
+            first = next(n for n in range(l + 1) if counts[n] == l - n + 1)
+            assert first == j - i - p + 1, (l, i, p, j)
+
+
+class TestPlantedSplits:
+    """Words whose minimal split and longest repeat are known at any length.
+    Let m <= l/2 and let [i, j) be a run of primitive period p <= m and
+    length at least l - m + p that cannot be extended.  Two occurrences of a
+    factor of length >= l - m start p' <= m apart, so they lie in a run of
+    period p' and length >= l - m + p'.  Two such runs would overlap in at
+    least p + p' letters, and Fine and Wilf would give a shorter period, so
+    [i, j) is the only one.  Hence R = j - i - p, the leftmost length-R
+    factor that occurs twice starts at i and recurs only at i + p, and the
+    minimal split is (i, p, l - j)."""
+
+    def test_minimal_qpt_and_profile(self):
+        assert_planted_answers(PLANTED_SPLITS)
+
+    def test_long_repeat_fault_is_caught(self, monkeypatch):
+        # longest_repeat one short only past R = 5,000: no shorter word sees it
+        real = SuffixAutomaton.longest_repeat
+
+        def short(self):
+            r, q, j = real(self)
+            return (r - 1, q, j) if r > 5_000 else (r, q, j)
+
+        monkeypatch.setattr(SuffixAutomaton, "longest_repeat", short)
+        with pytest.raises(AssertionError):
+            assert_planted_answers(PLANTED_SPLITS)
+
+    def test_histogram_fault_is_caught(self, monkeypatch):
+        # the build's top count moved from R to R - 1 only past R = 5,000
+        def lowered(letters, h):
+            r = len(h) - 2
+            if r > 5_000:
+                h[r] -= 1
+                h[r - 1] += 1
+            return h
+
+        plant_histogram(monkeypatch, lowered)
+        with pytest.raises(AssertionError):
+            assert_planted_answers(PLANTED_SPLITS)
 
 
 class TestInvariance:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import wd, words_st
+from conftest import brute_repeats, histogram_of, wd, words_st
 from wordlen.oracles import enumerate_words, naive_profile
 from wordlen.words import (
     ROW_LETTERS_MAX,
@@ -20,7 +20,6 @@ from wordlen.words import (
     count_distinct_factors,
     factor_count,
     parse_word,
-    repeat_histogram,
 )
 
 
@@ -169,13 +168,11 @@ class TestComplexityProfile:
 
     def test_histogram(self):
         # repeat lengths 0, 0, 1, 1, 2, 3, 4, 5, 6, 2: R = 6, and h[R + 1] = 0
-        repeats = SuffixAutomaton(wd("abbabbabbb").letters).repeats
-        assert repeat_histogram(repeats) == [2, 2, 2, 1, 1, 1, 1, 0]
-        assert repeat_histogram([]) == [0, 0]
+        assert SuffixAutomaton(wd("abbabbabbb").letters).histogram == [2, 2, 2, 1, 1, 1, 1, 0]
+        assert SuffixAutomaton(()).histogram == [0, 0]
         for w in enumerate_words(3, 7):
-            repeats = SuffixAutomaton(w.letters).repeats
-            expected = [repeats.count(n) for n in range(max(repeats) + 2)]
-            assert repeat_histogram(repeats) == expected, w.render()
+            expected = histogram_of(brute_repeats(w.letters))
+            assert SuffixAutomaton(w.letters).histogram == expected, w.render()
 
     def test_large_word_fast_path(self):
         rng = random.Random(9)
@@ -206,18 +203,6 @@ def words_with_exactly(rng: random.Random, alphabet: Alphabet, k: int, count: in
     return out
 
 
-def brute_repeats(letters: tuple[int, ...]) -> list[int]:
-    """For each end e, the longest suffix of letters[:e+1] that also ends
-    earlier, by comparing slices."""
-    out = []
-    for e in range(len(letters)):
-        prefix = letters[: e + 1]
-        earlier = [n for n in range(1, e + 1)
-                   if any(prefix[i : i + n] == prefix[e + 1 - n :] for i in range(e + 1 - n))]
-        out.append(max(earlier, default=0))
-    return out
-
-
 class TestTransitionStores:
     """Words with at most ROW_LETTERS_MAX distinct letters build on per-letter
     rows, wider ones on per-state dicts; both must match the oracles."""
@@ -242,7 +227,8 @@ class TestTransitionStores:
 
     def test_repeats_exhaustive_binary(self):
         for w in enumerate_words(2, 10):
-            assert SuffixAutomaton(w.letters).repeats == brute_repeats(w.letters), w.render()
+            expected = histogram_of(brute_repeats(w.letters))
+            assert SuffixAutomaton(w.letters).histogram == expected, w.render()
 
     def test_builds_agree_state_for_state(self):
         # both builds number the prefix state of letters[:e] as e and the
@@ -252,9 +238,23 @@ class TestTransitionStores:
                 letters = w.letters
                 built = _build_dicts(letters)
                 assert _build_rows(letters, set(letters)) == built, w.render()
-                maxlen, _, repeats = built
+                maxlen, _, h = built
                 assert maxlen[: len(letters) + 1] == list(range(len(letters) + 1))
-                assert repeats == brute_repeats(letters), w.render()
+                assert h == histogram_of(brute_repeats(letters)), w.render()
+
+    def test_histogram_lemma(self):
+        # L_0 = 0 and L_e <= L_(e-1) + 1, so both builds trim h to exactly
+        # h[0..R + 1]: h[n] >= 1 up to R, then one 0, and the ends sum to l.
+        # R is the largest n with a repeated length-n factor, read off the
+        # substring-set profile as f(n) <= l - n (0 for the empty word).
+        for k, max_len in ((2, 12), (3, 8)):
+            for w in enumerate_words(k, max_len):
+                letters, l = w.letters, len(w)
+                counts = naive_profile(w).counts
+                r = max((n for n in range(l + 1) if counts[n] <= l - n), default=0)
+                for _, _, h in (_build_rows(letters, set(letters)), _build_dicts(letters)):
+                    assert len(h) == r + 2 and h[-1] == 0 and sum(h) == l, w.render()
+                    assert l == 0 or min(h[: r + 1]) >= 1, w.render()
 
     def test_wide_alphabet_memory(self):
         # 2,000 distinct letters, each used twice: per-state dicts stay small,
